@@ -5,8 +5,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	burst "repro"
@@ -20,28 +20,50 @@ import (
 type batchSession struct {
 	suites []burst.Suite
 	cells  map[string]burst.SuiteCell // every expanded cell, by content hash
-	digest string                     // rows digest of the first pass
-	// modelFailures lists the failed cells of the first pass, printed once.
-	modelFailures []string
+	// digest is the rows digest of the first untraced and the first
+	// traced pass; a traced pass may keep the simulated samples.
+	digest map[bool]string
+	// knownFailures lists the known non-converging cells of the first
+	// pass, printed once.
+	knownFailures []string
+	last          batchPass // what the pass just run left for check
+}
+
+// batchPass is one pass's output, kept for check.
+type batchPass struct {
+	traced  bool
+	suites  []burst.Suite
+	log     *hookLog
+	rows    []burst.SuiteRow
+	memo    burst.MemoStats
+	windows []suiteWindow
 }
 
 func newBatchSession(inputs [][]byte) (*batchSession, error) {
-	b := &batchSession{cells: map[string]burst.SuiteCell{}}
+	b := &batchSession{cells: map[string]burst.SuiteCell{}, digest: map[bool]string{}}
 	for _, in := range inputs {
 		s, err := burst.ParseSuite(in)
 		if err != nil {
 			return nil, err
 		}
-		cells, err := s.Expand()
-		if err != nil {
+		if err := b.expand(s); err != nil {
 			return nil, err
-		}
-		for _, c := range cells {
-			b.cells[c.Hash] = c
 		}
 		b.suites = append(b.suites, s)
 	}
 	return b, nil
+}
+
+// expand records a suite's cells by content hash.
+func (b *batchSession) expand(s burst.Suite) error {
+	cells, err := s.Expand()
+	if err != nil {
+		return err
+	}
+	for _, c := range cells {
+		b.cells[c.Hash] = c
+	}
+	return nil
 }
 
 // rowClock is the sink's writer: it discards the JSON Lines and records
@@ -68,21 +90,16 @@ type suiteWindow struct {
 }
 
 func (b *batchSession) pass(traced bool) (passResult, error) {
-	var (
-		log     *hookLog
-		rows    []burst.SuiteRow
-		memo    burst.MemoStats
-		windows []suiteWindow
-		res     passResult
-	)
+	last := batchPass{traced: traced}
+	var res passResult
 	start := time.Now()
 	if traced {
-		log = newHookLog()
+		last.log = newHookLog()
 	}
 	for _, s := range b.suites {
 		suite := s
 		if traced {
-			traceSuite(&suite, log)
+			traceSuite(&suite, last.log)
 		}
 		clock := &rowClock{start: start}
 		from := time.Since(start)
@@ -90,38 +107,63 @@ func (b *batchSession) pass(traced bool) (passResult, error) {
 		if err != nil {
 			return passResult{}, fmt.Errorf("%s: %w", suite.Name, err)
 		}
-		windows = append(windows, suiteWindow{from, time.Since(start), suite.Workers})
+		last.windows = append(last.windows, suiteWindow{from, time.Since(start), suite.Workers})
 		// The last line is the suite's footer row, not a cell.
 		if n := len(clock.at); n > 0 {
 			res.latencies = append(res.latencies, clock.at[:n-1]...)
 		}
-		rows = append(rows, rep.Rows...)
-		memo = addMemo(memo, rep.Memo)
+		last.suites = append(last.suites, suite)
+		last.rows = append(last.rows, rep.Rows...)
+		last.memo = addMemo(last.memo, rep.Memo)
 	}
 	res.wall = time.Since(start)
+	b.last = last
+	return res, nil
+}
 
-	digest, err := rowsDigest(rows)
+func (b *batchSession) check(res *passResult) error {
+	// Dropped here, so that the next pass does not carry these rows.
+	last := b.last
+	b.last = batchPass{}
+	digest, err := rowsDigest(last.rows)
 	if err != nil {
-		return passResult{}, err
+		return err
 	}
-	first := b.digest == ""
+	first := b.digest[last.traced] == ""
 	if first {
-		b.digest = digest
-	} else if digest != b.digest {
-		res.violations = append(res.violations, fmt.Sprintf("rows digest %s differs from the first pass's %s", digest, b.digest))
+		b.digest[last.traced] = digest
+	} else if digest != b.digest[last.traced] {
+		res.violations = append(res.violations, fmt.Sprintf("rows digest %s differs from the first pass's %s", digest, b.digest[last.traced]))
 	}
-	modelFailed := 0
+	known := tally(last.rows, res)
+	if first && !last.traced {
+		b.knownFailures = known
+	}
+	if last.traced {
+		// A traced pass's suites may differ from the plain ones (kept
+		// samples), and so may their cells' hashes.
+		for _, s := range last.suites {
+			if err := b.expand(s); err != nil {
+				return err
+			}
+		}
+		spans, layers := b.layers(last.log, last.rows, last.windows, last.memo)
+		layers["core.suite.failed_frac"] = float64(len(known)+res.failed) / float64(len(last.rows))
+		res.spans, res.layers = spans, layers
+	}
+	return nil
+}
+
+// tally counts a pass's rows into res: every row is attempted; a row that
+// failed for any reason other than a known non-convergence is failed; the
+// rest go through the correctness gate. It returns the known
+// non-convergences, with their stage and message.
+func tally(rows []burst.SuiteRow, res *passResult) (known []string) {
 	for _, row := range rows {
 		res.attempted++
 		switch {
-		case row.Status == burst.CellStatusFailed && isNonConvergence(row.Error):
-			// A solver that stops short of its tolerance is a measured
-			// outcome of the model, carried by mapqn.decomp.failed and
-			// core.suite.failed_frac, not a broken operation.
-			modelFailed++
-			if first {
-				b.modelFailures = append(b.modelFailures, fmt.Sprintf("%s: stage %s: %s", row.Name, row.Error.Stage, row.Error.Message))
-			}
+		case isKnownNonConvergence(row):
+			known = append(known, fmt.Sprintf("%s: stage %s: %s", row.Name, row.Error.Stage, row.Error.Message))
 		case row.Status != burst.CellStatusOK || row.Report == nil:
 			res.failed++
 			msg := row.Status
@@ -133,18 +175,7 @@ func (b *batchSession) pass(traced bool) (passResult, error) {
 			res.violations = append(res.violations, checkReport(row.Report)...)
 		}
 	}
-	if traced {
-		spans, layers := b.layers(log, rows, windows, memo)
-		layers["core.suite.failed_frac"] = float64(modelFailed+res.failed) / float64(len(rows))
-		res.spans, res.layers = spans, layers
-	}
-	return res, nil
-}
-
-// isNonConvergence reports whether a failed cell stopped because a
-// solver did not reach its tolerance.
-func isNonConvergence(f *burst.CellFailure) bool {
-	return f != nil && f.Stage == burst.StageSolve && strings.Contains(f.Message, "converge")
+	return known
 }
 
 func addMemo(a, b burst.MemoStats) burst.MemoStats {
@@ -161,6 +192,9 @@ func addMemo(a, b burst.MemoStats) burst.MemoStats {
 }
 
 // traceSuite binds the public hooks of a suite to the pass's event log.
+// A simulating suite also keeps the pooled monitoring streams in its rows,
+// so that the traced pass can time their characterization; untraced
+// passes leave them out, as the workload asks.
 func traceSuite(s *burst.Suite, log *hookLog) {
 	s.OnProgress = func(ev burst.SuiteEvent) {
 		kind := evCellEnd
@@ -176,6 +210,11 @@ func traceSuite(s *burst.Suite, log *hookLog) {
 	s.Base.OnProgress = func(ev burst.ProgressEvent) {
 		log.add(hookEvent{kind: evProgress, stage: ev.Stage, pop: ev.Population})
 	}
+	if w := s.Base.Workload; w != nil {
+		kept := *w
+		kept.KeepSamples = true
+		s.Base.Workload = &kept
+	}
 }
 
 // cellTrace gathers one cell's events.
@@ -189,15 +228,14 @@ type cellTrace struct {
 
 // attribute assigns every event to its cell: cell and inject events name
 // it; a progress event belongs to the cell its goroutine is running, or,
-// when it comes from a simulation worker, to the one running cell whose
-// population list holds the event's population (the most recently
-// started one if that does not decide it).
-func (b *batchSession) attribute(events []hookEvent) []*cellTrace {
+// when it comes from a simulation worker, to the cell started last among
+// those still running (xval-sim, the one workload that simulates, runs
+// one cell at a time).
+func attribute(events []hookEvent) []*cellTrace {
 	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
-	var order []*cellTrace
+	var order, active []*cellTrace
 	byHash := map[string]*cellTrace{}
 	running := map[uint64]*cellTrace{}
-	active := []*cellTrace{}
 	for _, ev := range events {
 		switch ev.kind {
 		case evCellStart:
@@ -210,12 +248,7 @@ func (b *batchSession) attribute(events []hookEvent) []*cellTrace {
 			if ct := byHash[ev.cell]; ct != nil {
 				ct.end = ev.at
 				ct.failed = ev.stage == burst.SuiteStageFail
-				for i, a := range active {
-					if a == ct {
-						active = append(active[:i], active[i+1:]...)
-						break
-					}
-				}
+				active = slices.DeleteFunc(active, func(a *cellTrace) bool { return a == ct })
 			}
 		case evInject:
 			if ct := byHash[ev.cell]; ct != nil {
@@ -224,8 +257,8 @@ func (b *batchSession) attribute(events []hookEvent) []*cellTrace {
 			}
 		case evProgress:
 			ct := running[ev.gid]
-			if ct == nil || ct.end != 0 {
-				ct = b.guessCell(active, ev.pop)
+			if (ct == nil || ct.end != 0) && len(active) > 0 {
+				ct = active[len(active)-1]
 			}
 			if ct != nil {
 				ct.progress = append(ct.progress, ev)
@@ -233,24 +266,6 @@ func (b *batchSession) attribute(events []hookEvent) []*cellTrace {
 		}
 	}
 	return order
-}
-
-func (b *batchSession) guessCell(active []*cellTrace, pop int) *cellTrace {
-	var match *cellTrace
-	for _, ct := range active {
-		for _, n := range b.cells[ct.hash].Scenario.Populations {
-			if n == pop {
-				if match != nil {
-					return active[len(active)-1]
-				}
-				match = ct
-			}
-		}
-	}
-	if match == nil && len(active) > 0 {
-		return active[len(active)-1]
-	}
-	return match
 }
 
 // layers turns a traced pass's events and rows into spans and the
@@ -262,7 +277,7 @@ func (b *batchSession) layers(log *hookLog, rows []burst.SuiteRow, windows []sui
 	}
 	ss := &spanSet{}
 	cellWait := 0.0
-	for _, ct := range b.attribute(log.events) {
+	for _, ct := range attribute(log.events) {
 		cell := b.cells[ct.hash]
 		cs := ss.add("core.suite.cell", nil, ct.hash, ct.start, ct.end)
 		for _, w := range windows {
@@ -502,9 +517,9 @@ func solveAttrs(rep *burst.Report, name string, pop int) map[string]float64 {
 }
 
 func (b *batchSession) finish() (info, violations []string) {
-	info = append(info, "rows digest "+b.digest)
-	for _, f := range b.modelFailures {
-		info = append(info, "solver did not converge: "+f)
+	info = append(info, "rows digest "+b.digest[false])
+	for _, f := range b.knownFailures {
+		info = append(info, "known non-convergence: "+f)
 	}
 	return info, nil
 }

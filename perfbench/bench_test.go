@@ -79,6 +79,27 @@ func TestTailPercentile(t *testing.T) {
 	}
 }
 
+// The fixed-percentile tail of a pass names the same rank whatever else
+// ran: the p90 of 16 cells is the second slowest, the p99 of 2000
+// queries has 20 samples beyond it.
+func TestPercentileIsNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		p    float64
+		want float64
+	}{
+		{16, 90, 14}, {3, 90, 2}, {2000, 99, 1979}, {1, 99, 0}, {10, 50, 4},
+	} {
+		xs := make([]float64, c.n)
+		for i := range xs {
+			xs[c.n-1-i] = float64(i)
+		}
+		if got := percentile(xs, c.p); got != c.want {
+			t.Errorf("p%v of 0..%d: %v, want %v", c.p, c.n-1, got, c.want)
+		}
+	}
+}
+
 func TestLawCheckerRejectsPerturbedThroughput(t *testing.T) {
 	sc, err := burst.ParseScenario([]byte(`{
 		"name": "laws", "think_time": 0.5, "populations": [3, 6],
@@ -108,6 +129,76 @@ func TestLawCheckerRejectsPerturbedThroughput(t *testing.T) {
 			}
 			*x = saved
 		}
+	}
+}
+
+// A report whose exact solve gave up and fell back must fail the gate,
+// however well the stand-in columns obey the laws.
+func TestGateRejectsDegradedOrMissingColumns(t *testing.T) {
+	sc, err := burst.ParseScenario([]byte(`{
+		"name": "gate", "think_time": 0.5, "populations": [3, 6],
+		"tiers": [
+			{"name": "front", "mean": 0.0068, "index_of_dispersion": 4, "p95": 0.021},
+			{"name": "db", "mean": 0.0046, "index_of_dispersion": 40, "p95": 0.019}
+		],
+		"solvers": ["map", "mva", "bounds"]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := burst.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := checkReport(rep); len(bad) != 0 {
+		t.Fatalf("exact report rejected: %v", bad)
+	}
+	degraded := *rep
+	degraded.Degraded, degraded.FallbackReason = true, "ctmc: did not converge"
+	if bad := checkReport(&degraded); len(bad) == 0 {
+		t.Error("degraded report passed the gate")
+	}
+	missing := *rep
+	missing.Results = append([]burst.PopulationReport(nil), rep.Results...)
+	missing.Results[1].MAP = nil
+	if bad := checkReport(&missing); len(bad) != 1 {
+		t.Errorf("report without the map column at N=6: %v, want one violation", bad)
+	}
+}
+
+// Only the pinned cell's non-convergence is a measured outcome; the same
+// failure on any other cell, or another failure of the pinned cell,
+// counts as failed.
+func TestTallyCountsUnknownFailures(t *testing.T) {
+	const pinned = "wide-decomp-k6 db.index_of_dispersion=400 app.index_of_dispersion=120"
+	noConv := &burst.CellFailure{Stage: burst.StageSolve, Message: "mapqn: population 200: ctmc: steady-state iteration did not converge"}
+	other := &burst.CellFailure{Stage: burst.StageFit, Message: "fit failed"}
+	rows := []burst.SuiteRow{
+		{Name: pinned, Status: burst.CellStatusFailed, Error: noConv},
+		{Name: "wide-decomp-k6 db.index_of_dispersion=40 app.index_of_dispersion=120", Status: burst.CellStatusFailed, Error: noConv},
+		{Name: pinned, Status: burst.CellStatusFailed, Error: other},
+	}
+	var res passResult
+	known := tally(rows, &res)
+	if res.attempted != 3 || res.failed != 2 || len(known) != 1 {
+		t.Errorf("attempted %d, failed %d, known %d; want 3, 2, 1", res.attempted, res.failed, len(known))
+	}
+}
+
+// Untraced passes run the workload as given; only a traced pass keeps the
+// simulated monitoring streams, for the characterization timing.
+func TestTracingKeepsSamplesOnACopy(t *testing.T) {
+	s, err := burst.ParseSuite(xvalSuite(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Base.Workload.KeepSamples {
+		t.Fatal("xval-sim keeps samples untraced")
+	}
+	traced := s
+	traceSuite(&traced, newHookLog())
+	if !traced.Base.Workload.KeepSamples || s.Base.Workload.KeepSamples {
+		t.Errorf("traced keeps samples %v, untraced %v; want true, false", traced.Base.Workload.KeepSamples, s.Base.Workload.KeepSamples)
 	}
 }
 
@@ -150,7 +241,7 @@ func TestBenchmarkDeclaresEveryMetric(t *testing.T) {
 	if err := json.Unmarshal(data, &decl); err != nil {
 		t.Fatal(err)
 	}
-	e2e := endToEnd([]float64{1}, []passResult{{wall: time.Second, latencies: []float64{1}, attempted: 1}}, 1)
+	e2e := endToEnd([]float64{1}, []passResult{{wall: time.Second, latencies: []float64{1}, attempted: 1}}, 99)
 	if len(decl.EndToEnd) != len(e2e) {
 		t.Errorf("BENCHMARK.json declares %d end-to-end metrics, the command prints %d", len(decl.EndToEnd), len(e2e))
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 
 	burst "repro"
 )
@@ -40,8 +41,10 @@ var (
 
 type lawTol struct{ pop, util float64 }
 
-// checkReport applies the queueing laws a solution cannot violate to
-// every map, decomp and mva column of a report:
+// checkReport rejects a report whose exact solve gave up (a degraded
+// report, or a requested column missing at some population), and applies
+// the queueing laws a solution cannot violate to every map, decomp and
+// mva column:
 //
 //   - Little's law for the whole network, N = X·(R+Z);
 //   - Little's law at the think station and population conservation,
@@ -54,6 +57,9 @@ type lawTol struct{ pop, util float64 }
 // message per violation.
 func checkReport(rep *burst.Report) []string {
 	var bad []string
+	if rep.Degraded {
+		bad = append(bad, fmt.Sprintf("%s: exact MAP solve degraded: %s", rep.Scenario.Name, rep.FallbackReason))
+	}
 	z := rep.Scenario.ThinkTime
 	demands := make([]float64, len(rep.Tiers))
 	for k, t := range rep.Tiers {
@@ -62,6 +68,9 @@ func checkReport(rep *burst.Report) []string {
 	for _, pr := range rep.Results {
 		n := float64(pr.Population)
 		where := func(col string) string { return fmt.Sprintf("%s: %s at N=%d", rep.Scenario.Name, col, pr.Population) }
+		for _, col := range missingColumns(rep.Scenario, &pr) {
+			bad = append(bad, where(col)+": requested column missing")
+		}
 		if m := pr.MAP; m != nil {
 			bad = append(bad, checkNetwork(where("map"), m, n, z, demands, tolExact)...)
 			bad = append(bad, checkBounds(where("map"), m.Throughput, pr.Bounds)...)
@@ -89,6 +98,46 @@ func checkReport(rep *burst.Report) []string {
 		}
 	}
 	return bad
+}
+
+// missingColumns lists the solvers a scenario asked for whose column one
+// population's results lack, as when an exact solve falls back to decomp
+// or bounds and leaves its map column out.
+func missingColumns(sc burst.Scenario, pr *burst.PopulationReport) []string {
+	var out []string
+	for _, c := range []struct {
+		kind    burst.SolverKind
+		present bool
+	}{
+		{burst.SolverMAP, pr.MAP != nil},
+		{burst.SolverDecomp, pr.Decomp != nil},
+		{burst.SolverMVA, pr.MVA != nil},
+		{burst.SolverBounds, pr.Bounds != nil},
+		{burst.SolverCrossValidate, pr.Sim != nil && pr.Validation != nil},
+	} {
+		if sc.Wants(c.kind) && !c.present {
+			out = append(out, string(c.kind))
+		}
+	}
+	return out
+}
+
+// knownNonConvergent names the cells whose solver stops short of its
+// tolerance on every seed: K=6, db I=400, app I=120 of wide-decomp, whose
+// decomp fixed point at N=200 ends at residual ≈2.1e-9 after 200
+// iterations (tol 1e-9). Under on_error continue that is a measured
+// outcome of the model, the baseline a convergence fix must move, not a
+// failed operation. Any other failed cell is one.
+var knownNonConvergent = map[string]bool{
+	"wide-decomp-k6 db.index_of_dispersion=400 app.index_of_dispersion=120": true,
+}
+
+// isKnownNonConvergence reports whether a row is the failure of a cell in
+// knownNonConvergent, for the known reason.
+func isKnownNonConvergence(row burst.SuiteRow) bool {
+	f := row.Error
+	return row.Status == burst.CellStatusFailed && knownNonConvergent[row.Name] &&
+		f != nil && f.Stage == burst.StageSolve && strings.Contains(f.Message, "did not converge")
 }
 
 func checkNetwork(where string, m *burst.MAPNetworkMetricsN, n, z float64, demands []float64, tol lawTol) []string {

@@ -135,8 +135,7 @@ func wideDecompSuites(seed int64) [][]byte {
 // {25,50,100}: simulate, characterize the simulated monitoring streams,
 // fit, solve exactly and compare. One cell per population, run one at a
 // time so the two simulation workers are the only parallelism. The
-// simulation seed is derived from the benchmark seed; keep_samples makes
-// the pooled streams visible for the traced characterization timing.
+// simulation seed is derived from the benchmark seed.
 func xvalSuite(seed int64) []byte {
 	return mustJSON(object{
 		"name": "xval-sim",
@@ -145,7 +144,7 @@ func xvalSuite(seed int64) []byte {
 			"populations": []int{25},
 			"workload": object{
 				"mix": "browsing", "tiers": 2, "duration": 1800,
-				"replicas": 2, "workers": 2, "seed": 1000 + seed, "keep_samples": true,
+				"replicas": 2, "workers": 2, "seed": 1000 + seed,
 			},
 			"solvers": []string{"crossvalidate"},
 			"planner": object{"solver": object{"tol": 1e-8}},

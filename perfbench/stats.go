@@ -43,10 +43,19 @@ func tailPercentile(xs []float64) (p, v float64) {
 	if p <= 50 {
 		return 50, median(xs)
 	}
-	s := sortedCopy(xs)
-	// Nearest rank: the smallest sample with at least p% of the samples
-	// at or below it. The guard keeps p*n/100 = n-minTail from rounding
-	// up past n-minTail.
+	return p, percentile(xs, p)
+}
+
+// percentile returns the nearest-rank p-th percentile of xs: the smallest
+// sample with at least p% of the samples at or below it, or 0 for no
+// samples. xs is not modified.
+func percentile(xs []float64, p float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return 0
+	}
+	// The guard keeps an exact p*n/100 from rounding up to the next rank.
 	rank := int(math.Ceil(p*float64(n)/100 - 1e-9))
-	return p, s[rank-1]
+	rank = max(1, min(n, rank))
+	return sortedCopy(xs)[rank-1]
 }

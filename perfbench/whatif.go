@@ -56,6 +56,12 @@ type whatifSession struct {
 	// cold holds, per catalog entry, a traced cold local run of the same
 	// query: its rows and its fit and solve times (filled on first use).
 	cold map[int]*coldRun
+
+	// What the pass just run left for check: its queries, whether it was
+	// traced, and the service's memo counters before it.
+	lastSamples []querySample
+	lastTraced  bool
+	memoBefore  burst.MemoStats
 }
 
 type coldRun struct {
@@ -264,7 +270,7 @@ func (w *whatifSession) get(path string) ([]byte, error) {
 }
 
 func (w *whatifSession) pass(traced bool) (passResult, error) {
-	before := w.svc.Metrics().Memo
+	w.memoBefore = w.svc.Metrics().Memo
 	start := time.Now()
 	samples, err := w.loop(whatifPassQueries, traced, func() query {
 		w.mu.Lock()
@@ -272,9 +278,14 @@ func (w *whatifSession) pass(traced bool) (passResult, error) {
 		return w.stream.next()
 	})
 	res := passResult{wall: time.Since(start)}
-	if err != nil {
-		return res, err
-	}
+	w.lastSamples, w.lastTraced = samples, traced
+	return res, err
+}
+
+func (w *whatifSession) check(res *passResult) error {
+	// Dropped here, so that the next pass does not carry these samples.
+	samples := w.lastSamples
+	w.lastSamples = nil
 	for _, s := range samples {
 		res.attempted++
 		res.latencies = append(res.latencies, s.latencyMs)
@@ -283,15 +294,12 @@ func (w *whatifSession) pass(traced bool) (passResult, error) {
 			res.failures = append(res.failures, fmt.Sprintf("query whatif-%02d: HTTP %d, or no rows or a failed row", s.entry, s.code))
 		}
 	}
-	if traced {
-		after := w.svc.Metrics().Memo
-		l, err := w.layers(samples, before, after)
-		if err != nil {
-			return res, err
-		}
-		res.layers = l
+	if !w.lastTraced {
+		return nil
 	}
-	return res, nil
+	l, err := w.layers(samples, w.memoBefore, w.svc.Metrics().Memo)
+	res.layers = l
+	return err
 }
 
 // layers derives the service workload's per-layer metrics from the
@@ -379,12 +387,8 @@ func (w *whatifSession) coldRun(entry int) (*coldRun, error) {
 	}
 	suite := w.suites[entry]
 	b := &batchSession{suites: []burst.Suite{suite}, cells: map[string]burst.SuiteCell{}}
-	cells, err := suite.Expand()
-	if err != nil {
+	if err := b.expand(suite); err != nil {
 		return nil, err
-	}
-	for _, c := range cells {
-		b.cells[c.Hash] = c
 	}
 	log := newHookLog()
 	traceSuite(&suite, log)
