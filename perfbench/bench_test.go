@@ -227,6 +227,30 @@ func TestSelfTimeSubtractsCoveredChildTime(t *testing.T) {
 	}
 }
 
+// Timings are scaled by the host probe's factor, throughput by its
+// inverse; counts and memory are not.
+func TestEndToEndScalesTimingsOnly(t *testing.T) {
+	passes := []passResult{{wall: 2 * time.Second, latencies: []float64{10, 20, 30}, attempted: 3, alloc: 5e6, peakMem: 7e6}}
+	plain := endToEnd([]float64{0.5}, passes, 90, 1)
+	scaled := endToEnd([]float64{0.5}, passes, 90, 0.5)
+	for name, m := range plain {
+		want := m.Value
+		switch name {
+		case "setup_s", "wall_s", "query_p50_ms", "query_p99_ms":
+			want *= 0.5
+		case "queries_per_s":
+			want *= 2
+		}
+		if got := scaled[name].Value; math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%s at scale 0.5: %v, want %v", name, got, want)
+		}
+	}
+	h := &hostProbe{times: []float64{probeRefMs, 2 * probeRefMs, 2 * probeRefMs}}
+	if got := h.scale(); got != 0.5 {
+		t.Errorf("probes at twice the reference time: scale %v, want 0.5", got)
+	}
+}
+
 // TestBenchmarkDeclaresEveryMetric pins BENCHMARK.json to what the
 // command prints: every end-to-end and per-layer name, with its unit.
 func TestBenchmarkDeclaresEveryMetric(t *testing.T) {
@@ -241,7 +265,7 @@ func TestBenchmarkDeclaresEveryMetric(t *testing.T) {
 	if err := json.Unmarshal(data, &decl); err != nil {
 		t.Fatal(err)
 	}
-	e2e := endToEnd([]float64{1}, []passResult{{wall: time.Second, latencies: []float64{1}, attempted: 1}}, 99)
+	e2e := endToEnd([]float64{1}, []passResult{{wall: time.Second, latencies: []float64{1}, attempted: 1}}, 99, 1)
 	if len(decl.EndToEnd) != len(e2e) {
 		t.Errorf("BENCHMARK.json declares %d end-to-end metrics, the command prints %d", len(decl.EndToEnd), len(e2e))
 	}

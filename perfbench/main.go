@@ -6,8 +6,10 @@
 //
 // The last line of standard output is a JSON object with the keys
 // correct, attempted, failed and metrics. With --trace 0 the metrics are
-// the end-to-end ones, measured untraced; with --trace 1 they are the
-// per-layer ones, from traced passes alternated with untraced ones.
+// the end-to-end ones, measured untraced, with their timings scaled to a
+// reference host speed by the host probe (probe.go); with --trace 1 they
+// are the per-layer ones, from traced passes alternated with untraced
+// ones, as measured.
 package main
 
 import (
@@ -97,7 +99,12 @@ func run() int {
 	seconds := flag.Int("seconds", 20, "measured time in seconds")
 	trace := flag.Int("trace", 0, "1 to report per-layer metrics from traced passes")
 	root := flag.String("root", ".", "checkout root; outputs go under its .bench_build/")
+	probe := flag.Bool("probe", false, "run the host probe's kernel once and print its times (the run's child process)")
 	flag.Parse()
+	if *probe {
+		runProbeKernel()
+		return 0
+	}
 	wl, ok := workloads[*name]
 	if !ok || *seconds < 1 || (*trace != 0 && *trace != 1) {
 		fmt.Fprintf(os.Stderr, "perfbench: bad arguments (workload %q, seconds %d, trace %d)\n", *name, *seconds, *trace)
@@ -134,6 +141,13 @@ func measure(wl workload, name string, seed int64, budget time.Duration, traced 
 		setups []float64
 		sess   session
 	)
+	probes, err := newHostProbe()
+	if err != nil {
+		return nil, err
+	}
+	if err := probes.take(); err != nil {
+		return nil, err
+	}
 	closeSession := func() {
 		if sess != nil {
 			sess.close()
@@ -162,6 +176,11 @@ func measure(wl workload, name string, seed int64, budget time.Duration, traced 
 	deadline := time.Now().Add(budget)
 	for i := 0; ; i++ {
 		tracedPass := traced && i%2 == 1
+		if probes.due() {
+			if err := probes.take(); err != nil {
+				return nil, err
+			}
+		}
 		var before, after runtime.MemStats
 		// Every pass starts from the same heap: the previous pass's
 		// garbage collected and returned to the OS.
@@ -187,6 +206,9 @@ func measure(wl workload, name string, seed int64, budget time.Duration, traced 
 			break
 		}
 	}
+	if err := probes.take(); err != nil {
+		return nil, err
+	}
 
 	res := &result{Correct: true, Metrics: map[string]metric{}}
 	var violations, failures []string
@@ -207,6 +229,7 @@ func measure(wl workload, name string, seed int64, budget time.Duration, traced 
 		fmt.Printf(" %.3f", r.wall.Seconds())
 	}
 	fmt.Println()
+	fmt.Println("  " + probes.String())
 	for _, line := range info {
 		fmt.Println("  " + line)
 	}
@@ -220,6 +243,7 @@ func measure(wl workload, name string, seed int64, budget time.Duration, traced 
 
 	if traced {
 		layers, overhead := perLayer(plain, withTrace)
+		layers["host.probe_ms"] = median(probes.times)
 		for k, v := range layers {
 			res.Metrics[k] = metric{v, layerUnit(k)}
 		}
@@ -238,15 +262,17 @@ func measure(wl workload, name string, seed int64, budget time.Duration, traced 
 			fmt.Println("  spans: " + path)
 		}
 	} else {
-		res.Metrics = endToEnd(setups, plain, wl.tailP)
+		res.Metrics = endToEnd(setups, plain, wl.tailP, probes.scale())
 	}
 	printMetrics(res.Metrics)
 	return res, nil
 }
 
 // endToEnd reduces untraced passes to the end-to-end metrics. The tail is
-// each pass's tailP-th percentile, median over the passes.
-func endToEnd(setups []float64, passes []passResult, tailP float64) map[string]metric {
+// each pass's tailP-th percentile, median over the passes. Every timing
+// is multiplied by scale, the host probe's factor to the reference speed.
+
+func endToEnd(setups []float64, passes []passResult, tailP, scale float64) map[string]metric {
 	var walls, allocs, mems, lat, tails []float64
 	completed, wallSum := 0, 0.0
 	for _, r := range passes {
@@ -259,12 +285,14 @@ func endToEnd(setups []float64, passes []passResult, tailP float64) map[string]m
 		wallSum += r.wall.Seconds()
 	}
 	fmt.Printf("  query_p99_ms is the median over %d passes of each pass's p%v\n", len(passes), tailP)
+	fmt.Printf("  as measured: setup_s %.6g, wall_s %.6g, query_p50_ms %.6g, query_p99_ms %.6g, queries_per_s %.6g\n",
+		median(setups), median(walls), median(lat), median(tails), float64(completed)/wallSum)
 	return map[string]metric{
-		"setup_s":       {median(setups), "s"},
-		"wall_s":        {median(walls), "s"},
-		"query_p50_ms":  {median(lat), "ms"},
-		"query_p99_ms":  {median(tails), "ms"},
-		"queries_per_s": {float64(completed) / wallSum, "1/s"},
+		"setup_s":       {median(setups) * scale, "s"},
+		"wall_s":        {median(walls) * scale, "s"},
+		"query_p50_ms":  {median(lat) * scale, "ms"},
+		"query_p99_ms":  {median(tails) * scale, "ms"},
+		"queries_per_s": {float64(completed) / (wallSum * scale), "1/s"},
 		"alloc_mb":      {median(allocs), "MB"},
 		"peak_rss_mb":   {median(mems), "MB"},
 	}
@@ -319,7 +347,7 @@ var layerNames = []string{
 	"tpcw.sim.busy_s", "tpcw.sim.completions", "tpcw.sim.completions_per_s",
 	"inference.characterize.busy_s", "inference.characterize.windows",
 	"validate.busy_s", "validate.states", "validate.map_err_max",
-	"trace.overhead_frac",
+	"trace.overhead_frac", "host.probe_ms",
 }
 
 // layerUnit derives a per-layer metric's unit from its name.
@@ -327,7 +355,7 @@ func layerUnit(name string) string {
 	switch {
 	case strings.HasSuffix(name, "_per_s"):
 		return "1/s"
-	case strings.HasSuffix(name, "_ms_p50") || strings.HasSuffix(name, "_ms_p99"):
+	case strings.HasSuffix(name, "_ms") || strings.HasSuffix(name, "_ms_p50") || strings.HasSuffix(name, "_ms_p99"):
 		return "ms"
 	case strings.HasSuffix(name, "_s"):
 		return "s"
