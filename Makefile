@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet fmt-check race faults xvalidate scenario suite serve-smoke bench benchgate
+.PHONY: check build test vet fmt-check perfbench-check race faults xvalidate scenario suite serve-smoke paperrepro-check bench benchgate
 
-check: vet fmt-check build test
+check: vet fmt-check build test perfbench-check
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +22,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench-check vets and tests the benchmark harness. perfbench is its
+# own Go module (it replaces repro with this checkout), so the root
+# ./... patterns never compile it; without this step a change to the
+# facade it imports could break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # race exercises the goroutine-parallel paths (replica-parallel TPC-W
 # runs, parallel SpMV) under the race detector; -short skips the
@@ -67,6 +74,15 @@ suite:
 # run, ending with a clean SIGTERM drain.
 serve-smoke:
 	./scripts/serve-smoke.sh
+
+# paperrepro-check regenerates the paper's tables and figures at quick
+# scale (about 45 s) and requires stdout to match the committed golden
+# byte for byte: refactors of the pipeline behind cmd/paperrepro must
+# not move a single printed digit.
+paperrepro-check:
+	$(GO) run ./cmd/paperrepro -scale quick -seed 11 > .paperrepro_out.txt
+	diff -u testdata/paperrepro_quick_seed11.txt .paperrepro_out.txt
+	rm -f .paperrepro_out.txt
 
 # bench runs the solver benchmarks — the end-to-end K=2/K=3/K=4 CTMC
 # solves, the warm/cold population sweep, the suite-engine batch run,

@@ -69,7 +69,7 @@ func BenchmarkSolveThreeTier(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var met MAPNetworkMetricsN
 			for i := 0; i < b.N; i++ {
-				m, err := SolveMAPNetworkN(MAPNetworkModelN{
+				m, err := SolveNetwork(context.Background(), MAPNetworkModelN{
 					Stations:  c.stations,
 					ThinkTime: 0.5,
 					Customers: c.ebs,
@@ -185,7 +185,7 @@ func BenchmarkSolverSweep(b *testing.B) {
 	opts := SolverOptions{Tol: 1e-8}
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mets, err := SolveMAPNetworkSweepN(stations, 0.5, populations, opts)
+			mets, err := SolveNetworkSweep(context.Background(), stations, 0.5, populations, opts, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func BenchmarkSolverSweep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var last MAPNetworkMetricsN
 			for _, n := range populations {
-				met, err := SolveMAPNetworkN(MAPNetworkModelN{
+				met, err := SolveNetwork(context.Background(), MAPNetworkModelN{
 					Stations:  stations,
 					ThinkTime: 0.5,
 					Customers: n,
@@ -371,7 +371,7 @@ func BenchmarkFigure4ThroughputUtilization(b *testing.B) {
 // periods where DB utilization exceeds the front's.
 func BenchmarkFigure5UtilizationTimeline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		stats, _, err := experiments.Figure5And6(31, benchScale())
+		stats, err := experiments.Figure5And6(31, benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -393,7 +393,7 @@ func BenchmarkFigure5UtilizationTimeline(b *testing.B) {
 // the browsing mix only.
 func BenchmarkFigure6DBQueueBurstiness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		stats, _, err := experiments.Figure5And6(31, benchScale())
+		stats, err := experiments.Figure5And6(31, benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}

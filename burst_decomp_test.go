@@ -106,7 +106,7 @@ func TestDecompPerformanceGap(t *testing.T) {
 		Customers: 20,
 	}
 	t0 := time.Now()
-	ex, err := SolveMAPNetworkN(m, SolverOptions{Tol: 1e-8})
+	ex, err := SolveNetwork(context.Background(), m, SolverOptions{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}

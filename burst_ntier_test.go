@@ -1,8 +1,11 @@
 package burst
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // synthTierSamples fabricates monitoring data for one tier: per-window
@@ -75,7 +78,7 @@ func TestFacadeThreeTierEndToEnd(t *testing.T) {
 			chars[1].IndexOfDispersion, chars[0].IndexOfDispersion)
 	}
 
-	plan, err := NewPlanN(tiers, 0.5, PlannerOptions{
+	plan, err := core.BuildPlanN(tiers, 0.5, PlannerOptions{
 		TierNames: []string{"front", "app", "db"},
 		Solver:    SolverOptions{Tol: 1e-8},
 	})
@@ -110,7 +113,7 @@ func TestFacadeThreeTierEndToEnd(t *testing.T) {
 	}
 
 	// The same three tiers solved directly through the network facade.
-	met, err := SolveMAPNetworkN(MAPNetworkModelN{
+	met, err := SolveNetwork(context.Background(), MAPNetworkModelN{
 		Stations: []Station{
 			{Name: "front", MAP: plan.Tiers[0].Fit.MAP},
 			{Name: "app", MAP: plan.Tiers[1].Fit.MAP},
@@ -131,27 +134,25 @@ func TestFacadeThreeTierEndToEnd(t *testing.T) {
 			met.Throughput, preds[1].MAP.Throughput, relDiff)
 	}
 
-	// N-tier bounds bracket the exact solution and reach large N.
-	b, err := ModelBoundsN(MAPNetworkModelN{
-		Stations:  plan.Stations(),
-		ThinkTime: 0.5,
-		Customers: 12,
-	})
+	// The same characterizations declared as a Scenario: the bounds
+	// bracket the exact solution, and the scenario's K-station MVA agrees
+	// with the plan's baseline.
+	sc := Scenario{ThinkTime: 0.5, Populations: []int{12}, Solvers: []SolverKind{SolverMVA, SolverBounds}}
+	for _, tier := range plan.Tiers {
+		c := tier.Characterization
+		sc.Tiers = append(sc.Tiers, TierSpec{
+			Name: tier.Name, Mean: c.MeanServiceTime, IndexOfDispersion: c.IndexOfDispersion, P95: c.P95ServiceTime,
+		})
+	}
+	rep, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b, base := rep.Results[0].Bounds, rep.Results[0].MVA
 	if met.Throughput > b.UpperX*1.001 || met.Throughput < b.LowerX*0.999 {
 		t.Errorf("bounds [%v, %v] miss exact %v", b.LowerX, b.UpperX, met.Throughput)
 	}
-
-	// K-station MVA via the facade agrees with the plan's baseline.
-	base, err := SolveMVAN([]float64{
-		plan.Tiers[0].Demand(), plan.Tiers[1].Demand(), plan.Tiers[2].Demand(),
-	}, 0.5, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if math.Abs(base.Throughput-preds[1].MVA.Throughput) > 1e-9 {
-		t.Errorf("facade MVA X = %v, plan baseline X = %v", base.Throughput, preds[1].MVA.Throughput)
+		t.Errorf("scenario MVA X = %v, plan baseline X = %v", base.Throughput, preds[1].MVA.Throughput)
 	}
 }

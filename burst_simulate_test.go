@@ -1,6 +1,9 @@
 package burst
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // The facade's N-tier simulation entry points: build a 3-tier testbed,
 // run a small replicated simulation, and check the aggregate shape. The
@@ -19,7 +22,7 @@ func TestSimulateTPCWReplicasFacade(t *testing.T) {
 		Mix: OrderingMix(), Tiers: tiers,
 		EBs: 15, Seed: 99, Duration: 240, Warmup: 30, Cooldown: 30,
 	}
-	rr, err := SimulateTPCWReplicas(cfg, 2, 0)
+	rr, err := SimulateReplicas(context.Background(), cfg, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +41,7 @@ func TestSimulateTPCWReplicasFacade(t *testing.T) {
 	// Single runs through the same facade agree with replica 0.
 	c := cfg
 	c.Seed = rr.Seeds[0]
-	single, err := SimulateTPCWN(c)
+	single, err := Simulate(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package burst
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // The facade tests exercise the public API end to end at small scale;
@@ -38,50 +41,55 @@ func TestFacadeFitAndModel(t *testing.T) {
 	if math.Abs(fit.MAP.Mean()-0.005) > 1e-6 {
 		t.Errorf("fitted mean = %v", fit.MAP.Mean())
 	}
-	met, err := SolveMAPNetwork(MAPNetworkModel{
-		Front:     fit.MAP,
-		DB:        fit.MAP,
-		ThinkTime: 0.5,
-		Customers: 10,
-	}, SolverOptions{})
+	met, err := SolveNetwork(context.Background(), frontDBNetwork(fit.MAP, 10), SolverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if met.Throughput <= 0 {
 		t.Error("zero model throughput")
 	}
-	base, err := SolveMVA(0.005, 0.005, 0.5, 10)
+	rep, err := Run(context.Background(), frontDBScenario(0.005, 120, 0.02, 10, SolverMVA))
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := rep.Results[0].MVA
 	if met.Throughput > base.Throughput*1.01 {
 		t.Errorf("bursty model X %v should not exceed MVA %v", met.Throughput, base.Throughput)
 	}
 }
 
 func TestFacadeTPCWAndPlan(t *testing.T) {
-	run, err := SimulateTPCW(TPCWConfig{
-		Mix: OrderingMix(), EBs: 30, Seed: 3,
+	tiers, err := DefaultTPCWTiers(OrderingMix(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := Simulate(context.Background(), TPCWConfigN{
+		Mix: OrderingMix(), Tiers: tiers, EBs: 30, Seed: 3,
 		Duration: 900, Warmup: 60, Cooldown: 30,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := Characterize(run.FrontSamples)
+	ch, err := Characterize(run.TierSamples[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ch.MeanServiceTime <= 0 {
 		t.Error("characterization failed")
 	}
-	plan, err := NewPlan(run.FrontSamples, run.DBSamples, 0.5, PlannerOptions{})
+	rep, err := Run(context.Background(), Scenario{
+		ThinkTime:   0.5,
+		Populations: []int{10, 30},
+		Tiers: []TierSpec{
+			{Name: "front", Samples: &run.TierSamples[0]},
+			{Name: "db", Samples: &run.TierSamples[1]},
+		},
+		Solvers: []SolverKind{SolverMAP},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, err := plan.Predict([]int{10, 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	preds := rep.Results
 	if len(preds) != 2 || preds[1].MAP.Throughput <= preds[0].MAP.Throughput*0.5 {
 		t.Errorf("predictions implausible: %+v", preds)
 	}
@@ -117,11 +125,35 @@ func TestFacadeMixes(t *testing.T) {
 	if est2.I <= 0 {
 		t.Errorf("noisy stream I = %v, want > 0", est2.I)
 	}
-	if _, err := NewPlanFromCharacterizations(
-		Characterization{MeanServiceTime: 0.005, IndexOfDispersion: 10, P95ServiceTime: 0.02},
-		Characterization{MeanServiceTime: 0.004, IndexOfDispersion: 50, P95ServiceTime: 0.03},
-		0.5, PlannerOptions{}); err != nil {
+	if _, err := core.BuildPlanNFromCharacterizations([]Characterization{
+		{MeanServiceTime: 0.005, IndexOfDispersion: 10, P95ServiceTime: 0.02},
+		{MeanServiceTime: 0.004, IndexOfDispersion: 50, P95ServiceTime: 0.03},
+	}, 0.5, PlannerOptions{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// frontDBNetwork is the paper's front+DB MAP network at Z = 0.5 s with
+// both tiers served by m.
+func frontDBNetwork(m *MAP, customers int) MAPNetworkModelN {
+	return MAPNetworkModelN{
+		Stations:  []Station{{Name: "front", MAP: m}, {Name: "db", MAP: m}},
+		ThinkTime: 0.5,
+		Customers: customers,
+	}
+}
+
+// frontDBScenario declares the same two identical tiers, characterized
+// as (mean, I, p95), at Z = 0.5 s and one population.
+func frontDBScenario(mean, i, p95 float64, population int, solver SolverKind) Scenario {
+	tier := TierSpec{Mean: mean, IndexOfDispersion: i, P95: p95}
+	front, db := tier, tier
+	front.Name, db.Name = "front", "db"
+	return Scenario{
+		ThinkTime:   0.5,
+		Populations: []int{population},
+		Tiers:       []TierSpec{front, db},
+		Solvers:     []SolverKind{solver},
 	}
 }
 
@@ -161,12 +193,12 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := MAPNetworkModel{Front: fit.MAP, DB: fit.MAP, ThinkTime: 0.5, Customers: 20}
-	b, err := ModelBounds(m)
+	rep, err := Run(context.Background(), frontDBScenario(0.005, 80, 0.03, 20, SolverBounds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := SolveMAPNetwork(m, SolverOptions{})
+	b := rep.Results[0].Bounds
+	exact, err := SolveNetwork(context.Background(), frontDBNetwork(fit.MAP, 20), SolverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func printFigure4(seed int64, scale experiments.Scale) error {
 }
 
 func printFigure5(seed int64, scale experiments.Scale) error {
-	stats, _, err := experiments.Figure5And6(seed, scale)
+	stats, err := experiments.Figure5And6(seed, scale)
 	if err != nil {
 		return err
 	}
@@ -156,7 +156,7 @@ func printFigure5(seed int64, scale experiments.Scale) error {
 }
 
 func printFigure6(seed int64, scale experiments.Scale) error {
-	stats, _, err := experiments.Figure5And6(seed, scale)
+	stats, err := experiments.Figure5And6(seed, scale)
 	if err != nil {
 		return err
 	}

@@ -1,3 +1,17 @@
+// Package core implements the paper's end-to-end capacity-planning
+// methodology: from coarse monitoring measurements of a multi-tier
+// system, build (1) the burstiness-aware MAP queueing network of
+// Section 4 and (2) the classical MVA baseline of Section 3.4, and
+// predict throughput, response time and utilizations as the number of
+// emulated browsers grows. This is the piece a practitioner would use:
+// feed it `sar`-style utilization samples and transaction counts for
+// each tier, get capacity predictions that remain accurate under bursty
+// workloads and bottleneck switch.
+//
+// The planning entry points are BuildPlanN / PlanN, which accept one
+// monitoring-sample set per tier (front, app, ..., db); the paper's
+// two-tier system is the K=2 plan. Scenario, Run and RunSuite build the
+// declarative pipeline on top of them.
 package core
 
 import (
@@ -5,12 +19,31 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/ctmc"
 	"repro/internal/inference"
 	"repro/internal/mapqn"
 	"repro/internal/markov"
 	"repro/internal/mva"
 	"repro/internal/trace"
 )
+
+// PlannerOptions tunes model construction.
+type PlannerOptions struct {
+	// Inference configures the measurement pipeline.
+	Inference inference.Options `json:"inference,omitempty"`
+	// Fit configures the MAP(2) selection (paper Section 4.1).
+	Fit markov.FitOptions `json:"fit,omitempty"`
+	// Solver configures the CTMC steady-state solver.
+	Solver ctmc.Options `json:"solver,omitempty"`
+	// Decomp configures the approximate decomposition solver's fixed
+	// point (nil for defaults). A pointer so that scenarios not touching
+	// it keep their canonical JSON — and therefore their content hashes —
+	// unchanged.
+	Decomp *mapqn.DecompOptions `json:"decomp,omitempty"`
+	// TierNames optionally labels the tiers of an N-tier plan (one per
+	// tier, in visit order). Empty uses front/app.../db defaults.
+	TierNames []string `json:"tier_names,omitempty"`
+}
 
 // Tier is one tier of an N-tier capacity plan: the measured service
 // characterization, the fitted MAP(2) service process, and the visit
@@ -30,8 +63,8 @@ type Tier struct {
 // Demand returns the tier's aggregate mean service demand per cycle.
 func (t Tier) Demand() float64 { return t.Visits * t.Characterization.MeanServiceTime }
 
-// PlanN is a parameterized capacity-planning model for a K-tier system:
-// the N-tier generalization of Plan. Tiers are visited in slice order.
+// PlanN is a parameterized capacity-planning model for a K-tier system.
+// Tiers are visited in slice order.
 type PlanN struct {
 	// Tiers are the characterized and fitted tiers in visit order.
 	Tiers []Tier
@@ -288,6 +321,18 @@ func (p *PlanN) Bounds(populations []int) ([]mapqn.NetworkBoundsResult, error) {
 	return mapqn.NetworkBoundsSweep(p.Stations(), p.ThinkTime, populations)
 }
 
+// Accuracy compares predicted against measured throughput, returning the
+// relative errors of the MAP model and the MVA baseline — the error bars
+// the paper reports in Figs. 10-12.
+type Accuracy struct {
+	EBs              int
+	Measured         float64
+	MAPPredicted     float64
+	MVAPredicted     float64
+	MAPRelativeError float64
+	MVARelativeError float64
+}
+
 // Compare evaluates both models against measured throughputs.
 // populations and measured must have equal lengths.
 func (p *PlanN) Compare(populations []int, measured []float64) ([]Accuracy, error) {
@@ -313,4 +358,12 @@ func (p *PlanN) Compare(populations []int, measured []float64) ([]Accuracy, erro
 		}
 	}
 	return out, nil
+}
+
+func relErr(pred, actual float64) float64 {
+	d := pred - actual
+	if d < 0 {
+		d = -d
+	}
+	return d / actual
 }

@@ -62,41 +62,6 @@ func TestBuildPlanNErrors(t *testing.T) {
 	}
 }
 
-// TestTwoTierPlanMatchesPlanN: the legacy Plan is a wrapper, so its
-// predictions must equal the K=2 PlanN's exactly.
-func TestTwoTierPlanMatchesPlanN(t *testing.T) {
-	front := validChar(0.006, 30, 0.025)
-	db := validChar(0.004, 150, 0.03)
-	legacy, err := BuildPlanFromCharacterizations(front, db, 0.5, PlannerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := BuildPlanNFromCharacterizations([]inference.Characterization{front, db}, 0.5, PlannerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pops := []int{5, 25}
-	a, err := legacy.Predict(pops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := n.Predict(pops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i].MAP.Throughput != b[i].MAP.Throughput {
-			t.Errorf("pop %d: Plan X %v != PlanN X %v", pops[i], a[i].MAP.Throughput, b[i].MAP.Throughput)
-		}
-		if a[i].MAP.UtilFront != b[i].MAP.Utils[0] || a[i].MAP.UtilDB != b[i].MAP.Utils[1] {
-			t.Errorf("pop %d: utilization mismatch between Plan and PlanN", pops[i])
-		}
-	}
-	if legacy.N() == nil || len(legacy.N().Tiers) != 2 {
-		t.Error("legacy plan does not expose its N-tier core")
-	}
-}
-
 func TestPlanNPredictThreeTier(t *testing.T) {
 	plan, err := BuildPlanNFromCharacterizations([]inference.Characterization{
 		validChar(0.004, 20, 0.015),
@@ -171,38 +136,5 @@ func TestPlanNCompare(t *testing.T) {
 	}
 	if acc[0].EBs != 5 || acc[0].Measured != 8 || acc[0].MAPPredicted <= 0 {
 		t.Errorf("accuracy record wrong: %+v", acc[0])
-	}
-}
-
-// TestLiteralPlanStillPredicts: a Plan built from its exported fields
-// (not via a constructor) must keep working — it assembles its N-tier
-// core lazily.
-func TestLiteralPlanStillPredicts(t *testing.T) {
-	built, err := BuildPlanFromCharacterizations(
-		validChar(0.005, 40, 0.02), validChar(0.004, 60, 0.03), 0.5, PlannerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	literal := &Plan{
-		Front: built.Front, DB: built.DB,
-		FrontFit: built.FrontFit, DBFit: built.DBFit,
-		ThinkTime: 0.5,
-	}
-	a, err := literal.Predict([]int{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := built.Predict([]int{10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a[0].MAP.Throughput != b[0].MAP.Throughput {
-		t.Errorf("literal plan X %v != built plan X %v", a[0].MAP.Throughput, b[0].MAP.Throughput)
-	}
-	if _, err := (&Plan{ThinkTime: 0.5}).Predict([]int{1}); err == nil {
-		t.Error("expected error for plan without fitted MAPs")
-	}
-	if _, err := (&Plan{}).Compare([]int{1}, []float64{1}); err == nil {
-		t.Error("expected error for zero-value plan")
 	}
 }

@@ -17,51 +17,60 @@ func validChar(mean, i, p95 float64) inference.Characterization {
 	}
 }
 
+// twoTierPlan fits the paper's front+DB plan from two characterizations.
+func twoTierPlan(front, db inference.Characterization, thinkTime float64) (*PlanN, error) {
+	return BuildPlanNFromCharacterizations([]inference.Characterization{front, db}, thinkTime, PlannerOptions{})
+}
+
 func TestBuildPlanFromCharacterizations(t *testing.T) {
-	plan, err := BuildPlanFromCharacterizations(
+	plan, err := twoTierPlan(
 		validChar(0.005, 40, 0.02),
 		validChar(0.004, 300, 0.03),
-		0.5, PlannerOptions{})
+		0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.FrontFit.MAP == nil || plan.DBFit.MAP == nil {
+	if plan.Tiers[0].Name != "front" || plan.Tiers[1].Name != "db" {
+		t.Errorf("two-tier names = %q/%q, want front/db", plan.Tiers[0].Name, plan.Tiers[1].Name)
+	}
+	front, db := plan.Tiers[0].Fit, plan.Tiers[1].Fit
+	if front.MAP == nil || db.MAP == nil {
 		t.Fatal("fitted MAPs missing")
 	}
 	// The fitted processes must preserve the measured means.
-	if math.Abs(plan.FrontFit.MAP.Mean()-0.005) > 1e-6 {
-		t.Errorf("front mean = %v", plan.FrontFit.MAP.Mean())
+	if math.Abs(front.MAP.Mean()-0.005) > 1e-6 {
+		t.Errorf("front mean = %v", front.MAP.Mean())
 	}
-	if math.Abs(plan.DBFit.MAP.Mean()-0.004) > 1e-6 {
-		t.Errorf("db mean = %v", plan.DBFit.MAP.Mean())
+	if math.Abs(db.MAP.Mean()-0.004) > 1e-6 {
+		t.Errorf("db mean = %v", db.MAP.Mean())
 	}
-	if math.Abs(plan.FrontFit.AchievedI-40) > 4 {
-		t.Errorf("front I = %v, want ~40", plan.FrontFit.AchievedI)
+	if math.Abs(front.AchievedI-40) > 4 {
+		t.Errorf("front I = %v, want ~40", front.AchievedI)
 	}
 }
 
 func TestBuildPlanErrors(t *testing.T) {
 	good := validChar(0.005, 40, 0.02)
-	if _, err := BuildPlanFromCharacterizations(good, good, 0, PlannerOptions{}); err == nil {
+	if _, err := twoTierPlan(good, good, 0); err == nil {
 		t.Error("expected error for zero think time")
 	}
 	bad := validChar(0, 40, 0.02)
-	if _, err := BuildPlanFromCharacterizations(bad, good, 0.5, PlannerOptions{}); err == nil {
+	if _, err := twoTierPlan(bad, good, 0.5); err == nil {
 		t.Error("expected error for invalid front characterization")
 	}
-	if _, err := BuildPlanFromCharacterizations(good, bad, 0.5, PlannerOptions{}); err == nil {
+	if _, err := twoTierPlan(good, bad, 0.5); err == nil {
 		t.Error("expected error for invalid db characterization")
 	}
-	if _, err := BuildPlan(trace.UtilizationSamples{}, trace.UtilizationSamples{}, 0.5, PlannerOptions{}); err == nil {
+	if _, err := BuildPlanN([]trace.UtilizationSamples{{}, {}}, 0.5, PlannerOptions{}); err == nil {
 		t.Error("expected error for empty samples")
 	}
 }
 
 func TestPredictConsistency(t *testing.T) {
-	plan, err := BuildPlanFromCharacterizations(
+	plan, err := twoTierPlan(
 		validChar(0.006, 30, 0.025),
 		validChar(0.004, 150, 0.03),
-		0.5, PlannerOptions{})
+		0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +93,7 @@ func TestPredictConsistency(t *testing.T) {
 }
 
 func TestPredictErrors(t *testing.T) {
-	plan, err := BuildPlanFromCharacterizations(
-		validChar(0.005, 5, 0.02), validChar(0.004, 5, 0.02), 0.5, PlannerOptions{})
+	plan, err := twoTierPlan(validChar(0.005, 5, 0.02), validChar(0.004, 5, 0.02), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +106,7 @@ func TestPredictErrors(t *testing.T) {
 }
 
 func TestCompareValidation(t *testing.T) {
-	plan, err := BuildPlanFromCharacterizations(
-		validChar(0.005, 5, 0.02), validChar(0.004, 5, 0.02), 0.5, PlannerOptions{})
+	plan, err := twoTierPlan(validChar(0.005, 5, 0.02), validChar(0.004, 5, 0.02), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,27 +140,32 @@ func TestEndToEndBrowsingMixBeatsMVA(t *testing.T) {
 	mix := tpcw.BrowsingMix()
 	// Fitting data: 50 EBs with Zestim = 7 s for fine granularity
 	// (Section 4.2 / Fig. 11).
-	fitRun, err := tpcw.Run(tpcw.Config{
-		Mix: mix, EBs: 50, ThinkTime: 7, Seed: 101,
+	tiers, err := tpcw.DefaultTiers(mix, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitRun, err := tpcw.RunN(tpcw.ConfigN{
+		Mix: mix, Tiers: tiers, EBs: 50, ThinkTime: 7, Seed: 101,
 		Duration: 2400, Warmup: 120, Cooldown: 60,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := BuildPlan(fitRun.FrontSamples, fitRun.DBSamples, 0.5, PlannerOptions{})
+	plan, err := BuildPlanN(fitRun.TierSamples, 0.5, PlannerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	front, db := plan.Tiers[0].Characterization, plan.Tiers[1].Characterization
 	t.Logf("front: S=%.4f I=%.1f p95=%.4f | db: S=%.4f I=%.1f p95=%.4f",
-		plan.Front.MeanServiceTime, plan.Front.IndexOfDispersion, plan.Front.P95ServiceTime,
-		plan.DB.MeanServiceTime, plan.DB.IndexOfDispersion, plan.DB.P95ServiceTime)
+		front.MeanServiceTime, front.IndexOfDispersion, front.P95ServiceTime,
+		db.MeanServiceTime, db.IndexOfDispersion, db.P95ServiceTime)
 
 	// Validation experiments at Zqn = 0.5 s.
 	populations := []int{25, 75, 120}
 	measured := make([]float64, len(populations))
 	for i, n := range populations {
-		run, err := tpcw.Run(tpcw.Config{
-			Mix: mix, EBs: n, ThinkTime: 0.5, Seed: int64(200 + n),
+		run, err := tpcw.RunN(tpcw.ConfigN{
+			Mix: mix, Tiers: tiers, EBs: n, ThinkTime: 0.5, Seed: int64(200 + n),
 			Duration: 1200, Warmup: 120, Cooldown: 60,
 		})
 		if err != nil {

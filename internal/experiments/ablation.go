@@ -19,6 +19,19 @@ import (
 // rule, the bias of the busy-period p95 estimator, and the burstiness
 // level at which MVA starts failing.
 
+// twoTierNetwork is the paper's front+DB MAP network (Fig. 9) at
+// Z = 0.5 s with n customers.
+func twoTierNetwork(front, db *markov.MAP, n int) mapqn.NetworkModel {
+	return mapqn.NetworkModel{
+		Stations: []mapqn.Station{
+			{Name: "front", MAP: front},
+			{Name: "db", MAP: db},
+		},
+		ThinkTime: 0.5,
+		Customers: n,
+	}
+}
+
 // IdleSemanticsRow compares frozen-phase against free-running-phase
 // station semantics at one population.
 type IdleSemanticsRow struct {
@@ -42,16 +55,13 @@ func AblationIdleSemantics(scale Scale) ([]IdleSemanticsRow, error) {
 	}
 	var rows []IdleSemanticsRow
 	for _, n := range []int{5, 25, 75, 150} {
-		frozen, err := mapqn.Solve(mapqn.Model{
-			Front: front.MAP, DB: db.MAP, ThinkTime: 0.5, Customers: n,
-		}, solverOpts(scale))
+		m := twoTierNetwork(front.MAP, db.MAP, n)
+		frozen, err := mapqn.SolveNetwork(m, solverOpts(scale))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: frozen semantics at %d: %w", n, err)
 		}
-		free, err := mapqn.Solve(mapqn.Model{
-			Front: front.MAP, DB: db.MAP, ThinkTime: 0.5, Customers: n,
-			PhasesRunWhileIdle: true,
-		}, solverOpts(scale))
+		m.PhasesRunWhileIdle = true
+		free, err := mapqn.SolveNetwork(m, solverOpts(scale))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: free-running semantics at %d: %w", n, err)
 		}
@@ -91,11 +101,11 @@ func AblationSelectionPolicy(scale Scale) ([]SelectionPolicyRow, error) {
 	front := markov.Poisson(1 / 0.0068)
 	var rows []SelectionPolicyRow
 	for _, n := range []int{25, 75, 150} {
-		a, err := mapqn.Solve(mapqn.Model{Front: front, DB: def.MAP, ThinkTime: 0.5, Customers: n}, solverOpts(scale))
+		a, err := mapqn.SolveNetwork(twoTierNetwork(front, def.MAP, n), solverOpts(scale))
 		if err != nil {
 			return nil, err
 		}
-		b, err := mapqn.Solve(mapqn.Model{Front: front, DB: agg.MAP, ThinkTime: 0.5, Customers: n}, solverOpts(scale))
+		b, err := mapqn.SolveNetwork(twoTierNetwork(front, agg.MAP, n), solverOpts(scale))
 		if err != nil {
 			return nil, err
 		}
@@ -208,28 +218,30 @@ func AblationBurstinessSweep(seed int64, scale Scale) ([]BurstinessSweepRow, err
 			mix.FrontContention = tpcw.ContentionParams{}
 		}
 		// Demands measured at moderate load...
-		fitCfg := scale.config(mix, 50, seed)
+		fitCfg, err := scale.config(mix, 50, seed)
+		if err != nil {
+			return nil, err
+		}
 		fitCfg.ThinkTime = 0.5
-		fitRun, err := tpcw.Run(fitCfg)
+		fitRun, err := tpcw.RunN(fitCfg)
 		if err != nil {
 			return nil, err
 		}
-		fc, err := inference.Characterize(fitRun.FrontSamples, inference.Options{})
-		if err != nil {
-			return nil, err
-		}
-		dc, err := inference.Characterize(fitRun.DBSamples, inference.Options{})
+		chars, err := inference.CharacterizeAll(fitRun.TierSamples, inference.Options{})
 		if err != nil {
 			return nil, err
 		}
 		// ...validated at saturation.
-		valCfg := scale.config(mix, 120, seed+7)
-		valCfg.ThinkTime = 0.5
-		valRun, err := tpcw.Run(valCfg)
+		valCfg, err := scale.config(mix, 120, seed+7)
 		if err != nil {
 			return nil, err
 		}
-		pred, err := mva.Solve(mva.Model(fc.MeanServiceTime, dc.MeanServiceTime, 0.5), 120)
+		valCfg.ThinkTime = 0.5
+		valRun, err := tpcw.RunN(valCfg)
+		if err != nil {
+			return nil, err
+		}
+		pred, err := mva.Solve(mva.ModelN(meanDemands(chars), []string{"front", "db"}, 0.5), 120)
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +250,7 @@ func AblationBurstinessSweep(seed int64, scale Scale) ([]BurstinessSweepRow, err
 			MeasuredX:          valRun.Throughput,
 			MVAX:               pred.Throughput,
 			MVAErr:             relError(pred.Throughput, valRun.Throughput),
-			IDB:                dc.IndexOfDispersion,
+			IDB:                chars[1].IndexOfDispersion,
 		})
 	}
 	return rows, nil

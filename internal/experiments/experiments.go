@@ -207,43 +207,51 @@ type TimelineStats struct {
 	QueueP10, QueueP90  float64
 }
 
+// trackedRun runs mix at 100 EBs on the two-tier testbed with 1-second
+// series tracking — the timeline runs behind Figs. 5-8.
+func trackedRun(mix tpcw.Mix, seed int64, scale Scale) (*tpcw.ResultN, error) {
+	cfg, err := scale.config(mix, 100, seed)
+	if err != nil {
+		return nil, err
+	}
+	cfg.TrackSeries = true
+	return tpcw.RunN(cfg)
+}
+
 // Figure5And6 runs the three mixes at 100 EBs with 1-second tracking and
 // summarizes the utilization timelines (Fig. 5) and DB queue-length
 // behaviour (Fig. 6).
-func Figure5And6(seed int64, scale Scale) ([]TimelineStats, map[string]*tpcw.Result, error) {
+func Figure5And6(seed int64, scale Scale) ([]TimelineStats, error) {
 	out := make([]TimelineStats, 0, 3)
-	raw := make(map[string]*tpcw.Result, 3)
 	for _, mix := range tpcw.StandardMixes() {
-		cfg := scale.config(mix, 100, seed)
-		cfg.TrackSeries = true
-		res, err := tpcw.Run(cfg)
+		res, err := trackedRun(mix, seed, scale)
 		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: figure 5/6 %s: %w", mix.Name, err)
+			return nil, fmt.Errorf("experiments: figure 5/6 %s: %w", mix.Name, err)
 		}
-		raw[mix.Name] = res
+		front, db, dbQueue := res.TierUtil1s[0], res.TierUtil1s[1], res.TierQueueLen1s[1]
 		st := TimelineStats{Mix: mix.Name}
-		n := len(res.FrontUtil1s)
+		n := len(front)
 		switches := 0
 		for i := 0; i < n; i++ {
-			st.MeanFront += res.FrontUtil1s[i]
-			st.MeanDB += res.DBUtil1s[i]
-			if res.DBUtil1s[i] > res.FrontUtil1s[i]+0.2 {
+			st.MeanFront += front[i]
+			st.MeanDB += db[i]
+			if db[i] > front[i]+0.2 {
 				switches++
 			}
 		}
 		st.MeanFront /= float64(n)
 		st.MeanDB /= float64(n)
 		st.SwitchFraction = float64(switches) / float64(n)
-		st.P10DB = percentileOf(res.DBUtil1s, 10)
-		st.P90DB = percentileOf(res.DBUtil1s, 90)
-		st.MaxDB = maxOf(res.DBUtil1s)
-		st.MeanQueueDB = meanOf(res.DBQueueLen1s)
-		st.MaxQueueDB = maxOf(res.DBQueueLen1s)
-		st.QueueP10 = percentileOf(res.DBQueueLen1s, 10)
-		st.QueueP90 = percentileOf(res.DBQueueLen1s, 90)
+		st.P10DB = percentileOf(db, 10)
+		st.P90DB = percentileOf(db, 90)
+		st.MaxDB = maxOf(db)
+		st.MeanQueueDB = meanOf(dbQueue)
+		st.MaxQueueDB = maxOf(dbQueue)
+		st.QueueP10 = percentileOf(dbQueue, 10)
+		st.QueueP90 = percentileOf(dbQueue, 90)
 		out = append(out, st)
 	}
-	return out, raw, nil
+	return out, nil
 }
 
 // TypeBreakdownRow summarizes per-transaction in-system counts (Figs. 7-8).
@@ -261,9 +269,7 @@ type TypeBreakdownRow struct {
 func Figure7And8(seed int64, scale Scale) ([]TypeBreakdownRow, error) {
 	var rows []TypeBreakdownRow
 	for _, mix := range tpcw.StandardMixes() {
-		cfg := scale.config(mix, 100, seed)
-		cfg.TrackSeries = true
-		res, err := tpcw.Run(cfg)
+		res, err := trackedRun(mix, seed, scale)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure 7/8 %s: %w", mix.Name, err)
 		}
@@ -275,7 +281,7 @@ func Figure7And8(seed int64, scale Scale) ([]TypeBreakdownRow, error) {
 				Share:           float64(res.CompletedByType[tt]) / float64(res.Completed),
 				MeanInSystem:    meanOf(series),
 				MaxInSystem:     maxOf(series),
-				CorrWithDBQueue: correlation(series, res.DBQueueLen1s),
+				CorrWithDBQueue: correlation(series, res.TierQueueLen1s[1]),
 			})
 		}
 	}

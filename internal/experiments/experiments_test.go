@@ -105,12 +105,12 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestFigure5And6Shape(t *testing.T) {
-	stats, raw, err := Figure5And6(31, tiny())
+	stats, err := Figure5And6(31, tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) != 3 || len(raw) != 3 {
-		t.Fatalf("stats/raw sizes wrong: %d/%d", len(stats), len(raw))
+	if len(stats) != 3 {
+		t.Fatalf("got %d timeline summaries, want 3", len(stats))
 	}
 	var browsing, ordering TimelineStats
 	for _, s := range stats {

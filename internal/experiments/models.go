@@ -23,21 +23,41 @@ type AccuracyRow struct {
 }
 
 // fitCharacterizations runs a fitting experiment at the given Zestim and
-// characterizes both tiers.
-func fitCharacterizations(mix tpcw.Mix, zEstim float64, ebs int, seed int64, scale Scale) (front, db inference.Characterization, err error) {
-	run, err := tpcw.Run(scale.fitConfig(mix, zEstim, ebs, seed))
+// characterizes both tiers, front first.
+func fitCharacterizations(mix tpcw.Mix, zEstim float64, ebs int, seed int64, scale Scale) ([]inference.Characterization, error) {
+	cfg, err := scale.fitConfig(mix, zEstim, ebs, seed)
 	if err != nil {
-		return front, db, fmt.Errorf("experiments: fitting run %s Zestim=%v: %w", mix.Name, zEstim, err)
+		return nil, err
 	}
-	front, err = inference.Characterize(run.FrontSamples, inference.Options{})
+	run, err := tpcw.RunN(cfg)
 	if err != nil {
-		return front, db, fmt.Errorf("experiments: front characterization: %w", err)
+		return nil, fmt.Errorf("experiments: fitting run %s Zestim=%v: %w", mix.Name, zEstim, err)
 	}
-	db, err = inference.Characterize(run.DBSamples, inference.Options{})
+	chars, err := inference.CharacterizeAll(run.TierSamples, inference.Options{})
 	if err != nil {
-		return front, db, fmt.Errorf("experiments: db characterization: %w", err)
+		return nil, fmt.Errorf("experiments: characterization: %w", err)
 	}
-	return front, db, nil
+	return chars, nil
+}
+
+// twoTierPlan fits the paper's front+DB MAP(2) plan from the two tiers'
+// characterizations, to be evaluated at Zqn = 0.5 s.
+func twoTierPlan(chars []inference.Characterization, scale Scale) (*core.PlanN, error) {
+	return core.BuildPlanNFromCharacterizations(chars, 0.5, core.PlannerOptions{
+		Solver:    solverOpts(scale),
+		Fit:       fitOpts(),
+		TierNames: []string{"front", "db"},
+	})
+}
+
+// meanDemands is the MVA baseline's input: each tier's mean service
+// time, front first.
+func meanDemands(chars []inference.Characterization) []float64 {
+	out := make([]float64, len(chars))
+	for i, c := range chars {
+		out[i] = c.MeanServiceTime
+	}
+	return out
 }
 
 // Figure10 compares MVA predictions (parameterized by mean demands only,
@@ -56,11 +76,11 @@ func Figure10(seed int64, scale Scale, populations []int) ([]AccuracyRow, error)
 	measured := measuredThroughputs(srep)
 	var rows []AccuracyRow
 	for m, mix := range tpcw.StandardMixes() {
-		front, db, err := fitCharacterizations(mix, 0.5, 50, seed, scale)
+		chars, err := fitCharacterizations(mix, 0.5, 50, seed, scale)
 		if err != nil {
 			return nil, err
 		}
-		net := mva.Model(front.MeanServiceTime, db.MeanServiceTime, 0.5)
+		net := mva.ModelN(meanDemands(chars), []string{"front", "db"}, 0.5)
 		for i, n := range populations {
 			pred, err := mva.Solve(net, n)
 			if err != nil {
@@ -104,15 +124,12 @@ func Figure11(seed int64, scale Scale, populations []int) ([]Figure11Row, error)
 		150: {0.061, 0.043},
 	}
 	mix := tpcw.BrowsingMix()
-	planAt := func(zEstim float64) (*core.Plan, error) {
-		front, db, err := fitCharacterizations(mix, zEstim, 50, seed, scale)
+	planAt := func(zEstim float64) (*core.PlanN, error) {
+		chars, err := fitCharacterizations(mix, zEstim, 50, seed, scale)
 		if err != nil {
 			return nil, err
 		}
-		return core.BuildPlanFromCharacterizations(front, db, 0.5, core.PlannerOptions{
-			Solver: solverOpts(scale),
-			Fit:    fitOpts(),
-		})
+		return twoTierPlan(chars, scale)
 	}
 	plan05, err := planAt(0.5)
 	if err != nil {
@@ -185,14 +202,11 @@ func Figure12(seed int64, scale Scale, populations []int) ([]Figure12Result, err
 	allMeasured := measuredThroughputs(srep)
 	var out []Figure12Result
 	for m, mix := range tpcw.StandardMixes() {
-		front, db, err := fitCharacterizations(mix, 7, 50, seed, scale)
+		chars, err := fitCharacterizations(mix, 7, 50, seed, scale)
 		if err != nil {
 			return nil, err
 		}
-		plan, err := core.BuildPlanFromCharacterizations(front, db, 0.5, core.PlannerOptions{
-			Solver: solverOpts(scale),
-			Fit:    fitOpts(),
-		})
+		plan, err := twoTierPlan(chars, scale)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: figure 12 plan for %s: %w", mix.Name, err)
 		}
@@ -203,8 +217,8 @@ func Figure12(seed int64, scale Scale, populations []int) ([]Figure12Result, err
 		}
 		res := Figure12Result{
 			Mix:     mix.Name,
-			IFront:  front.IndexOfDispersion,
-			IDB:     db.IndexOfDispersion,
+			IFront:  chars[0].IndexOfDispersion,
+			IDB:     chars[1].IndexOfDispersion,
 			PaperIF: paperI[mix.Name][0],
 			PaperID: paperI[mix.Name][1],
 		}

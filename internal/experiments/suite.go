@@ -9,29 +9,43 @@ import (
 	"repro/internal/tpcw"
 )
 
-// Suite-level Scale overrides: every testbed configuration in this
-// package derives from a Scale in exactly one place — the measurement
-// sweeps through a suite base workload (measurementSuite), the
-// remaining single runs through the config/fitConfig helpers — instead
-// of each figure plumbing Quick/Full durations into its own
-// tpcw.Config literals.
+// Every testbed configuration in this package derives from a Scale in
+// exactly one place: the measurement sweeps through a suite base
+// workload (measurementSuite), the remaining single runs through the
+// config/fitConfig helpers. All of them simulate the paper's two-tier
+// front+DB testbed, tpcw.DefaultTiers(mix, 2).
 
-// config materializes the Scale as a legacy two-tier testbed run
-// configuration at the measurement duration.
-func (s Scale) config(mix tpcw.Mix, ebs int, seed int64) tpcw.Config {
-	return tpcw.Config{
-		Mix: mix, EBs: ebs, Seed: seed,
-		Duration: s.SimDuration, Warmup: s.SimWarmup, Cooldown: s.SimCooldown,
+// twoTierConfig is the paper's two-tier testbed run of mix at ebs
+// emulated browsers; unset fields take the tpcw defaults.
+func twoTierConfig(mix tpcw.Mix, ebs int, seed int64) (tpcw.ConfigN, error) {
+	tiers, err := tpcw.DefaultTiers(mix, 2)
+	if err != nil {
+		return tpcw.ConfigN{}, err
 	}
+	return tpcw.ConfigN{Mix: mix, Tiers: tiers, EBs: ebs, Seed: seed}, nil
+}
+
+// config materializes the Scale as a two-tier testbed run configuration
+// at the measurement duration.
+func (s Scale) config(mix tpcw.Mix, ebs int, seed int64) (tpcw.ConfigN, error) {
+	cfg, err := twoTierConfig(mix, ebs, seed)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.Duration, cfg.Warmup, cfg.Cooldown = s.SimDuration, s.SimWarmup, s.SimCooldown
+	return cfg, nil
 }
 
 // fitConfig is config at the Zestim fitting duration and think time —
 // the Section 4.2 parameter-estimation runs.
-func (s Scale) fitConfig(mix tpcw.Mix, zEstim float64, ebs int, seed int64) tpcw.Config {
-	cfg := s.config(mix, ebs, seed)
+func (s Scale) fitConfig(mix tpcw.Mix, zEstim float64, ebs int, seed int64) (tpcw.ConfigN, error) {
+	cfg, err := s.config(mix, ebs, seed)
+	if err != nil {
+		return cfg, err
+	}
 	cfg.ThinkTime = zEstim
 	cfg.Duration = s.FitDuration
-	return cfg
+	return cfg, nil
 }
 
 // workload materializes the Scale as a suite base workload: one
@@ -84,8 +98,8 @@ func measurementSuite(name string, scale Scale, mixes []string, thinkTime float6
 	}
 }
 
-// measureRunner executes one measurement cell as a single legacy
-// two-tier testbed run, reproducing the pre-suite sweeps bit for bit:
+// measureRunner executes one measurement cell as a single two-tier
+// testbed run, reproducing the pre-suite sweeps bit for bit:
 // the run's seed is the cell's workload seed plus seedStep times its
 // population — the per-population seed schedule the original loops
 // used (1 for Figure 4, 13 for the accuracy sweeps).
@@ -101,11 +115,13 @@ func measureRunner(seedStep int64) core.CellRunner {
 			return nil, err
 		}
 		n := sc.Populations[0]
-		res, err := tpcw.Run(tpcw.Config{
-			Mix: mix, EBs: n, ThinkTime: sc.ThinkTime,
-			Seed:     wl.Seed + int64(n)*seedStep,
-			Duration: wl.Duration, Warmup: wl.Warmup, Cooldown: wl.Cooldown,
-		})
+		cfg, err := twoTierConfig(mix, n, wl.Seed+int64(n)*seedStep)
+		if err != nil {
+			return nil, err
+		}
+		cfg.ThinkTime = sc.ThinkTime
+		cfg.Duration, cfg.Warmup, cfg.Cooldown = wl.Duration, wl.Warmup, wl.Cooldown
+		res, err := tpcw.RunN(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: measuring %s at %d EBs: %w", mix.Name, n, err)
 		}
@@ -119,9 +135,9 @@ func measureRunner(seedStep int64) core.CellRunner {
 					MeanResponse: stats.Interval{Mean: res.MeanResponse},
 					P95Response:  stats.Interval{Mean: res.P95Response},
 					TierUtil: []stats.Interval{
-						{Mean: res.AvgUtilFront}, {Mean: res.AvgUtilDB},
+						{Mean: res.AvgUtil[0]}, {Mean: res.AvgUtil[1]},
 					},
-					TierNames: []string{"front", "db"},
+					TierNames: res.TierNames,
 				},
 			}},
 		}, nil

@@ -11,13 +11,25 @@ import (
 	"repro/internal/xrand"
 )
 
+// frontDB is the paper's two-station chain: the front server, then the
+// database.
+func frontDB(front, db *markov.MAP) []Station {
+	return []Station{{Name: "front", MAP: front}, {Name: "db", MAP: db}}
+}
+
+// twoTier is the paper's front+DB network (Fig. 9) with think time z and
+// n customers: the K=2 NetworkModel.
+func twoTier(front, db *markov.MAP, z float64, n int) NetworkModel {
+	return NetworkModel{Stations: frontDB(front, db), ThinkTime: z, Customers: n}
+}
+
 func TestValidate(t *testing.T) {
 	p := markov.Poisson(1)
-	cases := []Model{
-		{Front: nil, DB: p, ThinkTime: 1, Customers: 1},
-		{Front: p, DB: nil, ThinkTime: 1, Customers: 1},
-		{Front: p, DB: p, ThinkTime: -1, Customers: 1},
-		{Front: p, DB: p, ThinkTime: 1, Customers: 0},
+	cases := []NetworkModel{
+		twoTier(nil, p, 1, 1),
+		twoTier(p, nil, 1, 1),
+		twoTier(p, p, -1, 1),
+		twoTier(p, p, 1, 0),
 	}
 	for i, m := range cases {
 		if err := m.Validate(); err == nil {
@@ -33,10 +45,10 @@ func TestPoissonReducesToMVA(t *testing.T) {
 	sFS, sDB, z := 0.004, 0.007, 0.5
 	front := markov.Poisson(1 / sFS)
 	db := markov.Poisson(1 / sDB)
-	net := mva.Model(sFS, sDB, z)
+	net := mva.ModelN([]float64{sFS, sDB}, nil, z)
 	for _, n := range []int{1, 5, 25, 75} {
-		m := Model{Front: front, DB: db, ThinkTime: z, Customers: n}
-		got, err := Solve(m, ctmc.Options{})
+		m := twoTier(front, db, z, n)
+		got, err := SolveNetwork(m, ctmc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,11 +59,11 @@ func TestPoissonReducesToMVA(t *testing.T) {
 		if rel := math.Abs(got.Throughput-want.Throughput) / want.Throughput; rel > 1e-6 {
 			t.Errorf("N=%d: CTMC X = %v, MVA X = %v (rel %v)", n, got.Throughput, want.Throughput, rel)
 		}
-		if rel := math.Abs(got.QueueFront-want.QueueLengths[0]) / (want.QueueLengths[0] + 1e-12); rel > 1e-5 {
-			t.Errorf("N=%d: CTMC QF = %v, MVA QF = %v", n, got.QueueFront, want.QueueLengths[0])
+		if rel := math.Abs(got.QueueLens[0]-want.QueueLengths[0]) / (want.QueueLengths[0] + 1e-12); rel > 1e-5 {
+			t.Errorf("N=%d: CTMC QF = %v, MVA QF = %v", n, got.QueueLens[0], want.QueueLengths[0])
 		}
-		if math.Abs(got.UtilFront-want.Utilizations[0]) > 1e-6 {
-			t.Errorf("N=%d: CTMC UF = %v, MVA UF = %v", n, got.UtilFront, want.Utilizations[0])
+		if math.Abs(got.Utils[0]-want.Utilizations[0]) > 1e-6 {
+			t.Errorf("N=%d: CTMC UF = %v, MVA UF = %v", n, got.Utils[0], want.Utilizations[0])
 		}
 	}
 }
@@ -60,13 +72,8 @@ func TestSingleCustomerClosedForm(t *testing.T) {
 	// N=1: the customer cycles think -> front -> db. With exponential
 	// stations, X = 1/(Z + S_FS + S_DB) exactly.
 	sFS, sDB, z := 0.2, 0.3, 1.0
-	m := Model{
-		Front:     markov.Poisson(1 / sFS),
-		DB:        markov.Poisson(1 / sDB),
-		ThinkTime: z,
-		Customers: 1,
-	}
-	got, err := Solve(m, ctmc.Options{})
+	m := twoTier(markov.Poisson(1/sFS), markov.Poisson(1/sDB), z, 1)
+	got, err := SolveNetwork(m, ctmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +99,11 @@ func TestBurstyServiceDegradesThroughput(t *testing.T) {
 	}
 	burstyDB := fit.MAP
 	n := 100
-	smooth, err := Solve(Model{Front: front, DB: smoothDB, ThinkTime: z, Customers: n}, ctmc.Options{})
+	smooth, err := SolveNetwork(twoTier(front, smoothDB, z, n), ctmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bursty, err := Solve(Model{Front: front, DB: burstyDB, ThinkTime: z, Customers: n}, ctmc.Options{})
+	bursty, err := SolveNetwork(twoTier(front, burstyDB, z, n), ctmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +112,8 @@ func TestBurstyServiceDegradesThroughput(t *testing.T) {
 		t.Errorf("bursty X = %v should be below smooth X = %v", bursty.Throughput, smooth.Throughput)
 	}
 	// Queue builds at the bursty DB.
-	if bursty.QueueDB <= smooth.QueueDB {
-		t.Errorf("bursty QDB = %v should exceed smooth QDB = %v", bursty.QueueDB, smooth.QueueDB)
+	if bursty.QueueLens[1] <= smooth.QueueLens[1] {
+		t.Errorf("bursty QDB = %v should exceed smooth QDB = %v", bursty.QueueLens[1], smooth.QueueLens[1])
 	}
 }
 
@@ -115,17 +122,12 @@ func TestCustomerConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Model{
-		Front:     markov.Poisson(1 / 0.003),
-		DB:        fit.MAP,
-		ThinkTime: 0.5,
-		Customers: 40,
-	}
-	got, err := Solve(m, ctmc.Options{})
+	m := twoTier(markov.Poisson(1/0.003), fit.MAP, 0.5, 40)
+	got, err := SolveNetwork(m, ctmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := got.QueueFront + got.QueueDB + got.Thinking
+	total := got.QueueLens[0] + got.QueueLens[1] + got.Thinking
 	if math.Abs(total-40) > 1e-6 {
 		t.Errorf("customer conservation violated: %v != 40", total)
 	}
@@ -145,7 +147,7 @@ func TestThroughputMonotoneInPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mets, err := SolveSweep(fitF.MAP, fitD.MAP, 0.5, []int{1, 5, 10, 20, 40, 80}, ctmc.Options{})
+	mets, err := SolveNetworkSweep(frontDB(fitF.MAP, fitD.MAP), 0.5, []int{1, 5, 10, 20, 40, 80}, ctmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestThroughputMonotoneInPopulation(t *testing.T) {
 			t.Errorf("throughput decreased at sweep index %d: %v -> %v", i, prev, met.Throughput)
 		}
 		prev = met.Throughput
-		if met.UtilFront < 0 || met.UtilFront > 1+1e-9 || met.UtilDB < 0 || met.UtilDB > 1+1e-9 {
+		if met.Utils[0] < 0 || met.Utils[0] > 1+1e-9 || met.Utils[1] < 0 || met.Utils[1] > 1+1e-9 {
 			t.Errorf("utilization out of range: %+v", met)
 		}
 	}
@@ -167,13 +169,8 @@ func TestThroughputBoundedByBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Model{
-		Front:     markov.Poisson(1 / 0.002),
-		DB:        fit.MAP,
-		ThinkTime: 0.25,
-		Customers: 60,
-	}
-	got, err := Solve(m, ctmc.Options{})
+	m := twoTier(markov.Poisson(1/0.002), fit.MAP, 0.25, 60)
+	got, err := SolveNetwork(m, ctmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,12 +213,7 @@ func TestGeneratorIsValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Model{
-		Front:     markov.Poisson(1 / 0.004),
-		DB:        fit.MAP,
-		ThinkTime: 0.5,
-		Customers: 12,
-	}
+	m := twoTier(markov.Poisson(1/0.004), fit.MAP, 0.5, 12)
 	gen, _ := buildGenerator(m)
 	if err := ctmc.ValidateGenerator(gen); err != nil {
 		t.Errorf("generator invalid: %v", err)
@@ -242,23 +234,23 @@ func TestPropModelConsistency(t *testing.T) {
 		}
 		n := 1 + src.Intn(30)
 		z := 0.1 + src.Float64()
-		m := Model{Front: markov.Poisson(1 / sFS), DB: fit.MAP, ThinkTime: z, Customers: n}
-		got, err := Solve(m, ctmc.Options{})
+		m := twoTier(markov.Poisson(1/sFS), fit.MAP, z, n)
+		got, err := SolveNetwork(m, ctmc.Options{})
 		if err != nil {
 			return false
 		}
 		if got.Throughput <= 0 || got.Throughput > 1/math.Max(sFS, sDB)+1e-9 {
 			return false
 		}
-		total := got.QueueFront + got.QueueDB + got.Thinking
+		total := got.QueueLens[0] + got.QueueLens[1] + got.Thinking
 		if math.Abs(total-float64(n)) > 1e-6*float64(n) {
 			return false
 		}
 		// Utilization law: U_i = X * S_i.
-		if math.Abs(got.UtilFront-got.Throughput*sFS) > 1e-5 {
+		if math.Abs(got.Utils[0]-got.Throughput*sFS) > 1e-5 {
 			return false
 		}
-		if math.Abs(got.UtilDB-got.Throughput*sDB) > 1e-5 {
+		if math.Abs(got.Utils[1]-got.Throughput*sDB) > 1e-5 {
 			return false
 		}
 		return true
@@ -273,17 +265,12 @@ func TestQueueDistributionsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Model{
-		Front:     markov.Poisson(1 / 0.004),
-		DB:        fit.MAP,
-		ThinkTime: 0.5,
-		Customers: 20,
-	}
-	got, err := Solve(m, ctmc.Options{})
+	m := twoTier(markov.Poisson(1/0.004), fit.MAP, 0.5, 20)
+	got, err := SolveNetwork(m, ctmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dist := range [][]float64{got.QueueDistFront, got.QueueDistDB} {
+	for _, dist := range [][]float64{got.QueueDists[0], got.QueueDists[1]} {
 		if len(dist) != 21 {
 			t.Fatalf("distribution length = %d, want 21", len(dist))
 		}
@@ -301,15 +288,15 @@ func TestQueueDistributionsConsistent(t *testing.T) {
 	}
 	// Mean of the distribution must match the reported mean queue length.
 	meanF := 0.0
-	for k, p := range got.QueueDistFront {
+	for k, p := range got.QueueDists[0] {
 		meanF += float64(k) * p
 	}
-	if math.Abs(meanF-got.QueueFront) > 1e-9 {
-		t.Errorf("dist mean %v vs QueueFront %v", meanF, got.QueueFront)
+	if math.Abs(meanF-got.QueueLens[0]) > 1e-9 {
+		t.Errorf("dist mean %v vs QueueFront %v", meanF, got.QueueLens[0])
 	}
 	// P(idle) complements utilization.
-	if math.Abs(got.QueueDistFront[0]-(1-got.UtilFront)) > 1e-9 {
-		t.Errorf("P(empty front) = %v, 1-U = %v", got.QueueDistFront[0], 1-got.UtilFront)
+	if math.Abs(got.QueueDists[0][0]-(1-got.Utils[0])) > 1e-9 {
+		t.Errorf("P(empty front) = %v, 1-U = %v", got.QueueDists[0][0], 1-got.Utils[0])
 	}
 }
 
@@ -322,11 +309,11 @@ func TestBurstyQueueTailHeavierThanPoisson(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smooth, err := Solve(Model{Front: front, DB: markov.Poisson(1 / 0.005), ThinkTime: 0.5, Customers: n}, ctmc.Options{})
+	smooth, err := SolveNetwork(twoTier(front, markov.Poisson(1/0.005), 0.5, n), ctmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bursty, err := Solve(Model{Front: front, DB: fit.MAP, ThinkTime: 0.5, Customers: n}, ctmc.Options{})
+	bursty, err := SolveNetwork(twoTier(front, fit.MAP, 0.5, n), ctmc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +324,7 @@ func TestBurstyQueueTailHeavierThanPoisson(t *testing.T) {
 		}
 		return s
 	}
-	tb, ts := tail(bursty.QueueDistDB, 20), tail(smooth.QueueDistDB, 20)
+	tb, ts := tail(bursty.QueueDists[1], 20), tail(smooth.QueueDists[1], 20)
 	t.Logf("P(Qdb >= 20): bursty %.4g vs poisson %.4g", tb, ts)
 	if tb <= ts {
 		t.Errorf("bursty DB tail %v should exceed Poisson tail %v", tb, ts)
@@ -354,12 +341,12 @@ func TestBoundsBracketExactSolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{5, 25, 75} {
-		m := Model{Front: fitF.MAP, DB: fitD.MAP, ThinkTime: 0.5, Customers: n}
-		b, err := Bounds(m)
+		m := twoTier(fitF.MAP, fitD.MAP, 0.5, n)
+		b, err := NetworkBounds(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := Solve(m, ctmc.Options{})
+		exact, err := SolveNetwork(m, ctmc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +370,7 @@ func TestBoundsScaleToLargePopulations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := BoundsSweep(markov.Poisson(1/0.006), fitD.MAP, 7.0, []int{300, 600, 1200})
+	sweep, err := NetworkBoundsSweep(frontDB(markov.Poisson(1/0.006), fitD.MAP), 7.0, []int{300, 600, 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +387,7 @@ func TestBoundsScaleToLargePopulations(t *testing.T) {
 }
 
 func TestBoundsValidation(t *testing.T) {
-	if _, err := Bounds(Model{}); err == nil {
+	if _, err := NetworkBounds(NetworkModel{}); err == nil {
 		t.Error("expected validation error")
 	}
 }

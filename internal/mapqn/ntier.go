@@ -1,3 +1,26 @@
+// Package mapqn implements the paper's capacity-planning model (Fig. 9
+// parameterized as in Section 4), generalized from the paper's two tiers
+// to an arbitrary chain of K MAP-service stations: a closed tandem
+// network of queueing stations — front, application, database, ... —
+// plus a delay station (user think time Z), populated by N customers
+// (emulated browsers). The model is solved exactly by building the
+// underlying continuous-time Markov chain over states
+// (n_0..n_{K-1}, phase_0..phase_{K-1}) and computing its stationary
+// distribution, the approach the paper uses for model validation
+// (Section 4.2, citing the MAP queueing networks of
+// [Casale, Mi & Smirni, SIGMETRICS'08]).
+//
+// The API is Station / NetworkModel / SolveNetwork / NetworkBounds, plus
+// the approximate decomposition solver SolveNetworkDecomp. The paper's
+// front+DB model is the K=2 NetworkModel.
+//
+// Semantics: each station serves one job at a time, with service
+// completions driven by the station's MAP (transitions in D1 complete the
+// job in service, transitions in D0 change only the modulating phase).
+// The MAP phase is frozen while a station idles: the MAP models the
+// *service process*, whose clock advances only when work is done. The
+// burstiness the MAP carries across consecutive completions is exactly
+// what lets the model reproduce bottleneck switch.
 package mapqn
 
 import (
@@ -49,7 +72,7 @@ func (s Station) effectiveMAP() (*markov.MAP, error) {
 // NetworkModel is a closed tandem network of K MAP-service stations plus
 // a delay station (user think time), populated by a fixed number of
 // customers. It generalizes the paper's two-station model (Fig. 9) to
-// any number of tiers; Model{Front, DB} is the K=2 special case.
+// any number of tiers; the front+DB network is the K=2 special case.
 type NetworkModel struct {
 	// Stations are the queueing stations in visit order.
 	Stations []Station
@@ -57,8 +80,13 @@ type NetworkModel struct {
 	ThinkTime float64
 	// Customers is the number of emulated browsers N.
 	Customers int
-	// PhasesRunWhileIdle selects the idle-station semantics (see
-	// Model.PhasesRunWhileIdle).
+	// PhasesRunWhileIdle selects the idle-station semantics. The default
+	// (false) freezes a station's MAP phase while its queue is empty —
+	// the service process only advances when work is done, the semantics
+	// of MAP queueing networks and of this paper. When true, the
+	// modulating chain Q = D0+D1 keeps evolving during idleness (as if
+	// the burstiness stemmed from an external environment); the ablation
+	// benchmark quantifies the difference.
 	PhasesRunWhileIdle bool
 }
 
@@ -133,33 +161,12 @@ type NetworkMetrics struct {
 	FixedPointResidual float64 `json:"fixed_point_residual,omitempty"`
 }
 
-// AsTwoTier converts K=2 network metrics to the legacy two-station
-// Metrics layout.
-func (nm NetworkMetrics) AsTwoTier() (Metrics, error) {
-	if len(nm.Utils) != 2 {
-		return Metrics{}, fmt.Errorf("mapqn: AsTwoTier on %d-station metrics", len(nm.Utils))
-	}
-	return Metrics{
-		Throughput:       nm.Throughput,
-		ResponseTime:     nm.ResponseTime,
-		UtilFront:        nm.Utils[0],
-		UtilDB:           nm.Utils[1],
-		QueueFront:       nm.QueueLens[0],
-		QueueDB:          nm.QueueLens[1],
-		Thinking:         nm.Thinking,
-		QueueDistFront:   nm.QueueDists[0],
-		QueueDistDB:      nm.QueueDists[1],
-		States:           nm.States,
-		SolverIterations: nm.SolverIterations,
-		SolverMethod:     nm.SolverMethod,
-	}, nil
-}
-
 // stateSpaceN enumerates the CTMC states of a K-station network:
 // (n_0..n_{K-1}, j_0..j_{K-1}) with sum n_i <= N and j_i a phase of
 // station i's MAP. Population vectors are ranked in lexicographic order
 // via the combinatorial number system; phases are a mixed-radix suffix.
-// For K=2 this reproduces the legacy stateSpace layout exactly.
+// For K=2 this is the triangular (n_1, n_2) layout of the hand-built
+// two-station reference generator the tests compare against.
 type stateSpaceN struct {
 	n         int   // population
 	phases    []int // phase count per station

@@ -21,63 +21,53 @@ func fitMAP(t *testing.T, mean, i, p95 float64) *markov.MAP {
 
 // TestNetworkMatchesLegacyTwoTier is the refactor's safety net: the
 // generic K-station solver instantiated at K=2 must reproduce the
-// hardwired two-station solver to within 1e-9 on every metric. The small
-// instance is solved by the direct dense method, the large one by
-// Gauss-Seidel, covering both solver paths.
+// hand-built two-station reference solver to within 1e-9 on every
+// metric. The small instance is solved by the direct dense method, the
+// large one by Gauss-Seidel, covering both solver paths.
 func TestNetworkMatchesLegacyTwoTier(t *testing.T) {
 	front := fitMAP(t, 0.004, 40, 0.02)
 	db := fitMAP(t, 0.005, 150, 0.04)
 	for _, n := range []int{1, 8, 12, 40} {
-		m := Model{Front: front, DB: db, ThinkTime: 0.5, Customers: n}
+		m := twoTier(front, db, 0.5, n)
 		legacy, err := solveLegacy(m, ctmc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		generic, err := SolveNetwork(m.Network(), ctmc.Options{})
+		generic, err := SolveNetwork(m, ctmc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		two, err := generic.AsTwoTier()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if two.States != legacy.States {
-			t.Fatalf("N=%d: state count %d != legacy %d", n, two.States, legacy.States)
+		if generic.States != legacy.States {
+			t.Fatalf("N=%d: state count %d != legacy %d", n, generic.States, legacy.States)
 		}
 		close := func(name string, got, want float64) {
 			if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
 				t.Errorf("N=%d: %s = %v, legacy %v", n, name, got, want)
 			}
 		}
-		close("X", two.Throughput, legacy.Throughput)
-		close("R", two.ResponseTime, legacy.ResponseTime)
-		close("UF", two.UtilFront, legacy.UtilFront)
-		close("UD", two.UtilDB, legacy.UtilDB)
-		close("QF", two.QueueFront, legacy.QueueFront)
-		close("QD", two.QueueDB, legacy.QueueDB)
-		close("think", two.Thinking, legacy.Thinking)
-		for k := range legacy.QueueDistFront {
-			close("distF", two.QueueDistFront[k], legacy.QueueDistFront[k])
-			close("distD", two.QueueDistDB[k], legacy.QueueDistDB[k])
+		close("X", generic.Throughput, legacy.Throughput)
+		close("R", generic.ResponseTime, legacy.ResponseTime)
+		close("UF", generic.Utils[0], legacy.Utils[0])
+		close("UD", generic.Utils[1], legacy.Utils[1])
+		close("QF", generic.QueueLens[0], legacy.QueueLens[0])
+		close("QD", generic.QueueLens[1], legacy.QueueLens[1])
+		close("think", generic.Thinking, legacy.Thinking)
+		for k := range legacy.QueueDists[0] {
+			close("distF", generic.QueueDists[0][k], legacy.QueueDists[0][k])
+			close("distD", generic.QueueDists[1][k], legacy.QueueDists[1][k])
 		}
 	}
 }
 
 // TestGeneratorMatchesLegacyTwoTier checks structural equivalence at the
 // generator level: the K=2 generic state layout is identical to the
-// legacy triangular layout, so the two sparse generators must agree
+// reference triangular layout, so the two sparse generators must agree
 // entry by entry.
 func TestGeneratorMatchesLegacyTwoTier(t *testing.T) {
-	m := Model{
-		Front:     fitMAP(t, 0.004, 30, 0.02),
-		DB:        fitMAP(t, 0.006, 90, 0.03),
-		ThinkTime: 0.5,
-		Customers: 9,
-	}
+	m := twoTier(fitMAP(t, 0.004, 30, 0.02), fitMAP(t, 0.006, 90, 0.03), 0.5, 9)
 	legacyGen, _ := buildGenerator(m)
-	nm := m.Network()
-	maps := []*markov.MAP{m.Front, m.DB}
-	genericGen, _, err := buildGeneratorN(context.Background(), nm, maps)
+	maps := []*markov.MAP{m.Stations[0].MAP, m.Stations[1].MAP}
+	genericGen, _, err := buildGeneratorN(context.Background(), m, maps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,9 +359,6 @@ func TestNetworkValidation(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
-	}
-	if _, err := (NetworkMetrics{}).AsTwoTier(); err == nil {
-		t.Error("AsTwoTier on empty metrics should fail")
 	}
 }
 

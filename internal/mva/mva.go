@@ -5,8 +5,8 @@
 // lattice, the Schweitzer approximate MVA for large populations, and
 // asymptotic bounds.
 //
-// The paper's baseline model is Model() — two queueing stations (front
-// and database server) in series plus a delay station (user think time) —
+// The paper's baseline model is ModelN with two demands — the front and
+// database servers in series plus a delay station (user think time) —
 // parameterized only by mean service demands, which is exactly what makes
 // it blind to burstiness and bottleneck switch.
 package mva
@@ -55,20 +55,10 @@ func (n Network) Validate() error {
 	return nil
 }
 
-// Model builds the paper's two-queue-plus-think-time abstraction of a
-// multi-tier system (Fig. 9): front server and database server in
-// series, closed by N emulated browsers with mean think time z.
-func Model(frontDemand, dbDemand, z float64) Network {
-	return Network{
-		Demands:   []float64{frontDemand, dbDemand},
-		ThinkTime: z,
-		Names:     []string{"front", "db"},
-	}
-}
-
-// ModelN builds the N-tier generalization of Model: K queueing stations
-// in series (one per tier) closed by N customers with mean think time z.
-// names may be nil, or one label per demand.
+// ModelN builds the paper's queues-plus-think-time abstraction of a
+// multi-tier system (Fig. 9), generalized to K tiers: K queueing
+// stations in series (front, ..., database) closed by N customers with
+// mean think time z. names may be nil, or one label per demand.
 func ModelN(demands []float64, names []string, z float64) Network {
 	return Network{
 		Demands:   append([]float64(nil), demands...),

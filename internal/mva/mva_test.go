@@ -58,7 +58,7 @@ func TestSolveInterativeVsKnownTwoQueue(t *testing.T) {
 
 func TestSolveWithThinkTime(t *testing.T) {
 	// Model of the paper's testbed shape: think time dominates at low N.
-	net := Model(0.002, 0.004, 0.5)
+	net := ModelN([]float64{0.002, 0.004}, nil, 0.5)
 	res, err := Solve(net, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestSolveValidation(t *testing.T) {
 }
 
 func TestThroughputMonotoneAndBounded(t *testing.T) {
-	net := Model(0.003, 0.006, 0.5)
+	net := ModelN([]float64{0.003, 0.006}, nil, 0.5)
 	sweep, err := SolveSweep(net, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestThroughputMonotoneAndBounded(t *testing.T) {
 }
 
 func TestLittlesLawHolds(t *testing.T) {
-	net := Model(0.004, 0.003, 0.25)
+	net := ModelN([]float64{0.004, 0.003}, nil, 0.25)
 	for _, n := range []int{1, 5, 50, 150} {
 		res, err := Solve(net, n)
 		if err != nil {
@@ -141,7 +141,7 @@ func TestLittlesLawHolds(t *testing.T) {
 }
 
 func TestSolveApproxMatchesExact(t *testing.T) {
-	net := Model(0.002, 0.005, 0.5)
+	net := ModelN([]float64{0.002, 0.005}, nil, 0.5)
 	for _, n := range []int{1, 10, 100} {
 		exact, err := Solve(net, n)
 		if err != nil {
@@ -168,7 +168,7 @@ func TestSolveApproxValidation(t *testing.T) {
 }
 
 func TestAsymptoticBounds(t *testing.T) {
-	net := Model(0.002, 0.004, 0.5)
+	net := ModelN([]float64{0.002, 0.004}, nil, 0.5)
 	b, err := AsymptoticBounds(net, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestAsymptoticBounds(t *testing.T) {
 
 func TestSolveMulticlassSingleClassAgrees(t *testing.T) {
 	// Multiclass with one class must equal single-class MVA.
-	net := Model(0.004, 0.002, 0.3)
+	net := ModelN([]float64{0.004, 0.002}, nil, 0.3)
 	mnet := MultiNetwork{
 		Demands:    [][]float64{{0.004, 0.002}},
 		ThinkTimes: []float64{0.3},
@@ -384,7 +384,7 @@ func TestSolveMulticlassApproxValidation(t *testing.T) {
 func TestSolveMultiServerSingleServerAgrees(t *testing.T) {
 	// With one server everywhere the load-dependent recursion must equal
 	// plain MVA.
-	net := Model(0.004, 0.002, 0.3)
+	net := ModelN([]float64{0.004, 0.002}, nil, 0.3)
 	ms := MultiServerNetwork{
 		Demands:   []float64{0.004, 0.002},
 		Servers:   []int{1, 1},
@@ -501,8 +501,9 @@ func TestSolveMultiServerValidation(t *testing.T) {
 }
 
 func TestModelNGeneralizesModel(t *testing.T) {
-	// K=2 via ModelN must be the same network Model builds.
-	two := Model(0.004, 0.007, 0.5)
+	// Station names are labels only: the paper's named front/db pair
+	// must solve exactly like the same demands without names.
+	two := ModelN([]float64{0.004, 0.007}, nil, 0.5)
 	n2 := ModelN([]float64{0.004, 0.007}, []string{"front", "db"}, 0.5)
 	for _, pop := range []int{1, 10, 80} {
 		a, err := Solve(two, pop)
@@ -514,7 +515,7 @@ func TestModelNGeneralizesModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a.Throughput != b.Throughput || a.ResponseTime != b.ResponseTime {
-			t.Errorf("pop %d: ModelN result differs from Model", pop)
+			t.Errorf("pop %d: named and unnamed ModelN results differ", pop)
 		}
 	}
 	// ModelN must defensively copy its inputs.

@@ -13,8 +13,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// ZeroWindow is a sentinel for ConfigN.Warmup / ConfigN.Cooldown (and the
-// same fields of the legacy Config) meaning "exactly zero seconds". A
+// ZeroWindow is a sentinel for ConfigN.Warmup / ConfigN.Cooldown meaning
+// "exactly zero seconds". A
 // literal 0 in those fields means unset and is replaced by the default
 // (120 s warm-up, 60 s cool-down); any negative value is normalized to an
 // explicit zero-length window.
@@ -79,8 +79,10 @@ func resolveTierNames(tiers []TierConfig) []string {
 	return names
 }
 
-// ConfigN parameterizes one N-tier testbed run: the generalization of the
-// legacy two-tier Config to an arbitrary tandem of PS tiers. Transactions
+// ConfigN parameterizes one testbed run, mirroring the paper's
+// experimental settings (Section 3.1-3.2) generalized from its front and
+// database servers to an arbitrary tandem of PS tiers (DefaultTiers(mix,
+// 2) is the paper's two-tier testbed). Transactions
 // visit tiers in slice order (tier 0 first, the database last), making
 // MinPasses..MaxPasses sequential passes at each tier before moving on.
 type ConfigN struct {
@@ -323,6 +325,12 @@ type ResultN struct {
 	TierNames []string
 }
 
+// emulatedBrowser is one closed-loop client session.
+type emulatedBrowser struct {
+	id      int
+	current Transaction
+}
+
 // txnStateN tracks one in-flight transaction through the tier chain.
 type txnStateN struct {
 	eb          *emulatedBrowser
@@ -480,8 +488,9 @@ func (e *engineN) sampleClasses() {
 	}
 }
 
-// RunN executes one N-tier testbed experiment. The legacy two-tier Run is
-// a thin wrapper over this engine (verified bit-identical on fixed seeds).
+// RunN executes one N-tier testbed experiment. On DefaultTiers(mix, 2)
+// it reproduces the original dedicated two-tier engine bit for bit on
+// fixed seeds.
 func RunN(cfg ConfigN) (*ResultN, error) {
 	return RunNCtx(context.Background(), cfg)
 }
@@ -701,31 +710,41 @@ func (v *tierTransactionView) BusyTime() float64  { return v.station.BusyTime() 
 func (v *tierTransactionView) Completions() int64 { return *v.txnCompletions }
 
 // DefaultTiers builds a K-tier testbed specification (K >= 2) from the
-// default transaction profiles: tier 0 keeps the front-server demands and
-// the mix's front contention, the last tier keeps the per-query database
-// demands, query counts, and the mix's DB contention, and interior tiers
-// are application servers whose per-type demand is 60% of the front
-// demand with the same variability, a single pass, and no contention
-// environment.
+// default transaction profiles. Tier 0 is the front server: one pass
+// per transaction, the front demands, the mix's front contention, and
+// every type able to trigger it with weight 1. The last tier is the
+// database: per-query demands, MinQueries..MaxQueries passes, the mix's
+// DB contention, and per-type contention weights. Interior tiers are
+// application servers whose per-type demand is 60% of the front demand
+// with the same variability, a single pass, and no contention
+// environment. K=2 is the paper's front+DB testbed.
 func DefaultTiers(mix Mix, k int) ([]TierConfig, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("tpcw: DefaultTiers needs k >= 2, got %d", k)
 	}
-	profiles := DefaultProfiles()
-	two := Config{Mix: mix}.tierConfigs(profiles)
 	tiers := make([]TierConfig, k)
-	tiers[0] = two[0]
-	tiers[k-1] = two[1]
-	for i := 1; i < k-1; i++ {
-		app := TierConfig{}
-		for t, p := range profiles {
-			app.Demands[t] = TierDemand{
+	front := &tiers[0]
+	db := &tiers[k-1]
+	front.Contention = mix.FrontContention
+	db.Contention = mix.DBContention
+	for t, p := range DefaultProfiles() {
+		front.Demands[t] = TierDemand{
+			Mean: p.FrontDemand, SCV: p.FrontSCV,
+			MinPasses: 1, MaxPasses: 1,
+			ContentionWeight: 1,
+		}
+		db.Demands[t] = TierDemand{
+			Mean: p.QueryDemand, SCV: p.QuerySCV,
+			MinPasses: p.MinQueries, MaxPasses: p.MaxQueries,
+			ContentionWeight: p.ContentionWeight,
+		}
+		for i := 1; i < k-1; i++ {
+			tiers[i].Demands[t] = TierDemand{
 				Mean:      0.6 * p.FrontDemand,
 				SCV:       p.FrontSCV,
 				MinPasses: 1, MaxPasses: 1,
 			}
 		}
-		tiers[i] = app
 	}
 	return resolveNamesInto(tiers), nil
 }

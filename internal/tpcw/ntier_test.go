@@ -6,10 +6,22 @@ import (
 	"testing"
 )
 
+// twoTier returns cfg with the paper's front+DB tiers for its mix.
+func twoTier(t *testing.T, cfg ConfigN) ConfigN {
+	t.Helper()
+	tiers, err := DefaultTiers(cfg.Mix, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Tiers = tiers
+	return cfg
+}
+
 // Golden values captured from the dedicated two-tier engine at commit
-// f0e5945, immediately before Run became a wrapper over the N-tier
-// engine. Exact float equality (hex literals carry the full bit pattern)
-// proves the generalized path reproduces the seed engine draw-for-draw.
+// f0e5945, immediately before it was replaced by the N-tier engine.
+// Exact float equality (hex literals carry the full bit pattern) proves
+// the generalized path on DefaultTiers(mix, 2) reproduces the seed
+// engine draw-for-draw.
 func TestRunBitIdenticalToSeedEngine(t *testing.T) {
 	type series struct {
 		nfu                  int
@@ -17,7 +29,7 @@ func TestRunBitIdenticalToSeedEngine(t *testing.T) {
 	}
 	cases := []struct {
 		name      string
-		cfg       Config
+		cfg       ConfigN
 		x         float64
 		completed int64
 		mean, p95 float64
@@ -30,7 +42,7 @@ func TestRunBitIdenticalToSeedEngine(t *testing.T) {
 	}{
 		{
 			name:      "shopping30",
-			cfg:       Config{Mix: ShoppingMix(), EBs: 30, Seed: 77, Duration: 900, Warmup: 60, Cooldown: 30},
+			cfg:       ConfigN{Mix: ShoppingMix(), EBs: 30, Seed: 77, Duration: 900, Warmup: 60, Cooldown: 30},
 			x:         0x1.cc1e573ac901ep+05,
 			completed: 46587,
 			mean:      0x1.642fae2affb9dp-06, p95: 0x1.da287442e9b2ep-05,
@@ -42,7 +54,7 @@ func TestRunBitIdenticalToSeedEngine(t *testing.T) {
 		},
 		{
 			name:      "browsing100-series",
-			cfg:       Config{Mix: BrowsingMix(), EBs: 100, Seed: 9, Duration: 900, Warmup: 60, Cooldown: 30, TrackSeries: true},
+			cfg:       ConfigN{Mix: BrowsingMix(), EBs: 100, Seed: 9, Duration: 900, Warmup: 60, Cooldown: 30, TrackSeries: true},
 			x:         0x1.93c9a3b6ad31fp+06,
 			completed: 81767,
 			mean:      0x1.f6dcbc9cc48acp-02, p95: 0x1.282e8b4b82253p+01,
@@ -59,7 +71,7 @@ func TestRunBitIdenticalToSeedEngine(t *testing.T) {
 		},
 		{
 			name:      "ordering50-z2",
-			cfg:       Config{Mix: OrderingMix(), EBs: 50, Seed: 1, Duration: 600, Warmup: 120, Cooldown: 60, MonitorPeriod: 5, ThinkTime: 2},
+			cfg:       ConfigN{Mix: OrderingMix(), EBs: 50, Seed: 1, Duration: 600, Warmup: 120, Cooldown: 60, MonitorPeriod: 5, ThinkTime: 2},
 			x:         0x1.8bcf3cf3cf3cfp+04,
 			completed: 10390,
 			mean:      0x1.0c5d85d76b46dp-07, p95: 0x1.a457fa926d999p-06,
@@ -73,7 +85,7 @@ func TestRunBitIdenticalToSeedEngine(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(tc.cfg)
+			res, err := RunN(twoTier(t, tc.cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,24 +101,24 @@ func TestRunBitIdenticalToSeedEngine(t *testing.T) {
 			}
 			check("MeanResponse", res.MeanResponse, tc.mean)
 			check("P95Response", res.P95Response, tc.p95)
-			check("AvgUtilFront", res.AvgUtilFront, tc.uf)
-			check("AvgUtilDB", res.AvgUtilDB, tc.ud)
-			check("FrontContentionFraction", res.FrontContentionFraction, tc.cf)
-			check("DBContentionFraction", res.DBContentionFraction, tc.cd)
-			if len(res.FrontSamples.Utilization) != tc.nfs {
-				t.Fatalf("front samples = %d, want %d", len(res.FrontSamples.Utilization), tc.nfs)
+			check("AvgUtilFront", res.AvgUtil[0], tc.uf)
+			check("AvgUtilDB", res.AvgUtil[1], tc.ud)
+			check("FrontContentionFraction", res.ContentionFraction[0], tc.cf)
+			check("DBContentionFraction", res.ContentionFraction[1], tc.cd)
+			if len(res.TierSamples[0].Utilization) != tc.nfs {
+				t.Fatalf("front samples = %d, want %d", len(res.TierSamples[0].Utilization), tc.nfs)
 			}
-			check("FrontSamples[0]", res.FrontSamples.Utilization[0], tc.fs0)
-			check("FrontSamples[last]", res.FrontSamples.Utilization[tc.nfs-1], tc.fsL)
-			check("DBSamples[0]", res.DBSamples.Utilization[0], tc.ds0)
-			check("DBSamples.Completions[0]", res.DBSamples.Completions[0], tc.dsc0)
+			check("FrontSamples[0]", res.TierSamples[0].Utilization[0], tc.fs0)
+			check("FrontSamples[last]", res.TierSamples[0].Utilization[tc.nfs-1], tc.fsL)
+			check("DBSamples[0]", res.TierSamples[1].Utilization[0], tc.ds0)
+			check("DBSamples.Completions[0]", res.TierSamples[1].Completions[0], tc.dsc0)
 			if tc.series != nil {
-				if len(res.FrontUtil1s) != tc.series.nfu {
-					t.Fatalf("FrontUtil1s len = %d, want %d", len(res.FrontUtil1s), tc.series.nfu)
+				if len(res.TierUtil1s[0]) != tc.series.nfu {
+					t.Fatalf("FrontUtil1s len = %d, want %d", len(res.TierUtil1s[0]), tc.series.nfu)
 				}
-				check("FrontUtil1s[10]", res.FrontUtil1s[10], tc.series.fu10)
-				check("DBUtil1s[10]", res.DBUtil1s[10], tc.series.du10)
-				check("DBQueueLen1s[10]", res.DBQueueLen1s[10], tc.series.q10)
+				check("FrontUtil1s[10]", res.TierUtil1s[0][10], tc.series.fu10)
+				check("DBUtil1s[10]", res.TierUtil1s[1][10], tc.series.du10)
+				check("DBQueueLen1s[10]", res.TierQueueLen1s[1][10], tc.series.q10)
 				check("InSystem1s[2][10]", res.InSystem1s[2][10], tc.series.in2)
 			}
 		})
@@ -254,31 +266,31 @@ func TestRunReplicasDeterministicAcrossWorkerCounts(t *testing.T) {
 
 func TestZeroWindowSentinel(t *testing.T) {
 	// A literal 0 stays "unset" and takes the paper defaults.
-	d := Config{}.withDefaults()
+	d := ConfigN{}.WithDefaults()
 	if d.Warmup != 120 || d.Cooldown != 60 {
 		t.Fatalf("unset windows defaulted to %v/%v, want 120/60", d.Warmup, d.Cooldown)
 	}
 	// The sentinel expresses an exact zero.
-	d = Config{Warmup: ZeroWindow, Cooldown: ZeroWindow}.withDefaults()
+	d = ConfigN{Warmup: ZeroWindow, Cooldown: ZeroWindow}.WithDefaults()
 	if d.Warmup != 0 || d.Cooldown != 0 {
 		t.Fatalf("sentinel windows became %v/%v, want 0/0", d.Warmup, d.Cooldown)
 	}
-	res, err := Run(Config{Mix: OrderingMix(), EBs: 10, Seed: 5, Duration: 300, Warmup: ZeroWindow, Cooldown: ZeroWindow})
+	res, err := RunN(twoTier(t, ConfigN{Mix: OrderingMix(), EBs: 10, Seed: 5, Duration: 300, Warmup: ZeroWindow, Cooldown: ZeroWindow}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.FrontSamples.Utilization); got != 60 {
+	if got := len(res.TierSamples[0].Utilization); got != 60 {
 		t.Errorf("untrimmed samples = %d, want 60 (300 s / 5 s, nothing trimmed)", got)
 	}
 	if res.Config.Warmup != 0 || res.Config.Cooldown != 0 {
 		t.Errorf("result config windows = %v/%v, want 0/0", res.Config.Warmup, res.Config.Cooldown)
 	}
 	// Mixed: explicit zero warm-up, defaulted cool-down.
-	res, err = Run(Config{Mix: OrderingMix(), EBs: 10, Seed: 5, Duration: 300, Warmup: ZeroWindow, Cooldown: 30})
+	res, err = RunN(twoTier(t, ConfigN{Mix: OrderingMix(), EBs: 10, Seed: 5, Duration: 300, Warmup: ZeroWindow, Cooldown: 30}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.FrontSamples.Utilization); got != 54 {
+	if got := len(res.TierSamples[0].Utilization); got != 54 {
 		t.Errorf("samples = %d, want 54 (only 30 s cool-down trimmed)", got)
 	}
 }
@@ -287,17 +299,17 @@ func TestMisalignedTrimWindowsRejected(t *testing.T) {
 	// A warm-up that is not a whole multiple of MonitorPeriod used to be
 	// silently truncated (int(60+3)/5 = 12 periods), leaking 3 warm-up
 	// seconds into the analyzed samples. It is now a validation error.
-	_, err := Run(Config{Mix: OrderingMix(), EBs: 10, Seed: 5, Duration: 300, Warmup: 63, Cooldown: 30})
+	_, err := RunN(twoTier(t, ConfigN{Mix: OrderingMix(), EBs: 10, Seed: 5, Duration: 300, Warmup: 63, Cooldown: 30}))
 	if err == nil || !strings.Contains(err.Error(), "whole multiple") {
 		t.Fatalf("misaligned warmup: err = %v, want whole-multiple validation error", err)
 	}
-	_, err = Run(Config{Mix: OrderingMix(), EBs: 10, Seed: 5, Duration: 300, Warmup: 60, Cooldown: 31})
+	_, err = RunN(twoTier(t, ConfigN{Mix: OrderingMix(), EBs: 10, Seed: 5, Duration: 300, Warmup: 60, Cooldown: 31}))
 	if err == nil || !strings.Contains(err.Error(), "whole multiple") {
 		t.Fatalf("misaligned cooldown: err = %v, want whole-multiple validation error", err)
 	}
 	// A ragged duration would leave the sample stream covering a
 	// different window than the throughput measurement.
-	_, err = Run(Config{Mix: OrderingMix(), EBs: 10, Seed: 5, Duration: 303, Warmup: 60, Cooldown: 30})
+	_, err = RunN(twoTier(t, ConfigN{Mix: OrderingMix(), EBs: 10, Seed: 5, Duration: 303, Warmup: 60, Cooldown: 30}))
 	if err == nil || !strings.Contains(err.Error(), "whole multiple") {
 		t.Fatalf("misaligned duration: err = %v, want whole-multiple validation error", err)
 	}
@@ -354,14 +366,15 @@ func TestConfigNValidation(t *testing.T) {
 }
 
 func TestLegacyProfilesStillRejectSubExponentialSCV(t *testing.T) {
-	// The legacy engine rejected SCV < 1 profiles (H2 construction);
-	// the wrapper must not let ConfigN.WithDefaults silently rewrite a
-	// zero SCV to exponential.
-	p := DefaultProfiles()
-	p[Home].FrontSCV = 0
-	_, err := Run(Config{Mix: OrderingMix(), EBs: 10, Seed: 5, Duration: 300, Warmup: 30, Cooldown: 30, Profiles: &p})
+	// The per-pass demand profiles are H2 draws, which need SCV >= 1:
+	// a sub-exponential SCV must be rejected rather than run with
+	// silently different semantics. (A zero SCV means unset and
+	// defaults to exponential.)
+	cfg := twoTier(t, ConfigN{Mix: OrderingMix(), EBs: 10, Seed: 5, Duration: 300, Warmup: 30, Cooldown: 30})
+	cfg.Tiers[0].Demands[Home].SCV = 0.5
+	_, err := RunN(cfg)
 	if err == nil || !strings.Contains(err.Error(), "SCV") {
-		t.Fatalf("zero-SCV profile: err = %v, want SCV rejection", err)
+		t.Fatalf("sub-exponential SCV: err = %v, want SCV rejection", err)
 	}
 }
 

@@ -68,7 +68,7 @@ const (
 )
 
 // ZeroWindow marks an explicitly empty warm-up/cool-down window in a
-// WorkloadSpec (and in the legacy TPCWConfig fields).
+// WorkloadSpec (and in TPCWConfigN).
 const ZeroWindow = tpcw.ZeroWindow
 
 // Progress stage names, as reported in ProgressEvent.Stage. The same
