@@ -88,16 +88,18 @@ paperrepro-check:
 # solves, the warm/cold population sweep, the suite-engine batch run,
 # the multiclass MVA solvers (exact lattice and Schweitzer/Bard), and
 # the generator microbenches (assembly strategies, CSR vs matrix-free
-# backends) — and archives the numbers (ns/op, states, nnz, allocs,
-# throughput) as JSON. -benchtime=1x for the seconds-scale solves (a
-# single iteration is already deterministic enough for a trajectory);
-# the microsecond-scale MulticlassMVA benches run 50 iterations in a
-# separate invocation because their single-run timings swing ~2x with
-# scheduler noise, which would make the benchgate flaky.
+# backends), and the exact solve of a nearly-decomposable grid cell on
+# both backends (SteadyStateNCD) — and archives the numbers (ns/op,
+# states, nnz, allocs, throughput) as JSON. -benchtime=1x for the
+# seconds-scale solves (a single iteration is already deterministic
+# enough for a trajectory); the microsecond-scale MulticlassMVA benches
+# run 50 iterations in a separate invocation because their single-run
+# timings swing ~2x with scheduler noise, which would make the
+# benchgate flaky.
 bench:
 	$(GO) test -run=NONE -bench='SolveThreeTier|SolveDecomp|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x . > .bench_root.txt
 	$(GO) test -run=NONE -bench='MulticlassMVA' -benchmem -benchtime=50x . >> .bench_root.txt
-	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends' -benchmem ./internal/mapqn/ > .bench_mapqn.txt
+	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends|SteadyStateNCD' -benchmem ./internal/mapqn/ > .bench_mapqn.txt
 	cat .bench_root.txt .bench_mapqn.txt | $(GO) run ./cmd/benchjson > BENCH_solver.json
 	rm -f .bench_root.txt .bench_mapqn.txt
 	cat BENCH_solver.json
@@ -109,7 +111,7 @@ bench:
 benchgate:
 	$(GO) test -run=NONE -bench='SolveThreeTier|SolveDecomp|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x . > .bench_root.txt
 	$(GO) test -run=NONE -bench='MulticlassMVA' -benchmem -benchtime=50x . >> .bench_root.txt
-	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends' -benchmem ./internal/mapqn/ > .bench_mapqn.txt
+	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends|SteadyStateNCD' -benchmem ./internal/mapqn/ > .bench_mapqn.txt
 	cat .bench_root.txt .bench_mapqn.txt | $(GO) run ./cmd/benchjson > .bench_fresh.json
 	rm -f .bench_root.txt .bench_mapqn.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_solver.json -fresh .bench_fresh.json

@@ -3,6 +3,7 @@ package ctmc
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -76,6 +77,21 @@ func TestSteadyStateIterativeMM1K(t *testing.T) {
 		if math.Abs(res.Pi[i]-want[i]) > 1e-7 {
 			t.Errorf("pi[%d] = %v, want %v", i, res.Pi[i], want[i])
 		}
+	}
+}
+
+// TestSymmetricStageExhaustsMaxIter pins the end of the ladder: with
+// too small a budget the forward stage hands over, the symmetric stage
+// runs out, and the solve fails with ErrNoConvergence for callers to
+// degrade on — there is no further fallback.
+func TestSymmetricStageExhaustsMaxIter(t *testing.T) {
+	q := mm1kGenerator(3, 4, 2000)
+	_, err := SteadyState(q, Options{MaxIter: 4})
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("err = %v, want ErrNoConvergence", err)
+	}
+	if !strings.Contains(err.Error(), "symmetric gauss-seidel") || !strings.Contains(err.Error(), "4 iterations") {
+		t.Fatalf("error %q does not name the symmetric stage and its budget", err)
 	}
 }
 

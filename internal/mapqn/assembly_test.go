@@ -12,6 +12,51 @@ import (
 	"repro/internal/matrix"
 )
 
+// buildGeneratorN assembles the generator Q of the K-station network by
+// direct in-order CSR construction: the forward rowEmitter enumerates
+// states in row order (population vectors in compRank order via
+// nextComposition, phases as a mixed-radix odometer) and streams each
+// row's insertion-sorted entries straight into the CSR arrays. The
+// solver stores only Q^T (see assembleTranspose); Q is the reference
+// the tests check the transpose rows, the triplet assembly and the
+// hand-built two-station generator against.
+func buildGeneratorN(ctx context.Context, m NetworkModel, maps []*markov.MAP) (*matrix.CSR, *stateSpaceN, error) {
+	g, err := newGenParams(m, maps)
+	if err != nil {
+		return nil, nil, errStateOverflow(len(maps), m.Customers)
+	}
+	if g.size > csrDefaultMaxStates {
+		return nil, nil, errStateLimit(g.k, g.n, g.size, csrDefaultMaxStates, ctmc.BackendCSR)
+	}
+	gen, err := g.assembleCSR(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	return gen, g.space, nil
+}
+
+// assembleCSR streams every row through the forward emitter into the
+// CSR arrays of Q.
+func (g *genParams) assembleCSR(ctx context.Context) (*matrix.CSR, error) {
+	rowPtr := make([]int, g.size+1)
+	colIdx := make([]int, 0, g.size*g.est)
+	vals := make([]float64, 0, g.size*g.est)
+	e := newRowEmitter(g)
+	for row := 0; row < g.size; row++ {
+		if row&0xFFF == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		colIdx, vals = e.emitRow(colIdx, vals)
+		rowPtr[row+1] = len(colIdx)
+	}
+	if e.row != g.size {
+		panic(fmt.Sprintf("mapqn: assembled %d rows, state space has %d", e.row, g.size))
+	}
+	return matrix.NewCSRFromRows(g.size, rowPtr, colIdx, vals), nil
+}
+
 // buildGeneratorNTriplet is the pre-optimization reference assembly: two
 // triplets per rate appended in enumeration order, merged and sorted by
 // NewCSR, with a full decode per state. The direct in-order CSR assembly
@@ -156,6 +201,51 @@ func TestDirectAssemblyMatchesTriplet(t *testing.T) {
 			got, want := direct.Vals[k], ref.Vals[k]
 			if math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
 				t.Fatalf("idle=%v: vals[%d] (col %d) = %v, want %v", idle, k, ref.ColIdx[k], got, want)
+			}
+		}
+	}
+}
+
+// TestTransposeAssemblyMatchesTransposedGenerator checks the CSR
+// backend's stored generator: Q^T assembled row by row from the
+// transpose emitter must equal the assembled Q transposed, entry for
+// entry, under both idle-phase semantics and with zero think time.
+func TestTransposeAssemblyMatchesTransposedGenerator(t *testing.T) {
+	for _, tc := range []struct {
+		idle bool
+		z    float64
+	}{{false, 0.5}, {true, 0.5}, {false, 0}} {
+		m, maps := threeTierModel(t, 7, tc.idle)
+		m.ThinkTime = tc.z
+		gen, _, err := buildGeneratorN(context.Background(), m, maps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := gen.Transpose()
+		g, err := newGenParams(m, maps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mf, err := newMatrixFreeGen(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := mf.assembleTranspose(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.N != want.N || got.NNZ() != want.NNZ() || cap(got.Vals) != want.NNZ() {
+			t.Fatalf("idle=%v z=%v: dim %d/%d nnz %d/%d cap %d", tc.idle, tc.z, got.N, want.N, got.NNZ(), want.NNZ(), cap(got.Vals))
+		}
+		for r := range want.RowPtr {
+			if got.RowPtr[r] != want.RowPtr[r] {
+				t.Fatalf("idle=%v z=%v: rowPtr[%d] = %d, want %d", tc.idle, tc.z, r, got.RowPtr[r], want.RowPtr[r])
+			}
+		}
+		for k := range want.ColIdx {
+			if got.ColIdx[k] != want.ColIdx[k] || got.Vals[k] != want.Vals[k] {
+				t.Fatalf("idle=%v z=%v: entry %d = (%d,%v), want (%d,%v)",
+					tc.idle, tc.z, k, got.ColIdx[k], got.Vals[k], want.ColIdx[k], want.Vals[k])
 			}
 		}
 	}

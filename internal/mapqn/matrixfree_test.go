@@ -37,10 +37,11 @@ func randomMAP(t *testing.T, rng *rand.Rand) *markov.MAP {
 // TestMatrixFreeProductsBitIdentical is the backend-equivalence property
 // test: over randomized networks (K in 1..4, N in 0..12, mixed phase
 // counts, both idle semantics, think time zero and positive) the
-// matrix-free MulVecTo/VecMulTo must reproduce the materialized CSR
-// products bit for bit, and the synthesized transpose rows must match
-// CSR.Transpose entry for entry. Several cases cross the parallel-kernel
-// threshold so both the sequential and fanned-out paths are exercised.
+// matrix-free VecMulTo must reproduce the materialized CSR product bit
+// for bit, and the synthesized transpose rows — scanned forward and in
+// reverse — must match CSR.Transpose entry for entry. Several cases
+// cross the parallel-kernel threshold so both the sequential and
+// fanned-out paths are exercised.
 func TestMatrixFreeProductsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ctx := context.Background()
@@ -92,13 +93,6 @@ func TestMatrixFreeProductsBitIdentical(t *testing.T) {
 				}
 				yc := make([]float64, g.size)
 				ym := make([]float64, g.size)
-				csr.MulVecTo(yc, x)
-				mf.MulVecTo(ym, x)
-				for i := range yc {
-					if yc[i] != ym[i] {
-						t.Fatalf("K=%d N=%d idle=%v: MulVecTo[%d] = %v (matrix-free) vs %v (CSR)", k, n, idle, i, ym[i], yc[i])
-					}
-				}
 				csr.VecMulTo(yc, x)
 				mf.VecMulTo(ym, x)
 				for i := range yc {
@@ -107,25 +101,42 @@ func TestMatrixFreeProductsBitIdentical(t *testing.T) {
 					}
 				}
 				tr := csr.Transpose()
-				next := 0
-				mf.ScanTranspose(func(row int, cols []int, vals []float64) {
-					if row != next {
-						t.Fatalf("K=%d N=%d idle=%v: ScanTranspose row %d, want %d", k, n, idle, row, next)
+				// Every transpose scan — forward and reverse, matrix-free
+				// and CSR — must yield tr's rows entry for entry, each row
+				// once, in its scan's order.
+				scans := []struct {
+					name string
+					scan func(func(int, []int, []float64))
+					rev  bool
+				}{
+					{"matrix-free ScanTranspose", mf.ScanTranspose, false},
+					{"matrix-free ScanTransposeReverse", mf.ScanTransposeReverse, true},
+					{"CSR ScanTransposeReverse", csr.ScanTransposeReverse, true},
+				}
+				for _, sc := range scans {
+					next, step, end := 0, 1, g.size
+					if sc.rev {
+						next, step, end = g.size-1, -1, -1
 					}
-					next++
-					lo, hi := tr.RowPtr[row], tr.RowPtr[row+1]
-					if len(cols) != hi-lo {
-						t.Fatalf("K=%d N=%d idle=%v: transpose row %d has %d entries, want %d", k, n, idle, row, len(cols), hi-lo)
-					}
-					for a := range cols {
-						if cols[a] != tr.ColIdx[lo+a] || vals[a] != tr.Vals[lo+a] {
-							t.Fatalf("K=%d N=%d idle=%v: transpose row %d entry %d = (%d,%v), want (%d,%v)",
-								k, n, idle, row, a, cols[a], vals[a], tr.ColIdx[lo+a], tr.Vals[lo+a])
+					sc.scan(func(row int, cols []int, vals []float64) {
+						if row != next {
+							t.Fatalf("K=%d N=%d idle=%v: %s row %d, want %d", k, n, idle, sc.name, row, next)
 						}
+						next += step
+						lo, hi := tr.RowPtr[row], tr.RowPtr[row+1]
+						if len(cols) != hi-lo {
+							t.Fatalf("K=%d N=%d idle=%v: %s row %d has %d entries, want %d", k, n, idle, sc.name, row, len(cols), hi-lo)
+						}
+						for a := range cols {
+							if cols[a] != tr.ColIdx[lo+a] || vals[a] != tr.Vals[lo+a] {
+								t.Fatalf("K=%d N=%d idle=%v: %s row %d entry %d = (%d,%v), want (%d,%v)",
+									k, n, idle, sc.name, row, a, cols[a], vals[a], tr.ColIdx[lo+a], tr.Vals[lo+a])
+							}
+						}
+					})
+					if next != end {
+						t.Fatalf("K=%d N=%d idle=%v: %s stopped before row %d", k, n, idle, sc.name, next)
 					}
-				})
-				if next != g.size {
-					t.Fatalf("ScanTranspose visited %d rows, want %d", next, g.size)
 				}
 			}
 		}
@@ -214,6 +225,90 @@ func TestMatrixFreeSolveMatchesCSR(t *testing.T) {
 			rel("U", 1e-8, mf.Utils[s], csr.Utils[s])
 			rel("Q", 1e-8, mf.QueueLens[s], csr.QueueLens[s])
 		}
+	}
+}
+
+// stalledGridCell is a cell of the examples/suite burstiness grid (db
+// I=400): a MAP-modulated chain on which forward Gauss-Seidel stalls, so
+// the solve ends in the symmetric stage.
+func stalledGridCell(t testing.TB, customers int) NetworkModel {
+	return twoTier(fitMAP(t, 0.0068, 4, 0.021), fitMAP(t, 0.0046, 400, 0.019), 0.5, customers)
+}
+
+// TestStalledChainEndsInSymmetricGaussSeidel pins the solver ladder on a
+// chain whose forward sweep stalls: the solve converges in the symmetric
+// stage, and its throughput agrees with a Tol=1e-12 solve to 1e-5.
+func TestStalledChainEndsInSymmetricGaussSeidel(t *testing.T) {
+	m := stalledGridCell(t, 50)
+	got, err := SolveNetwork(m, ctmc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.States != 5304 {
+		t.Fatalf("states = %d, want 5304", got.States)
+	}
+	if got.SolverMethod != "symmetric-gauss-seidel" {
+		t.Fatalf("method = %q after %d sweeps, want symmetric-gauss-seidel", got.SolverMethod, got.SolverIterations)
+	}
+	ref, err := SolveNetwork(m, ctmc.Options{Tol: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel := math.Abs(got.Throughput-ref.Throughput) / ref.Throughput; rel > 1e-5 {
+		t.Fatalf("X = %v, Tol=1e-12 solve %v (rel %.2e)", got.Throughput, ref.Throughput, rel)
+	}
+}
+
+// TestSymmetricGaussSeidelBitIdenticalAcrossBackends forces a solve
+// through the symmetric stage on both backends: the stored Q^T and the
+// matrix-free reverse scan (which regenerates rows chunk by chunk) must
+// yield the same stationary vector bit for bit.
+func TestSymmetricGaussSeidelBitIdenticalAcrossBackends(t *testing.T) {
+	m := stalledGridCell(t, 50)
+	var pis [][]float64
+	var iters []int
+	for _, backend := range []ctmc.Backend{ctmc.BackendCSR, ctmc.BackendMatrixFree} {
+		met, sol, err := solveNetwork(context.Background(), m, ctmc.Options{Tol: 1e-8, Backend: backend}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if met.SolverMethod != "symmetric-gauss-seidel" {
+			t.Fatalf("%s: method = %q, want symmetric-gauss-seidel", backend, met.SolverMethod)
+		}
+		pis = append(pis, sol.pi)
+		iters = append(iters, met.SolverIterations)
+	}
+	if iters[0] != iters[1] {
+		t.Fatalf("sweeps: CSR %d, matrix-free %d", iters[0], iters[1])
+	}
+	for i := range pis[0] {
+		if pis[0][i] != pis[1][i] {
+			t.Fatalf("pi[%d]: CSR %v, matrix-free %v", i, pis[0][i], pis[1][i])
+		}
+	}
+}
+
+// BenchmarkSteadyStateNCD times the exact solve of the stalled grid
+// cell above on both backends — a nearly-decomposable MAP network whose
+// solve runs forward Gauss-Seidel into its plateau and finishes in the
+// symmetric stage. Generator construction is included, as in a suite
+// cell.
+func BenchmarkSteadyStateNCD(b *testing.B) {
+	m := stalledGridCell(b, 50)
+	for _, backend := range []ctmc.Backend{ctmc.BackendCSR, ctmc.BackendMatrixFree} {
+		b.Run(string(backend), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				met, err := SolveNetwork(m, ctmc.Options{Tol: 1e-8, Backend: backend})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.ReportMetric(float64(met.States), "states")
+					b.ReportMetric(float64(met.SolverIterations), "sweeps")
+				}
+			}
+		})
 	}
 }
 

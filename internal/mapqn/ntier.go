@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/ctmc"
 	"repro/internal/markov"
-	"repro/internal/matrix"
 )
 
 // Station is one queueing station of an N-tier closed MAP network: a
@@ -319,8 +318,8 @@ func (s *stateSpaceN) decode(idx int, pop, phase []int) {
 }
 
 // Per-backend state-count ceilings and the auto-selection threshold.
-// The CSR backend stores ~10 entries of 12 bytes per state plus a cached
-// transpose, so a few million states already costs gigabytes; the
+// The CSR backend stores Q^T, ~10 entries of 16 bytes per state, so a
+// few million states already costs gigabytes; the
 // matrix-free backend keeps one float64 per state and regenerates rows
 // on the fly, so its ceiling is set by the solver vectors alone.
 // ctmc.Options.MaxStates overrides the per-backend default.
@@ -431,20 +430,19 @@ func solveNetwork(ctx context.Context, m NetworkModel, opts ctmc.Options, warm *
 			opts.Initial = init
 		}
 	}
-	var res ctmc.Result
-	if backend == ctmc.BackendMatrixFree {
-		op, buildErr := newMatrixFreeGen(ctx, g)
-		if buildErr != nil {
-			return NetworkMetrics{}, nil, buildErr
-		}
-		res, err = ctmc.SteadyStateOperatorCtx(ctx, op, opts)
-	} else {
-		gen, buildErr := g.assembleCSR(ctx)
-		if buildErr != nil {
-			return NetworkMetrics{}, nil, buildErr
-		}
-		res, err = ctmc.SteadyStateCtx(ctx, gen, opts)
+	mf, err := newMatrixFreeGen(ctx, g)
+	if err != nil {
+		return NetworkMetrics{}, nil, err
 	}
+	var op ctmc.Operator = mf
+	if backend == ctmc.BackendCSR {
+		qt, err := mf.assembleTranspose(ctx)
+		if err != nil {
+			return NetworkMetrics{}, nil, err
+		}
+		op = transposeOp{qt}
+	}
+	res, err := ctmc.SteadyStateOperatorCtx(ctx, op, opts)
 	if err != nil {
 		if ctx.Err() != nil {
 			return NetworkMetrics{}, nil, ctx.Err()
@@ -504,29 +502,6 @@ func embedPi(from, to *stateSpaceN, pi []float64) []float64 {
 		return nil
 	}
 	return out
-}
-
-// buildGeneratorN assembles the sparse CTMC generator of the K-station
-// network by direct in-order CSR construction: the shared rowEmitter
-// enumerates states in row order (population vectors in compRank order
-// via nextComposition, phases as a mixed-radix odometer) and streams
-// each row's insertion-sorted entries straight into the CSR arrays. No
-// triplet buffer, no global sort, no per-state decode. The same emitter
-// powers the matrix-free backend (see rowemitter.go), which regenerates
-// rows per product instead of storing them.
-func buildGeneratorN(ctx context.Context, m NetworkModel, maps []*markov.MAP) (*matrix.CSR, *stateSpaceN, error) {
-	g, err := newGenParams(m, maps)
-	if err != nil {
-		return nil, nil, errStateOverflow(len(maps), m.Customers)
-	}
-	if g.size > csrDefaultMaxStates {
-		return nil, nil, errStateLimit(g.k, g.n, g.size, csrDefaultMaxStates, ctmc.BackendCSR)
-	}
-	gen, err := g.assembleCSR(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	return gen, g.space, nil
 }
 
 // collectMetricsN computes throughput, utilizations and queue lengths

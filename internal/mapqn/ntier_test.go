@@ -10,7 +10,7 @@ import (
 	"repro/internal/mva"
 )
 
-func fitMAP(t *testing.T, mean, i, p95 float64) *markov.MAP {
+func fitMAP(t testing.TB, mean, i, p95 float64) *markov.MAP {
 	t.Helper()
 	fit, err := markov.FitThreePoint(mean, i, p95, markov.FitOptions{})
 	if err != nil {

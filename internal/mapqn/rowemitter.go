@@ -9,14 +9,20 @@ import (
 	"repro/internal/matrix"
 )
 
-// Row synthesis for the K-station network CTMC, factored out of the CSR
-// assembly so two backends can share it:
+// Row synthesis for the K-station network CTMC, shared by the two
+// solver backends. The solver reads only Q^T, so both are built on the
+// transpose emitter:
 //
-//   - the materialized CSR path streams every row into CSR arrays once;
+//   - the materialized CSR path streams every row of Q^T into CSR arrays
+//     once — Q itself is never stored;
 //   - the matrix-free path regenerates rows on each product, storing only
 //     the per-row diagonal — O(states) for solver vectors instead of
 //     O(nnz) for the generator, which lifts the state-space ceiling from
 //     what CSR arrays fit in memory to millions of states.
+//
+// The forward emitter yields rows of Q: one pass over it records the
+// diagonal and the nonzero count both backends need (the tests also
+// assemble Q from it as a reference).
 //
 // Both emitters walk states in row order (population vectors in compRank
 // order via nextComposition, phases as a mixed-radix odometer) and can
@@ -139,10 +145,8 @@ func (w *rowWalker) step() bool {
 	return g.space.nextComposition(w.pop)
 }
 
-// rowEmitter synthesizes forward generator rows. It is the single
-// source of the generator's transition structure: the CSR assembly
-// streams its output into CSR arrays, and the matrix-free MulVecTo
-// regenerates rows through it on every product.
+// rowEmitter synthesizes forward generator rows. It accumulates each
+// row's diagonal, which the transpose rows carry.
 type rowEmitter struct {
 	rowWalker
 	complBase []int
@@ -402,28 +406,6 @@ func (e *transEmitter) emitRow(cols []int, vals []float64) ([]int, []float64) {
 	return cols, vals
 }
 
-// assembleCSR streams every row through the forward emitter into CSR
-// arrays — the materialized backend.
-func (g *genParams) assembleCSR(ctx context.Context) (*matrix.CSR, error) {
-	rowPtr := make([]int, g.size+1)
-	colIdx := make([]int, 0, g.size*g.est)
-	vals := make([]float64, 0, g.size*g.est)
-	e := newRowEmitter(g)
-	for row := 0; row < g.size; row++ {
-		if row&0xFFF == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		colIdx, vals = e.emitRow(colIdx, vals)
-		rowPtr[row+1] = len(colIdx)
-	}
-	if e.row != g.size {
-		panic(fmt.Sprintf("mapqn: assembled %d rows, state space has %d", e.row, g.size))
-	}
-	return matrix.NewCSRFromRows(g.size, rowPtr, colIdx, vals), nil
-}
-
 // matrixFreeGen is the matrix-free generator backend: a ctmc.Operator
 // whose products regenerate rows per call instead of reading stored
 // nonzeros. Persistent state is one float64 per row (the diagonal,
@@ -439,7 +421,8 @@ type matrixFreeGen struct {
 // newMatrixFreeGen builds the operator: one forward pass (parallel over
 // row blocks) records each row's diagonal in CSR emission order — the
 // identical float the materialized path stores — and counts the stored
-// entries the product kernels size their fan-out by.
+// entries the product kernels size their fan-out by and assembleTranspose
+// sizes its arrays by.
 func newMatrixFreeGen(ctx context.Context, g *genParams) (*matrixFreeGen, error) {
 	q := &matrixFreeGen{g: g, diag: make([]float64, g.size)}
 	workers := matrix.SpMVWorkers(g.size * g.est)
@@ -494,35 +477,6 @@ func (q *matrixFreeGen) NNZ() int { return q.nnz }
 
 // MaxAbsDiag returns max_i |q_ii|.
 func (q *matrixFreeGen) MaxAbsDiag() float64 { return q.maxDiag }
-
-// MulVecTo computes y = Q*x by regenerating forward rows. Work is
-// partitioned into the same contiguous row blocks as the CSR kernels
-// (each worker seeks its block start, then walks); each y[r] is an
-// independent left-to-right sum over the row's sorted entries, so the
-// result is bit-identical to the materialized product at any worker
-// count.
-func (q *matrixFreeGen) MulVecTo(y, x []float64) {
-	n := q.g.size
-	if len(x) != n || len(y) != n {
-		panic(fmt.Sprintf("mapqn: MulVec length %d/%d, want %d", len(x), len(y), n))
-	}
-	q.runBlocks(func(lo, hi int) {
-		e := newRowEmitter(q.g)
-		if lo > 0 {
-			e.seek(lo)
-		}
-		cols := make([]int, 0, q.g.est)
-		vals := make([]float64, 0, q.g.est)
-		for r := lo; r < hi; r++ {
-			cols, vals = e.emitRow(cols[:0], vals[:0])
-			sum := 0.0
-			for k, c := range cols {
-				sum += vals[k] * x[c]
-			}
-			y[r] = sum
-		}
-	})
-}
 
 // VecMulTo computes y = x*Q as a gather over regenerated transpose rows:
 // row s of Q^T lists the terms Q[r,s]*x[r] in increasing r — the order
@@ -584,4 +538,75 @@ func (q *matrixFreeGen) ScanTranspose(fn func(row int, cols []int, vals []float6
 		cols, vals = e.emitRow(cols[:0], vals[:0])
 		fn(r, cols, vals)
 	}
+}
+
+// reverseChunk is how many rows ScanTransposeReverse regenerates per
+// seek: enough to amortize the seek's composition unranking, few enough
+// that the chunk's rows stay a small scratch.
+const reverseChunk = 256
+
+// ScanTransposeReverse hands the rows of Q^T to fn in descending order.
+// The emitter only walks forward, so it seeks to the start of each row
+// chunk, regenerates the chunk's rows forward, and hands them back in
+// reverse — the same rows ScanTranspose yields, entry for entry.
+func (q *matrixFreeGen) ScanTransposeReverse(fn func(row int, cols []int, vals []float64)) {
+	n := q.g.size
+	chunk := min(reverseChunk, n)
+	e := newTransEmitter(q.g, q.diag)
+	ptr := make([]int, chunk+1)
+	cols := make([]int, 0, chunk*q.g.est)
+	vals := make([]float64, 0, chunk*q.g.est)
+	for hi := n; hi > 0; {
+		lo := max(0, hi-chunk)
+		e.seek(lo)
+		cols, vals = cols[:0], vals[:0]
+		for r := lo; r < hi; r++ {
+			cols, vals = e.emitRow(cols, vals)
+			ptr[r-lo+1] = len(cols)
+		}
+		for r := hi - 1; r >= lo; r-- {
+			a, b := ptr[r-lo], ptr[r-lo+1]
+			fn(r, cols[a:b], vals[a:b])
+		}
+		hi = lo
+	}
+}
+
+// assembleTranspose stores Q^T — the only form the solver reads — by
+// streaming the transpose emitter's rows into CSR arrays sized exactly
+// by the operator's nonzero count.
+func (q *matrixFreeGen) assembleTranspose(ctx context.Context) (*matrix.CSR, error) {
+	g := q.g
+	rowPtr := make([]int, g.size+1)
+	colIdx := make([]int, 0, q.nnz)
+	vals := make([]float64, 0, q.nnz)
+	e := newTransEmitter(g, q.diag)
+	for row := 0; row < g.size; row++ {
+		if row&0xFFF == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		colIdx, vals = e.emitRow(colIdx, vals)
+		rowPtr[row+1] = len(colIdx)
+	}
+	return matrix.NewCSRFromRows(g.size, rowPtr, colIdx, vals), nil
+}
+
+// transposeOp presents a stored Q^T as the generator's ctmc.Operator:
+// Q^T's rows are the transpose scans, and its ordinary product Q^T*x is
+// the solver's x*Q — a gather that reproduces the matrix-free product
+// bit for bit.
+type transposeOp struct{ qt *matrix.CSR }
+
+func (o transposeOp) Dim() int                { return o.qt.N }
+func (o transposeOp) VecMulTo(y, x []float64) { o.qt.MulVecTo(y, x) }
+func (o transposeOp) MaxAbsDiag() float64     { return o.qt.MaxAbsDiag() }
+
+func (o transposeOp) ScanTranspose(fn func(row int, cols []int, vals []float64)) {
+	o.qt.ScanRows(fn)
+}
+
+func (o transposeOp) ScanTransposeReverse(fn func(row int, cols []int, vals []float64)) {
+	o.qt.ScanRowsReverse(fn)
 }

@@ -124,10 +124,29 @@ func (m *CSR) Dim() int { return m.N }
 // balance equations through this without materializing A^T per caller;
 // the CSR implementation serves slices of the cached transpose.
 func (m *CSR) ScanTranspose(fn func(row int, cols []int, vals []float64)) {
-	t := m.cachedTranspose()
-	for r := 0; r < t.N; r++ {
-		lo, hi := t.RowPtr[r], t.RowPtr[r+1]
-		fn(r, t.ColIdx[lo:hi], t.Vals[lo:hi])
+	m.cachedTranspose().ScanRows(fn)
+}
+
+// ScanTransposeReverse is ScanTranspose in descending row order.
+func (m *CSR) ScanTransposeReverse(fn func(row int, cols []int, vals []float64)) {
+	m.cachedTranspose().ScanRowsReverse(fn)
+}
+
+// ScanRows invokes fn once per row of A in ascending row order with
+// slices of the row's stored columns and values, valid only for the
+// duration of the call.
+func (m *CSR) ScanRows(fn func(row int, cols []int, vals []float64)) {
+	for r := 0; r < m.N; r++ {
+		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+		fn(r, m.ColIdx[lo:hi], m.Vals[lo:hi])
+	}
+}
+
+// ScanRowsReverse is ScanRows in descending row order.
+func (m *CSR) ScanRowsReverse(fn func(row int, cols []int, vals []float64)) {
+	for r := m.N - 1; r >= 0; r-- {
+		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+		fn(r, m.ColIdx[lo:hi], m.Vals[lo:hi])
 	}
 }
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -134,7 +135,7 @@ func (s *Service) handleRows(w http.ResponseWriter, r *http.Request) {
 			if ev.kind != "row" {
 				continue
 			}
-			w.Write(append(ev.data, '\n')) //nolint:errcheck
+			w.Write(ev.data) //nolint:errcheck
 			flush(w)
 		}
 	}
@@ -168,7 +169,7 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			writeSSE(w, ev.kind, ev.data)
+			writeSSE(w, ev.kind, bytes.TrimSuffix(ev.data, []byte("\n")))
 			flush(w)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -77,7 +78,7 @@ type JobStatus struct {
 // event is one notification published to a job's subscribers.
 type event struct {
 	kind string // "row" or "status"
-	data []byte // the row or status JSON, one line, no trailing newline
+	data []byte // the row or status JSON, one line; a row ends in '\n', a status does not
 }
 
 // job is the server-side state of one submitted suite.
@@ -128,6 +129,29 @@ func (j *job) update(fn func(*JobStatus)) {
 	if err == nil {
 		j.publish(event{kind: "status", data: data})
 	}
+}
+
+// requeue discards a finished job's spooled rows and status file and
+// marks it queued with fresh counters, as one step under the job lock:
+// a follower subscribing meanwhile sees either the finished job with its
+// rows or the queued job — never a finished job with an empty spool.
+func (j *job) requeue() error {
+	var err error
+	j.update(func(st *JobStatus) {
+		for _, path := range []string{j.rows, filepath.Join(j.dir, "status.json")} {
+			if rerr := os.Remove(path); rerr != nil && !os.IsNotExist(rerr) {
+				err = fmt.Errorf("service: reset spool: %w", rerr)
+				return
+			}
+		}
+		st.State = JobQueued
+		st.Done, st.Skipped, st.Failed = 0, 0, 0
+		st.Error = ""
+		st.Memo = nil
+		st.StartedAt, st.FinishedAt = nil, nil
+		st.SubmittedAt = time.Now().UTC()
+	})
+	return err
 }
 
 // publish fans an event out to every subscriber. A subscriber whose
@@ -225,7 +249,9 @@ func openSpoolSink(j *job) (*spoolSink, error) {
 	return &spoolSink{j: j, f: f}, nil
 }
 
-// Write implements core.ReportSink.
+// Write implements core.ReportSink. Subscribers receive the very line
+// written to the file, newline included, and must not modify it: every
+// subscriber shares its backing array.
 func (s *spoolSink) Write(row core.SuiteRow) error {
 	data, err := json.Marshal(row)
 	if err != nil {
@@ -238,7 +264,7 @@ func (s *spoolSink) Write(row core.SuiteRow) error {
 	if werr == nil {
 		for id, ch := range s.j.subs {
 			select {
-			case ch <- event{kind: "row", data: data}:
+			case ch <- event{kind: "row", data: line}:
 			default:
 				close(ch)
 				delete(s.j.subs, id)

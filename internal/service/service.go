@@ -199,20 +199,9 @@ func (s *Service) Submit(data []byte, rerun bool) (JobStatus, bool, error) {
 		if len(s.queue) == cap(s.queue) {
 			return JobStatus{}, false, ErrQueueFull
 		}
-		if err := os.Remove(j.rows); err != nil && !os.IsNotExist(err) {
-			return JobStatus{}, false, fmt.Errorf("service: reset spool: %w", err)
+		if err := j.requeue(); err != nil {
+			return JobStatus{}, false, err
 		}
-		if err := os.Remove(filepath.Join(j.dir, "status.json")); err != nil && !os.IsNotExist(err) {
-			return JobStatus{}, false, fmt.Errorf("service: reset spool: %w", err)
-		}
-		j.update(func(st *JobStatus) {
-			st.State = JobQueued
-			st.Done, st.Skipped, st.Failed = 0, 0, 0
-			st.Error = ""
-			st.Memo = nil
-			st.StartedAt, st.FinishedAt = nil, nil
-			st.SubmittedAt = time.Now().UTC()
-		})
 		s.queue <- j
 		return j.Status(), true, nil
 	}
