@@ -41,13 +41,16 @@ perfbench-check:
 race:
 	$(GO) test -race -short -timeout 30m ./...
 
-# faults runs the deterministic fault-injection suite under the race
-# detector: every failure policy (fail-fast, continue, retry-with-
-# backoff, panic recovery) and the solver-degradation paths exercised
-# with errors, panics, and delays injected at each pipeline stage via
-# internal/faultinject.
+# faults runs, under the race detector, the deterministic fault-
+# injection suite (every failure policy: fail-fast, continue, retry-
+# with-backoff, panic recovery, with errors, panics, and delays injected
+# at each pipeline stage via internal/faultinject, and cancellation
+# during a fallback solve) and every rung of the solver ladder: the
+# scenario fallback tests, the byte-for-byte ladder goldens, the
+# cross-validation degradation tests, and the memo's stale-cancellation
+# retry.
 faults:
-	$(GO) test -race -run 'TestFault' ./...
+	$(GO) test -race -run 'TestFault|TestScenario(StateLimit|DecompRequested|DoubleHop)|TestLadderGoldens|TestCrossValidationDegrades|TestMemoRetry' ./...
 
 # xvalidate is the sim-vs-solver smoke check: a K=3 replicated simulation
 # cross-validated against the exact MAP network within the documented

@@ -420,3 +420,59 @@ func TestFaultResumeRerunsFailedCells(t *testing.T) {
 		t.Fatalf("post-heal state = done %d, failed %v", len(st2.Done), st2.Failed)
 	}
 }
+
+// cancelDuringFallbackScenario refuses the exact solve (state limit) so
+// the ladder hops to the decomp fallback, and cancels the returned
+// context as soon as that fallback reports its first population.
+func cancelDuringFallbackScenario() (Scenario, context.Context) {
+	ctx, cancel := context.WithCancel(context.Background())
+	sc := modelScenario()
+	sc.Populations = []int{5, 10, 15}
+	sc.Planner = &PlannerOptions{Solver: ctmc.Options{MaxStates: 4}}
+	sc.OnProgress = func(ev ProgressEvent) {
+		if ev.Stage == StageSolve {
+			cancel()
+		}
+	}
+	return sc, ctx
+}
+
+// TestFaultCancelDuringDecompFallback cancels the caller's context
+// while the decomp fallback tier is solving. The cancellation must abort
+// the run with context.Canceled, never fold into a successful degraded
+// report, and a suite streaming JSONL rows must not record the cell as
+// done (a later -resume would skip it).
+func TestFaultCancelDuringDecompFallback(t *testing.T) {
+	sc, ctx := cancelDuringFallbackScenario()
+	rep, err := Run(ctx, sc)
+	if !errors.Is(err, context.Canceled) {
+		if rep != nil {
+			t.Fatalf("Run = (Degraded=%v reason=%q), err %v; want context.Canceled", rep.Degraded, rep.FallbackReason, err)
+		}
+		t.Fatalf("Run err = %v, want context.Canceled", err)
+	}
+
+	base, ctx := cancelDuringFallbackScenario()
+	s := Suite{Name: "cancel-fallback", Base: base}
+	cells, err := s.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/rows.jsonl"
+	sink, err := OpenJSONLSink(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunSuite(ctx, s, sink); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunSuite err = %v, want context.Canceled", err)
+	}
+	st, err := ReadJSONLResume(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		if st.Done[c.Hash] {
+			t.Fatalf("canceled cell %s written as an ok row", c.Name)
+		}
+	}
+}

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"repro/internal/ctmc"
-	"repro/internal/mapqn"
 )
 
 // FailurePolicy selects how RunSuite reacts to a failing cell.
@@ -239,20 +236,3 @@ func (r RetryPolicy) delay(attempt int) time.Duration {
 // stage; the hook may also sleep (delay injection) or panic (crash
 // injection). Production runs leave it nil. See internal/faultinject.
 type FaultHook func(cellHash, stage string) error
-
-// SolveFallbackReason inspects an exact-MAP-solve error and reports
-// whether a cheaper tier (the decomp approximation, then NetworkBounds)
-// can still answer: true for non-convergence (ctmc.ErrNoConvergence)
-// and for state spaces over the backend limit (mapqn.ErrStateLimit).
-// The returned reason populates Report.FallbackReason — with the hops
-// taken appended by the caller — so degraded rows are never mistaken
-// for exact ones.
-func SolveFallbackReason(err error) (string, bool) {
-	switch {
-	case errors.Is(err, ctmc.ErrNoConvergence):
-		return "exact MAP solve did not converge: " + err.Error(), true
-	case errors.Is(err, mapqn.ErrStateLimit):
-		return "state space over the solver limit: " + err.Error(), true
-	}
-	return "", false
-}

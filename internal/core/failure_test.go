@@ -310,14 +310,14 @@ func TestRunSuiteCancellationAbortsContinuePolicy(t *testing.T) {
 func TestMemoEvictsCancellation(t *testing.T) {
 	m := NewMemo()
 	calls := 0
-	_, err := m.Solve("k", func() ([]PredictionN, error) {
+	_, err := lookup(m, memoSolve, "k", func() ([]PredictionN, error) {
 		calls++
 		return nil, context.DeadlineExceeded
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("first call err = %v", err)
 	}
-	got, err := m.Solve("k", func() ([]PredictionN, error) {
+	got, err := lookup(m, memoSolve, "k", func() ([]PredictionN, error) {
 		calls++
 		return []PredictionN{{}}, nil
 	})

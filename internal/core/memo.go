@@ -2,12 +2,12 @@ package core
 
 import (
 	"container/list"
+	"context"
 	"encoding/json"
 	"errors"
 	"sync"
 
 	"repro/internal/inference"
-	"repro/internal/mapqn"
 	"repro/internal/markov"
 )
 
@@ -52,7 +52,7 @@ type memoCache struct {
 const (
 	memoChar  = "char"  // inference.Characterize per sampled tier spec
 	memoFit   = "fit"   // markov.FitThreePoint per characterization
-	memoSolve = "solve" // MAP-network sweep per (model, populations, tolerance)
+	memoSolve = "solve" // solver-ladder sweep per (solver kind, model, populations, options)
 )
 
 type memoEntry struct {
@@ -296,57 +296,41 @@ func memoSize(val any, err error) int64 {
 	return int64(len(b))
 }
 
-// Characterize memoizes the Section 4.1 estimation pipeline for one
-// sampled tier spec. A nil memo computes directly.
-func (m *Memo) Characterize(key string, compute func() (inference.Characterization, error)) (inference.Characterization, error) {
+// lookup returns the value memoized under (family, key), computing it
+// via compute on first use. A nil memo computes directly.
+func lookup[T any](m *Memo, family, key string, compute func() (T, error)) (T, error) {
 	if m == nil {
 		return compute()
 	}
-	v, err := m.do(memoChar, key, func() (any, error) { return compute() })
+	v, err := m.do(family, key, func() (any, error) { return compute() })
 	if err != nil {
-		return inference.Characterization{}, err
+		var zero T
+		return zero, err
 	}
-	return v.(inference.Characterization), nil
+	return v.(T), nil
+}
+
+// MemoRetry runs a memoized stage call, retrying it once when it
+// returns a stale cancellation: a concurrent caller sharing the memo key
+// may have had its own context expire mid-compute, failing every waiter
+// with an error that describes the sibling's context, not ours. The
+// memo evicts cancellation-class results, so the retry recomputes under
+// the caller's own context.
+func MemoRetry[T any](ctx context.Context, call func() (T, error)) (T, error) {
+	v, err := call()
+	if err != nil && IsCancellation(err) && ctx.Err() == nil {
+		return call()
+	}
+	return v, err
+}
+
+// Characterize memoizes the Section 4.1 estimation pipeline for one
+// sampled tier spec. A nil memo computes directly.
+func (m *Memo) Characterize(key string, compute func() (inference.Characterization, error)) (inference.Characterization, error) {
+	return lookup(m, memoChar, key, compute)
 }
 
 // Fit memoizes one tier's MAP(2) fit. A nil memo computes directly.
 func (m *Memo) Fit(key string, compute func() (markov.FitResult, error)) (markov.FitResult, error) {
-	if m == nil {
-		return compute()
-	}
-	v, err := m.do(memoFit, key, func() (any, error) { return compute() })
-	if err != nil {
-		return markov.FitResult{}, err
-	}
-	return v.(markov.FitResult), nil
-}
-
-// Solve memoizes one model's full warm-started population sweep (MAP
-// and MVA columns together, as PlanN.PredictCtx produces them). A nil
-// memo computes directly.
-func (m *Memo) Solve(key string, compute func() ([]PredictionN, error)) ([]PredictionN, error) {
-	if m == nil {
-		return compute()
-	}
-	v, err := m.do(memoSolve, key, func() (any, error) { return compute() })
-	if err != nil {
-		return nil, err
-	}
-	return v.([]PredictionN), nil
-}
-
-// SolveDecomp memoizes one model's decomposition population sweep (as
-// PlanN.PredictDecompCtx produces it). It shares the solve family —
-// and therefore the solve hit/miss counters and byte budget — with
-// Solve; keys embed the solver kind so the two never collide. A nil
-// memo computes directly.
-func (m *Memo) SolveDecomp(key string, compute func() ([]mapqn.NetworkMetrics, error)) ([]mapqn.NetworkMetrics, error) {
-	if m == nil {
-		return compute()
-	}
-	v, err := m.do(memoSolve, key, func() (any, error) { return compute() })
-	if err != nil {
-		return nil, err
-	}
-	return v.([]mapqn.NetworkMetrics), nil
+	return lookup(m, memoFit, key, compute)
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/markov"
 )
@@ -174,5 +176,63 @@ func TestUnboundedMemoNeverEvicts(t *testing.T) {
 	st := m.Stats()
 	if st.Evictions != 0 || st.Entries != 64 {
 		t.Fatalf("unbounded memo: %+v, want 64 entries, 0 evictions", st)
+	}
+}
+
+// TestMemoRetryRecomputesStaleCancellation pins the stale-cancellation
+// retry: two callers share one memo key, and the first caller's context
+// expires while it computes the value. The second caller, joined to the
+// in-flight computation with a live context, must get a computed value,
+// not the sibling's DeadlineExceeded.
+func TestMemoRetryRecomputesStaleCancellation(t *testing.T) {
+	m := NewMemo()
+	first, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	started, release := make(chan struct{}), make(chan struct{})
+	firstErr := make(chan error, 1)
+	go func() {
+		_, err := MemoRetry(first, func() ([]PredictionN, error) {
+			return lookup(m, memoSolve, "k", func() ([]PredictionN, error) {
+				close(started)
+				<-release
+				<-first.Done()
+				return nil, first.Err()
+			})
+		})
+		firstErr <- err
+	}()
+	<-started
+
+	type result struct {
+		v   []PredictionN
+		err error
+	}
+	second := make(chan result, 1)
+	go func() {
+		v, err := MemoRetry(context.Background(), func() ([]PredictionN, error) {
+			return lookup(m, memoSolve, "k", func() ([]PredictionN, error) {
+				return []PredictionN{{EBs: 7}}, nil
+			})
+		})
+		second <- result{v, err}
+	}()
+	// Release the first computation only once the second caller waits on it.
+	for deadline := time.Now().Add(10 * time.Second); m.Stats().SolveHits == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("second caller never joined the in-flight computation")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	if err := <-firstErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired caller err = %v, want DeadlineExceeded", err)
+	}
+	got := <-second
+	if got.err != nil || len(got.v) != 1 || got.v[0].EBs != 7 {
+		t.Fatalf("live caller = (%v, %v), want the recomputed value", got.v, got.err)
+	}
+	if st := m.Stats(); st.SolveMisses != 2 || st.SolveHits != 1 {
+		t.Fatalf("solve traffic = %d misses / %d hits, want 2 / 1", st.SolveMisses, st.SolveHits)
 	}
 }

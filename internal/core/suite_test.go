@@ -281,10 +281,10 @@ func TestMemoSingleFlight(t *testing.T) {
 	}
 	// Errors are cached like values.
 	wantErr := errors.New("boom")
-	if _, err := m.Solve("k", func() ([]PredictionN, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
+	if _, err := lookup(m, memoSolve, "k", func() ([]PredictionN, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := m.Solve("k", func() ([]PredictionN, error) {
+	if _, err := lookup(m, memoSolve, "k", func() ([]PredictionN, error) {
 		t.Error("error entry recomputed")
 		return nil, nil
 	}); !errors.Is(err, wantErr) {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/inference"
 	"repro/internal/mapqn"
-	"repro/internal/mva"
 	"repro/internal/stats"
 	"repro/internal/tpcw"
 )
@@ -116,18 +115,18 @@ type Report struct {
 	// Degraded marks a validation whose exact MAP solve failed
 	// (non-convergence or state-space limit): MAPThroughput and the
 	// per-tier MAPUtil columns are zero and the MAP errors are not
-	// meaningful. The report then degrades down the solver ladder —
-	// Decomp carries the aggregation/disaggregation approximation when
-	// it converges, and Bounds always brackets the throughput — with
-	// FallbackReason saying why the exact solve was abandoned and which
-	// hops were taken.
+	// meaningful. The report then degrades down the scenario pipeline's
+	// solver ladder (core.PlanN.SolveLadder) — Decomp carries the
+	// aggregation/disaggregation approximation, or Bounds bracket the
+	// throughput when the decomposition also fails — with FallbackReason
+	// saying why the exact solve was abandoned and which hops were taken.
 	Degraded       bool
 	FallbackReason string
 	// Decomp is the decomposition approximation at EBs when the exact
 	// solve degraded and the fixed point converged (nil otherwise).
 	Decomp *mapqn.NetworkMetrics
 	// Bounds bracket the MAP network's throughput at EBs when the exact
-	// solve degraded.
+	// solve degraded and the decomposition also failed (nil otherwise).
 	Bounds *mapqn.NetworkBoundsResult
 }
 
@@ -193,44 +192,52 @@ func compare(ctx context.Context, cfg tpcw.ConfigN, rr *tpcw.ReplicaResult, opts
 	if err != nil {
 		return nil, fmt.Errorf("validate: plan: %w", err)
 	}
-	preds, err := plan.PredictCtx(ctx, []int{cfg.EBs}, nil)
-	if err != nil {
+	// The model columns come from the scenario pipeline's solver ladder,
+	// so a cross-validation degrades by the same rules as a scenario.
+	model := &core.Report{Results: []core.PopulationReport{{Population: cfg.EBs}}}
+	if err := plan.SolveLadder(ctx, ctx, model, []core.SolverKind{core.SolverMAP, core.SolverMVA}, nil, nil, nil); err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		if reason, ok := core.SolveFallbackReason(err); ok {
-			return degraded(ctx, cfg, rr, z, plan, chars, reason, opts)
-		}
 		return nil, fmt.Errorf("validate: model solve: %w", err)
 	}
-	pred := preds[0]
-
+	res := model.Results[0]
 	rep := &Report{
-		EBs:           cfg.EBs,
-		ThinkTime:     z,
-		Replicas:      len(rr.Results),
-		SimThroughput: rr.Throughput,
-		MAPThroughput: pred.MAP.Throughput,
-		MVAThroughput: pred.MVA.Throughput,
-		States:        pred.MAP.States,
-		SolverBackend: pred.MAP.SolverBackend,
+		EBs:            cfg.EBs,
+		ThinkTime:      z,
+		Replicas:       len(rr.Results),
+		SimThroughput:  rr.Throughput,
+		MVAThroughput:  res.MVA.Throughput,
+		Degraded:       model.Degraded,
+		FallbackReason: model.FallbackReason,
+		Decomp:         res.Decomp,
+		Bounds:         res.Bounds,
+	}
+	if res.MAP != nil {
+		rep.MAPThroughput = res.MAP.Throughput
+		rep.States = res.MAP.States
+		rep.SolverBackend = res.MAP.SolverBackend
+		rep.MAPWithinCI = rr.Throughput.Contains(res.MAP.Throughput)
 	}
 	if rr.Throughput.Mean > 0 {
-		rep.MAPError = (pred.MAP.Throughput - rr.Throughput.Mean) / rr.Throughput.Mean
-		rep.MVAError = (pred.MVA.Throughput - rr.Throughput.Mean) / rr.Throughput.Mean
+		rep.MVAError = (rep.MVAThroughput - rr.Throughput.Mean) / rr.Throughput.Mean
+		if res.MAP != nil {
+			rep.MAPError = (rep.MAPThroughput - rr.Throughput.Mean) / rr.Throughput.Mean
+		}
 	}
-	rep.MAPWithinCI = rr.Throughput.Contains(pred.MAP.Throughput)
 	rep.Tiers = make([]TierAccuracy, len(rr.TierNames))
 	for i, name := range rr.TierNames {
 		ta := TierAccuracy{
 			Name:             name,
 			SimUtil:          rr.AvgUtil[i],
-			MAPUtil:          pred.MAP.Utils[i],
-			MVAUtil:          pred.MVA.Utilizations[i],
+			MVAUtil:          res.MVA.Utilizations[i],
 			Characterization: chars[i],
 		}
-		ta.MAPError = ta.MAPUtil - ta.SimUtil.Mean
 		ta.MVAError = ta.MVAUtil - ta.SimUtil.Mean
+		if res.MAP != nil {
+			ta.MAPUtil = res.MAP.Utils[i]
+			ta.MAPError = ta.MAPUtil - ta.SimUtil.Mean
+		}
 		rep.Tiers[i] = ta
 	}
 	classColumns(rep, cfg, rr, z, opts)
@@ -295,56 +302,4 @@ func classColumns(rep *Report, cfg tpcw.ConfigN, rr *tpcw.ReplicaResult, z float
 		}
 		rep.Classes[c] = ca
 	}
-}
-
-// degraded builds the fallback report when the exact MAP solve cannot
-// complete, walking the solver ladder: the decomposition approximation
-// first (its throughput tracks the exact solve within a few percent),
-// then NetworkBounds to bracket the throughput the exact solver would
-// have produced, with the MVA baseline filling the product-form column
-// — so a cross-validation row still carries usable model output instead
-// of failing the cell.
-func degraded(ctx context.Context, cfg tpcw.ConfigN, rr *tpcw.ReplicaResult, z float64, plan *core.PlanN, chars []inference.Characterization, reason string, opts Options) (*Report, error) {
-	bounds, err := plan.Bounds([]int{cfg.EBs})
-	if err != nil {
-		return nil, fmt.Errorf("validate: bounds fallback: %w", err)
-	}
-	mvaRes, err := mva.Solve(plan.Baseline(), cfg.EBs)
-	if err != nil {
-		return nil, fmt.Errorf("validate: MVA fallback: %w", err)
-	}
-	rep := &Report{
-		EBs:            cfg.EBs,
-		ThinkTime:      z,
-		Replicas:       len(rr.Results),
-		SimThroughput:  rr.Throughput,
-		MVAThroughput:  mvaRes.Throughput,
-		Degraded:       true,
-		FallbackReason: reason,
-		Bounds:         &bounds[0],
-	}
-	if dmets, derr := plan.PredictDecompCtx(ctx, []int{cfg.EBs}, nil); derr == nil {
-		rep.Decomp = &dmets[0]
-		rep.FallbackReason = reason + "; decomp approximation reported alongside the bounds"
-	} else if ctx.Err() != nil {
-		return nil, ctx.Err()
-	} else {
-		rep.FallbackReason = fmt.Sprintf("%s; decomp fallback also failed (%v); NetworkBounds reported instead", reason, derr)
-	}
-	if rr.Throughput.Mean > 0 {
-		rep.MVAError = (mvaRes.Throughput - rr.Throughput.Mean) / rr.Throughput.Mean
-	}
-	rep.Tiers = make([]TierAccuracy, len(rr.TierNames))
-	for i, name := range rr.TierNames {
-		ta := TierAccuracy{
-			Name:             name,
-			SimUtil:          rr.AvgUtil[i],
-			MVAUtil:          mvaRes.Utilizations[i],
-			Characterization: chars[i],
-		}
-		ta.MVAError = ta.MVAUtil - ta.SimUtil.Mean
-		rep.Tiers[i] = ta
-	}
-	classColumns(rep, cfg, rr, z, opts)
-	return rep, nil
 }

@@ -2,14 +2,11 @@ package burst
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ctmc"
 	"repro/internal/inference"
 	"repro/internal/mapqn"
 	"repro/internal/markov"
@@ -24,8 +21,9 @@ import (
 // whole experiment — tiers, workload, population sweep, solver
 // selection — and Run executes it through the library's
 // characterize → fit → solve → simulate machinery, returning a unified
-// JSON-serializable Report. This is the primary API; the function-per-
-// step entry points below remain as deprecated thin wrappers.
+// JSON-serializable Report. This is the primary API; the context-aware
+// entry points at the end of this file expose single steps of the same
+// machinery.
 type (
 	// Scenario declares one end-to-end experiment.
 	Scenario = core.Scenario
@@ -151,30 +149,17 @@ func fire(inj stageInjector, stage string) error {
 	return core.MarkStage(inj(stage), stage)
 }
 
-// memoRetry runs a memoized stage call, retrying it once when it
-// returns a stale cancellation: a concurrent cell sharing the memo key
-// may have had its per-cell deadline expire mid-compute, failing every
-// waiter with an error that describes the sibling's context, not ours.
-// The memo evicts cancellation-class results, so the retry recomputes
-// under this cell's own context.
-func memoRetry[T any](ctx context.Context, call func() (T, error)) (T, error) {
-	v, err := call()
-	if err != nil && core.IsCancellation(err) && ctx.Err() == nil {
-		return call()
-	}
-	return v, err
-}
-
 // runScenario executes one scenario, optionally sharing a suite-level
 // stage memo (nil runs every stage cold) and a per-cell fault injector
 // (nil injects nothing). The memoized stages — characterize, fit, and
-// the MAP-network sweep — are deterministic pure functions of their
-// inputs, so a memo hit produces a report bit-identical to a cold run
-// (pinned by test).
+// the exact and decomp population sweeps — are deterministic pure
+// functions of their inputs, so a memo hit produces a report
+// bit-identical to a cold run (pinned by test).
 //
 // A positive sc.Deadline bounds the cell's wall-clock run; the parent
-// context is kept so a deadline expiry mid-solve (degrade to bounds)
-// can be told apart from a suite-level cancellation (abort).
+// context is kept so a deadline expiry mid-solve (degrade down the
+// solver ladder) can be told apart from a suite-level cancellation
+// (abort).
 func runScenario(ctx context.Context, sc Scenario, memo *core.Memo, inj stageInjector) (*Report, error) {
 	sc = sc.WithDefaults()
 	if err := sc.Validate(); err != nil {
@@ -283,24 +268,17 @@ func characterizeTiers(sc Scenario, prog *progressEmitter, memo *core.Memo) ([]C
 }
 
 // runModelSolvers executes the analytical solvers (map, mva, decomp,
-// bounds) over the scenario's declared tiers. With a non-nil memo, the
-// per-tier MAP(2) fits and the whole MAP-network population sweep are
-// served from the suite-level stage cache when an identical model was
-// already evaluated by another cell.
-//
-// When the exact MAP sweep fails for a reason a cheaper tier can still
-// answer — non-convergence, a state space over the backend limit, or
-// the scenario's own deadline expiring mid-solve while the parent
-// context is alive — the report degrades instead of erroring through
-// the chain exact -> decomp -> bounds: rep.Degraded is set,
-// FallbackReason says why and records each hop, the decomp columns (or
-// the Bounds columns, when the decomposition also fails) are filled,
-// and the MVA baseline still runs when requested.
+// bounds) over the scenario's declared tiers: characterize, fit a MAP(2)
+// per tier, then walk the solver ladder (core.PlanN.SolveLadder), which
+// decides how a failed exact solve degrades. With a non-nil memo, the
+// per-tier characterizations and fits and the whole population sweeps
+// are served from the suite-level stage cache when an identical model
+// was already evaluated by another cell.
 func runModelSolvers(ctx, parent context.Context, sc Scenario, rep *Report, prog *progressEmitter, memo *core.Memo, inj stageInjector) error {
 	if err := fire(inj, StageCharacterize); err != nil {
 		return err
 	}
-	chars, err := memoRetry(ctx, func() ([]Characterization, error) {
+	chars, err := core.MemoRetry(ctx, func() ([]Characterization, error) {
 		return characterizeTiers(sc, prog, memo)
 	})
 	if err != nil {
@@ -320,155 +298,39 @@ func runModelSolvers(ctx, parent context.Context, sc Scenario, rep *Report, prog
 		}
 	}
 
-	needFit := sc.Wants(SolverMAP) || sc.Wants(SolverDecomp) || sc.Wants(SolverBounds)
-	if needFit {
-		if err := fire(inj, StageFit); err != nil {
+	if !sc.Wants(SolverMAP) && !sc.Wants(SolverDecomp) && !sc.Wants(SolverBounds) {
+		// MVA only: no MAP(2) fitting required — demands suffice.
+		rep.Tiers = make([]TierReport, len(chars))
+		demands := make([]float64, len(chars))
+		for i, c := range chars {
+			v := sc.Tiers[i].Visits
+			if v == 0 {
+				v = 1
+			}
+			demands[i] = v * c.MeanServiceTime
+			rep.Tiers[i] = TierReport{Name: names[i], Characterization: c, Demand: demands[i]}
+		}
+		res, err := core.MVASweep(mva.ModelN(demands, names, sc.ThinkTime), sc.Populations)
+		if err != nil {
 			return err
 		}
-		plan, err := memoRetry(ctx, func() (*PlanN, error) {
-			return buildPlanMemo(chars, names, sc, popts, memo)
-		})
-		if err != nil {
-			return core.MarkStage(err, StageFit)
-		}
-		rep.Tiers = tierReports(plan)
-		boundsDone := false
-		solveFired := false
-		fireSolve := func() error {
-			if solveFired {
-				return nil
-			}
-			solveFired = true
-			return fire(inj, StageSolve)
-		}
-		if sc.Wants(SolverDecomp) {
-			if err := fireSolve(); err != nil {
-				return err
-			}
-			mets, err := memoRetry(ctx, func() ([]MAPNetworkMetricsN, error) {
-				return solveDecompMemo(ctx, plan, sc, prog, memo)
-			})
-			if err != nil {
-				return core.MarkStage(err, StageSolve)
-			}
-			for i := range mets {
-				m := mets[i]
-				rep.Results[i].Decomp = &m
-			}
-		}
-		if sc.Wants(SolverMAP) {
-			if err := fireSolve(); err != nil {
-				return err
-			}
-			preds, err := memoRetry(ctx, func() ([]core.PredictionN, error) {
-				return solveSweepMemo(ctx, plan, sc, prog, memo)
-			})
-			switch {
-			case err == nil:
-				for i := range preds {
-					p := preds[i]
-					rep.Results[i].MAP = &p.MAP
-					if sc.Wants(SolverMVA) {
-						m := p.MVA
-						rep.Results[i].MVA = &m
-					}
-					if d := rep.Results[i].Decomp; d != nil && p.MAP.Throughput > 0 {
-						rep.Results[i].DecompError = math.Abs(d.Throughput-p.MAP.Throughput) / p.MAP.Throughput
-					}
-				}
-			default:
-				reason, ok := degradeReason(parent, err)
-				if !ok {
-					return core.MarkStage(err, StageSolve)
-				}
-				rep.Degraded = true
-				// First hop of the fallback chain: the decomposition
-				// approximation, run under the parent context (the
-				// scenario's own deadline may already have expired). If the
-				// scenario requested decomp anyway its columns are already
-				// filled; otherwise solve them now. Only when the
-				// decomposition also fails does the report fall back to
-				// NetworkBounds.
-				switch {
-				case sc.Wants(SolverDecomp):
-					rep.FallbackReason = reason + "; the decomp approximation stands in for the exact columns"
-				default:
-					dmets, derr := memoRetry(parent, func() ([]MAPNetworkMetricsN, error) {
-						return solveDecompMemo(parent, plan, sc, prog, memo)
-					})
-					if derr == nil {
-						for i := range dmets {
-							m := dmets[i]
-							rep.Results[i].Decomp = &m
-						}
-						rep.FallbackReason = reason + "; decomp approximation reported instead"
-					} else {
-						reason = fmt.Sprintf("%s; decomp fallback also failed (%v)", reason, derr)
-						rep.FallbackReason = reason + "; NetworkBounds reported instead"
-						bounds, berr := plan.Bounds(sc.Populations)
-						if berr != nil {
-							return core.MarkStage(fmt.Errorf("burst: bounds fallback: %w", berr), StageBounds)
-						}
-						for i := range bounds {
-							b := bounds[i]
-							rep.Results[i].Bounds = &b
-						}
-						boundsDone = true
-					}
-				}
-				if sc.Wants(SolverMVA) {
-					if err := solveMVA(plan.Baseline(), sc.Populations, rep); err != nil {
-						return core.MarkStage(err, StageSolve)
-					}
-				}
-			}
-		} else if sc.Wants(SolverMVA) {
-			if err := solveMVA(plan.Baseline(), sc.Populations, rep); err != nil {
-				return core.MarkStage(err, StageSolve)
-			}
-		}
-		if sc.Wants(SolverBounds) && !boundsDone {
-			bounds, err := plan.Bounds(sc.Populations)
-			if err != nil {
-				return core.MarkStage(err, StageBounds)
-			}
-			for i := range bounds {
-				b := bounds[i]
-				rep.Results[i].Bounds = &b
-				prog.emit(ProgressEvent{Stage: core.StageBounds, Population: b.Customers, Step: i + 1, Total: len(bounds)})
-			}
+		for i := range res {
+			rep.Results[i].MVA = &res[i]
 		}
 		return nil
 	}
 
-	// MVA only: no MAP(2) fitting required — demands suffice.
-	rep.Tiers = make([]TierReport, len(chars))
-	demands := make([]float64, len(chars))
-	for i, c := range chars {
-		v := sc.Tiers[i].Visits
-		if v == 0 {
-			v = 1
-		}
-		demands[i] = v * c.MeanServiceTime
-		rep.Tiers[i] = TierReport{Name: names[i], Characterization: c, Demand: demands[i]}
+	if err := fire(inj, StageFit); err != nil {
+		return err
 	}
-	return solveMVA(mva.ModelN(demands, names, sc.ThinkTime), sc.Populations, rep)
-}
-
-// degradeReason decides whether a failed exact MAP sweep can degrade
-// through the decomp -> bounds fallback chain instead of failing the
-// scenario: deterministic solver reasons (non-convergence, state-space
-// limit) always qualify; a deadline expiry qualifies only when the
-// parent context is still alive — i.e. the cell's own Scenario.Deadline
-// ran out, not the suite.
-func degradeReason(parent context.Context, err error) (string, bool) {
-	if reason, ok := core.SolveFallbackReason(err); ok {
-		return reason, true
+	plan, err := core.MemoRetry(ctx, func() (*PlanN, error) {
+		return buildPlanMemo(chars, names, sc, popts, memo)
+	})
+	if err != nil {
+		return core.MarkStage(err, StageFit)
 	}
-	if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil {
-		return "scenario deadline expired during the exact MAP solve", true
-	}
-	return "", false
+	rep.Tiers = tierReports(plan)
+	return plan.SolveLadder(ctx, parent, rep, sc.Solvers, memo, prog.emit, inj)
 }
 
 // solveMulticlassModel fills the per-population multiclass-MVA column:
@@ -525,18 +387,6 @@ func solveMulticlassModel(sc Scenario, chars []Characterization, rep *Report, po
 	return nil
 }
 
-// solveMVA fills the per-population MVA column.
-func solveMVA(net mva.Network, populations []int, rep *Report) error {
-	for i, n := range populations {
-		res, err := mva.Solve(net, n)
-		if err != nil {
-			return fmt.Errorf("burst: MVA at %d EBs: %w", n, err)
-		}
-		rep.Results[i].MVA = &res
-	}
-	return nil
-}
-
 // buildPlanMemo assembles the N-tier plan, fitting a MAP(2) per tier —
 // each fit memoized by its (characterization, fit options) key so a
 // suite re-fits every distinct tier spec exactly once.
@@ -572,82 +422,6 @@ func buildPlanMemo(chars []Characterization, names []string, sc Scenario, popts 
 		tiers[i] = core.Tier{Name: names[i], Characterization: c, Fit: fit, Visits: visits}
 	}
 	return core.NewPlanN(tiers, sc.ThinkTime, popts)
-}
-
-// solveSweepMemo evaluates the plan's warm-started MAP+MVA population
-// sweep, memoized by the full model identity (tier characterizations,
-// names, visits, think time, population list, fit and solver options) —
-// the engine's "(model-hash, populations, tolerance)" key. Memoized
-// sweeps replay no per-population progress; their results are
-// bit-identical to a cold sweep.
-func solveSweepMemo(ctx context.Context, plan *PlanN, sc Scenario, prog *progressEmitter, memo *core.Memo) ([]core.PredictionN, error) {
-	progress := func(idx, pop int, _ MAPNetworkMetricsN) {
-		prog.emit(ProgressEvent{Stage: core.StageSolve, Population: pop, Step: idx + 1, Total: len(sc.Populations)})
-	}
-	if memo == nil {
-		return plan.PredictCtx(ctx, sc.Populations, progress)
-	}
-	type tierKey struct {
-		Name   string           `json:"name"`
-		Char   Characterization `json:"char"`
-		Visits float64          `json:"visits"`
-	}
-	tiers := make([]tierKey, len(plan.Tiers))
-	for i, t := range plan.Tiers {
-		tiers[i] = tierKey{Name: t.Name, Char: t.Characterization, Visits: t.Visits}
-	}
-	popts := plannerOptions(sc)
-	key, err := core.HashJSON(struct {
-		Tiers       []tierKey         `json:"tiers"`
-		ThinkTime   float64           `json:"think_time"`
-		Populations []int             `json:"populations"`
-		Fit         markov.FitOptions `json:"fit"`
-		Solver      ctmc.Options      `json:"solver"`
-	}{tiers, sc.ThinkTime, sc.Populations, popts.Fit, popts.Solver})
-	if err != nil {
-		return nil, fmt.Errorf("burst: solve key: %w", err)
-	}
-	return memo.Solve(key, func() ([]core.PredictionN, error) {
-		return plan.PredictCtx(ctx, sc.Populations, progress)
-	})
-}
-
-// solveDecompMemo evaluates the plan's warm-started decomposition
-// population sweep, memoized like solveSweepMemo but keyed with the
-// solver kind and the decomp fixed-point options instead of the CTMC
-// solver options, so exact and approximate sweeps of the same model
-// never collide in the cache.
-func solveDecompMemo(ctx context.Context, plan *PlanN, sc Scenario, prog *progressEmitter, memo *core.Memo) ([]MAPNetworkMetricsN, error) {
-	progress := func(idx, pop int, _ MAPNetworkMetricsN) {
-		prog.emit(ProgressEvent{Stage: core.StageSolve, Population: pop, Step: idx + 1, Total: len(sc.Populations)})
-	}
-	if memo == nil {
-		return plan.PredictDecompCtx(ctx, sc.Populations, progress)
-	}
-	type tierKey struct {
-		Name   string           `json:"name"`
-		Char   Characterization `json:"char"`
-		Visits float64          `json:"visits"`
-	}
-	tiers := make([]tierKey, len(plan.Tiers))
-	for i, t := range plan.Tiers {
-		tiers[i] = tierKey{Name: t.Name, Char: t.Characterization, Visits: t.Visits}
-	}
-	popts := plannerOptions(sc)
-	key, err := core.HashJSON(struct {
-		Solver      string            `json:"solver"`
-		Tiers       []tierKey         `json:"tiers"`
-		ThinkTime   float64           `json:"think_time"`
-		Populations []int             `json:"populations"`
-		Fit         markov.FitOptions `json:"fit"`
-		Decomp      DecompOptions     `json:"decomp"`
-	}{string(SolverDecomp), tiers, sc.ThinkTime, sc.Populations, popts.Fit, plan.DecompOptions()})
-	if err != nil {
-		return nil, fmt.Errorf("burst: decomp solve key: %w", err)
-	}
-	return memo.SolveDecomp(key, func() ([]MAPNetworkMetricsN, error) {
-		return plan.PredictDecompCtx(ctx, sc.Populations, progress)
-	})
 }
 
 // tierReports summarizes a plan's tiers for the report.
@@ -717,8 +491,8 @@ func mixByName(name string) (TPCWMix, error) {
 
 // runSimulationSolvers executes the simulation-backed solvers (sim,
 // crossvalidate) at every population. A cross-validation whose exact
-// MAP solve degraded (validate falls back to NetworkBounds) marks the
-// whole report degraded.
+// MAP solve degraded down the solver ladder marks the whole report
+// degraded.
 func runSimulationSolvers(ctx context.Context, sc Scenario, rep *Report, prog *progressEmitter, inj stageInjector) error {
 	cfg, err := simConfig(sc)
 	if err != nil {
@@ -861,10 +635,9 @@ func validationPoint(v *ValidationReport, multiclass bool) *ValidationPoint {
 	return vp
 }
 
-// Canonical context-aware entry points. These are the N-tier surface
-// without the historical *N suffix: each delegates to the same internal
-// machinery as its deprecated counterpart, adding cooperative
-// cancellation.
+// Context-aware entry points: single steps of the pipeline (exact and
+// decomp network solves, simulation, cross-validation) for callers that
+// drive it imperatively, each with cooperative cancellation.
 
 // SolveNetwork solves a closed K-station MAP queueing network exactly,
 // with cooperative cancellation.
