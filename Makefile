@@ -95,12 +95,14 @@ paperrepro-check:
 # both backends (SteadyStateNCD) — and archives the numbers (ns/op,
 # states, nnz, allocs, throughput) as JSON. -benchtime=1x for the
 # seconds-scale solves (a single iteration is already deterministic
-# enough for a trajectory); the microsecond-scale MulticlassMVA benches
-# run 50 iterations in a separate invocation because their single-run
-# timings swing ~2x with scheduler noise, which would make the
-# benchgate flaky.
+# enough for a trajectory); the tens-of-milliseconds SolveDecomp
+# benches run 10 iterations and the microsecond-scale MulticlassMVA
+# benches 50, each in a separate invocation, because their single-run
+# timings swing by 25% or more with scheduler noise, which would make
+# the benchgate flaky.
 bench:
-	$(GO) test -run=NONE -bench='SolveThreeTier|SolveDecomp|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x . > .bench_root.txt
+	$(GO) test -run=NONE -bench='SolveThreeTier|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x . > .bench_root.txt
+	$(GO) test -run=NONE -bench='SolveDecomp' -benchmem -benchtime=10x . >> .bench_root.txt
 	$(GO) test -run=NONE -bench='MulticlassMVA' -benchmem -benchtime=50x . >> .bench_root.txt
 	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends|SteadyStateNCD' -benchmem ./internal/mapqn/ > .bench_mapqn.txt
 	cat .bench_root.txt .bench_mapqn.txt | $(GO) run ./cmd/benchjson > BENCH_solver.json
@@ -108,11 +110,12 @@ bench:
 	cat BENCH_solver.json
 
 # benchgate is the perf-regression gate: re-run the bench suite into a
-# scratch document and fail if any benchmark's ns/op or B/op regressed
-# more than 25% against the committed BENCH_solver.json. CI runs this
-# on every push; run it locally before optimization PRs.
+# scratch document and fail if any benchmark's ns/op, B/op or allocs/op
+# regressed more than 25% against the committed BENCH_solver.json. CI
+# runs this on every push; run it locally before optimization PRs.
 benchgate:
-	$(GO) test -run=NONE -bench='SolveThreeTier|SolveDecomp|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x . > .bench_root.txt
+	$(GO) test -run=NONE -bench='SolveThreeTier|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x . > .bench_root.txt
+	$(GO) test -run=NONE -bench='SolveDecomp' -benchmem -benchtime=10x . >> .bench_root.txt
 	$(GO) test -run=NONE -bench='MulticlassMVA' -benchmem -benchtime=50x . >> .bench_root.txt
 	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends|SteadyStateNCD' -benchmem ./internal/mapqn/ > .bench_mapqn.txt
 	cat .bench_root.txt .bench_mapqn.txt | $(GO) run ./cmd/benchjson > .bench_fresh.json

@@ -1,10 +1,13 @@
 // Command benchgate compares a fresh benchmark run against the committed
 // baseline (BENCH_solver.json) and fails when any shared benchmark's
-// ns/op or B/op regressed beyond the allowed factor — the repository's
-// performance-regression gate (`make benchgate`). Gating allocations
-// alongside time catches a class of regressions ns/op hides on fast
-// paths: an accidental per-iteration allocation that the benchmark's
-// noise floor absorbs but that dominates under production GC pressure.
+// ns/op, B/op or allocs/op regressed beyond the allowed factor — the
+// repository's performance-regression gate (`make benchgate`). Gating
+// allocations alongside time catches a class of regressions ns/op hides
+// on fast paths: an accidental per-iteration allocation that the
+// benchmark's noise floor absorbs but that dominates under production GC
+// pressure. allocs/op shares -mem-threshold with B/op; it pins
+// allocation-free loops whose few remaining allocations are too small
+// for B/op to notice a new one.
 //
 //	benchgate -baseline BENCH_solver.json -fresh fresh.json
 //	benchgate -baseline BENCH_solver.json -fresh fresh.json -threshold 0.25 -mem-threshold 0.25
@@ -22,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -50,7 +54,7 @@ func run() error {
 	baselinePath := flag.String("baseline", "BENCH_solver.json", "committed benchjson baseline")
 	freshPath := flag.String("fresh", "", "benchjson document of the fresh run to gate")
 	threshold := flag.Float64("threshold", 0.25, "allowed fractional ns/op regression (0.25 = fail beyond +25%)")
-	memThreshold := flag.Float64("mem-threshold", 0.25, "allowed fractional B/op regression (0.25 = fail beyond +25%)")
+	memThreshold := flag.Float64("mem-threshold", 0.25, "allowed fractional B/op and allocs/op regression (0.25 = fail beyond +25%)")
 	flag.Parse()
 
 	if *freshPath == "" {
@@ -71,16 +75,31 @@ func run() error {
 		return err
 	}
 
-	var failed, compared int
-	for _, gate := range []struct {
+	failed, compared := gate(os.Stdout, baseline, fresh, *threshold, *memThreshold)
+	if failed > 0 {
+		return fmt.Errorf("%d benchmark metric(s) regressed beyond the allowed factor (+%.0f%% ns/op, +%.0f%% B/op and allocs/op)",
+			failed, 100**threshold, 100**memThreshold)
+	}
+	fmt.Printf("benchgate: %d benchmark metric(s) within +%.0f%% ns/op / +%.0f%% B/op and allocs/op of baseline\n",
+		compared, 100**threshold, 100**memThreshold)
+	return nil
+}
+
+// gate compares every metric the baseline shares with the fresh run —
+// ns/op under threshold, B/op and allocs/op under memThreshold — writes
+// one line per comparison to w, and returns how many regressed and how
+// many were compared.
+func gate(w io.Writer, baseline, fresh *Report, threshold, memThreshold float64) (failed, compared int) {
+	for _, g := range []struct {
 		metric    string
 		threshold float64
 	}{
-		{"ns/op", *threshold},
-		{"B/op", *memThreshold},
+		{"ns/op", threshold},
+		{"B/op", memThreshold},
+		{"allocs/op", memThreshold},
 	} {
-		base := indexMetric(baseline, gate.metric)
-		cur := indexMetric(fresh, gate.metric)
+		base := indexMetric(baseline, g.metric)
+		cur := indexMetric(fresh, g.metric)
 		names := make([]string, 0, len(base))
 		for name := range base {
 			names = append(names, name)
@@ -91,36 +110,30 @@ func run() error {
 			b := base[name]
 			f, ok := cur[name]
 			if !ok {
-				fmt.Printf("  ~ %-48s not in fresh run (skipped)\n", name)
+				fmt.Fprintf(w, "  ~ %-48s not in fresh run (skipped)\n", name)
 				continue
 			}
 			compared++
 			ratio := f / b
 			switch {
-			case ratio > 1+gate.threshold:
+			case ratio > 1+g.threshold:
 				failed++
-				fmt.Printf("FAIL %-48s %12.0f -> %12.0f %s (%+.1f%% > +%.0f%% allowed)\n",
-					name, b, f, gate.metric, 100*(ratio-1), 100*gate.threshold)
+				fmt.Fprintf(w, "FAIL %-48s %12.0f -> %12.0f %s (%+.1f%% > +%.0f%% allowed)\n",
+					name, b, f, g.metric, 100*(ratio-1), 100*g.threshold)
 			default:
-				fmt.Printf("  ok %-48s %12.0f -> %12.0f %s (%+.1f%%)\n",
-					name, b, f, gate.metric, 100*(ratio-1))
+				fmt.Fprintf(w, "  ok %-48s %12.0f -> %12.0f %s (%+.1f%%)\n",
+					name, b, f, g.metric, 100*(ratio-1))
 			}
 		}
-		if gate.metric == "ns/op" {
+		if g.metric == "ns/op" {
 			for name := range cur {
 				if _, ok := base[name]; !ok {
-					fmt.Printf("  + %-48s new benchmark (no baseline; skipped)\n", name)
+					fmt.Fprintf(w, "  + %-48s new benchmark (no baseline; skipped)\n", name)
 				}
 			}
 		}
 	}
-	if failed > 0 {
-		return fmt.Errorf("%d benchmark metric(s) regressed beyond the allowed factor (+%.0f%% ns/op, +%.0f%% B/op)",
-			failed, 100**threshold, 100**memThreshold)
-	}
-	fmt.Printf("benchgate: %d benchmark metric(s) within +%.0f%% ns/op / +%.0f%% B/op of baseline\n",
-		compared, 100**threshold, 100**memThreshold)
-	return nil
+	return failed, compared
 }
 
 // load reads and decodes one benchjson document.

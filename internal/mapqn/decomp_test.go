@@ -190,6 +190,33 @@ func TestDecompNonConvergence(t *testing.T) {
 	}
 }
 
+// TestDecompIterationsAllocateNothing pins the fixed point's
+// zero-allocation invariant: a K=4 solve that cannot converge (tolerance
+// far below round-off) makes the same number of allocations at 20 and
+// at 40 outer iterations, so every iteration — complement MVA, level
+// chain solves, residence inversion — runs inside the workspace. The
+// runtime's own allocations (the race detector's, say) can only add to
+// a count, so the pair is measured up to five times: a per-iteration
+// allocation would add at least 20 to the longer solve on every try.
+func TestDecompIterationsAllocateNothing(t *testing.T) {
+	m := NetworkModel{Stations: decompBenchStations(t, 4, 25, 120), ThinkTime: 0.5, Customers: 50}
+	allocs := func(maxIter int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			_, err := SolveNetworkDecomp(m, DecompOptions{Tol: 1e-300, MaxIter: maxIter})
+			if !errors.Is(err, ctmc.ErrNoConvergence) {
+				t.Fatalf("MaxIter=%d: err = %v, want ctmc.ErrNoConvergence", maxIter, err)
+			}
+		})
+	}
+	var a20, a40 float64
+	for try := 0; try < 5; try++ {
+		if a20, a40 = allocs(20), allocs(40); a20 == a40 {
+			return
+		}
+	}
+	t.Errorf("allocations grow with iterations: %v at MaxIter=20, %v at MaxIter=40", a20, a40)
+}
+
 // TestDecompCancellation checks the outer loop polls ctx.
 func TestDecompCancellation(t *testing.T) {
 	front := fitMAP(t, 0.0068, 4, 0.021)

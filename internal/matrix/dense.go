@@ -102,10 +102,21 @@ func (m *Dense) Scale(s float64) *Dense {
 
 // Mul returns the matrix product m * other.
 func (m *Dense) Mul(other *Dense) *Dense {
+	out := NewDense(m.Rows, other.Cols)
+	m.MulTo(out, other)
+	return out
+}
+
+// MulTo writes the matrix product m * other into dst, which must not
+// alias either operand. It allocates nothing.
+func (m *Dense) MulTo(dst, other *Dense) {
 	if m.Cols != other.Rows {
 		panic(fmt.Sprintf("matrix: Mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
 	}
-	out := NewDense(m.Rows, other.Cols)
+	if dst.Rows != m.Rows || dst.Cols != other.Cols {
+		panic(fmt.Sprintf("matrix: Mul destination %dx%d, want %dx%d", dst.Rows, dst.Cols, m.Rows, other.Cols))
+	}
+	clear(dst.Data)
 	for i := 0; i < m.Rows; i++ {
 		for k := 0; k < m.Cols; k++ {
 			a := m.At(i, k)
@@ -113,13 +124,12 @@ func (m *Dense) Mul(other *Dense) *Dense {
 				continue
 			}
 			row := other.Data[k*other.Cols : (k+1)*other.Cols]
-			outRow := out.Data[i*out.Cols : (i+1)*out.Cols]
+			outRow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
 			for j, b := range row {
 				outRow[j] += a * b
 			}
 		}
 	}
-	return out
 }
 
 // MulVec returns the matrix-vector product m * v.
@@ -142,20 +152,27 @@ func (m *Dense) MulVec(v []float64) []float64 {
 // VecMul returns the vector-matrix product v * m (v treated as a row
 // vector). This is the natural operation for probability vectors.
 func (m *Dense) VecMul(v []float64) []float64 {
-	if m.Rows != len(v) {
-		panic(fmt.Sprintf("matrix: VecMul shape mismatch %d * %dx%d", len(v), m.Rows, m.Cols))
-	}
 	out := make([]float64, m.Cols)
+	m.VecMulTo(out, v)
+	return out
+}
+
+// VecMulTo writes the vector-matrix product v * m into dst (len m.Cols),
+// which must not alias v. It allocates nothing.
+func (m *Dense) VecMulTo(dst, v []float64) {
+	if m.Rows != len(v) || m.Cols != len(dst) {
+		panic(fmt.Sprintf("matrix: VecMul shape mismatch %d * %dx%d -> %d", len(v), m.Rows, m.Cols, len(dst)))
+	}
+	clear(dst)
 	for i, a := range v {
 		if a == 0 {
 			continue
 		}
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, b := range row {
-			out[j] += a * b
+			dst[j] += a * b
 		}
 	}
-	return out
 }
 
 // Transpose returns m transposed.
@@ -217,20 +234,45 @@ func (m *Dense) mustSquare() {
 	}
 }
 
-// LU holds an LU factorization with partial pivoting: P*A = L*U.
+// LU holds an LU factorization with partial pivoting: P*A = L*U. It is
+// also a reusable workspace: Refactor and InverseTo overwrite it without
+// allocating, so one LU they use must not be shared between goroutines.
 type LU struct {
 	lu    *Dense
 	pivot []int
 	signP float64
+	col   []float64 // InverseTo's column scratch
+}
+
+// NewLU returns an n-by-n factorization workspace for Refactor and
+// InverseTo.
+func NewLU(n int) *LU {
+	return &LU{lu: NewDense(n, n), pivot: make([]int, n), col: make([]float64, n)}
 }
 
 // Factor computes the LU factorization of square matrix a with partial
 // pivoting. It returns ErrSingular for numerically singular input.
 func Factor(a *Dense) (*LU, error) {
 	a.mustSquare()
+	f := NewLU(a.Rows)
+	if err := f.Refactor(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Refactor overwrites f with the LU factorization of a, which must have
+// f's order. It returns ErrSingular for numerically singular input, and
+// then leaves f unusable until the next successful Refactor.
+func (f *LU) Refactor(a *Dense) error {
+	a.mustSquare()
 	n := a.Rows
-	lu := a.Clone()
-	pivot := make([]int, n)
+	if f.lu.Rows != n {
+		panic(fmt.Sprintf("matrix: Refactor of %dx%d into an order-%d LU", n, n, f.lu.Rows))
+	}
+	lu := f.lu
+	copy(lu.Data, a.Data)
+	pivot := f.pivot
 	sign := 1.0
 	for i := range pivot {
 		pivot[i] = i
@@ -245,7 +287,7 @@ func Factor(a *Dense) (*LU, error) {
 			}
 		}
 		if max == 0 || math.IsNaN(max) {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != col {
 			for j := 0; j < n; j++ {
@@ -266,19 +308,39 @@ func Factor(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, signP: sign}, nil
+	f.signP = sign
+	return nil
 }
 
 // Solve solves A*x = b using the factorization.
 func (f *LU) Solve(b []float64) ([]float64, error) {
+	x := make([]float64, f.lu.Rows)
+	if err := f.SolveTo(x, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveTo solves A*x = b into x, which must not alias b. It allocates
+// nothing.
+func (f *LU) SolveTo(x, b []float64) error {
 	n := f.lu.Rows
 	if len(b) != n {
-		return nil, fmt.Errorf("matrix: Solve rhs length %d, want %d", len(b), n)
+		return fmt.Errorf("matrix: Solve rhs length %d, want %d", len(b), n)
 	}
-	x := make([]float64, n)
+	if len(x) != n {
+		return fmt.Errorf("matrix: Solve solution length %d, want %d", len(x), n)
+	}
 	for i := 0; i < n; i++ {
 		x[i] = b[f.pivot[i]]
 	}
+	return f.substitute(x)
+}
+
+// substitute finishes a solve in place: x enters as the permuted
+// right-hand side P*b and leaves as the solution.
+func (f *LU) substitute(x []float64) error {
+	n := f.lu.Rows
 	// Forward substitution (L has unit diagonal).
 	for i := 0; i < n; i++ {
 		for j := 0; j < i; j++ {
@@ -292,11 +354,11 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		}
 		d := f.lu.At(i, i)
 		if d == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		x[i] /= d
 	}
-	return x, nil
+	return nil
 }
 
 // Det returns the determinant from the factorization.
@@ -320,27 +382,40 @@ func Solve(a *Dense, b []float64) ([]float64, error) {
 // Inverse returns A^{-1}, or ErrSingular.
 func Inverse(a *Dense) (*Dense, error) {
 	a.mustSquare()
-	n := a.Rows
-	f, err := Factor(a)
-	if err != nil {
+	inv := NewDense(a.Rows, a.Rows)
+	if err := InverseTo(inv, a, NewLU(a.Rows)); err != nil {
 		return nil, err
 	}
-	inv := NewDense(n, n)
-	e := make([]float64, n)
+	return inv, nil
+}
+
+// InverseTo writes A^{-1} into dst, factoring a in the workspace f, or
+// returns ErrSingular. It allocates nothing: dst column j is the solve
+// of A*x = e_j.
+func InverseTo(dst, a *Dense, f *LU) error {
+	if err := f.Refactor(a); err != nil {
+		return err
+	}
+	n := a.Rows
+	if dst.Rows != n || dst.Cols != n {
+		panic(fmt.Sprintf("matrix: InverseTo destination %dx%d, want %dx%d", dst.Rows, dst.Cols, n, n))
+	}
+	x := f.col
 	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
+		for i := range x {
+			x[i] = 0
+			if f.pivot[i] == j {
+				x[i] = 1
+			}
 		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
+		if err := f.substitute(x); err != nil {
+			return err
 		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
+		for i, v := range x {
+			dst.Set(i, j, v)
 		}
 	}
-	return inv, nil
+	return nil
 }
 
 // Expm returns the matrix exponential e^A computed with the

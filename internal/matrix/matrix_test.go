@@ -326,3 +326,137 @@ func TestCSRPanicsOutOfRange(t *testing.T) {
 	}()
 	NewCSR(2, []Triplet{{0, 5, 1}})
 }
+
+// factorSolveInverse is the column-by-column inverse InverseTo replaced:
+// one Factor, then one allocating LU.Solve per unit vector.
+func factorSolveInverse(a *Dense) (*Dense, error) {
+	f, err := Factor(a)
+	if err != nil {
+		return nil, err
+	}
+	n := a.Rows
+	inv := NewDense(n, n)
+	for j := 0; j < n; j++ {
+		e := make([]float64, n)
+		e[j] = 1
+		col, err := f.Solve(e)
+		if err != nil {
+			return nil, err
+		}
+		for i, v := range col {
+			inv.Set(i, j, v)
+		}
+	}
+	return inv, nil
+}
+
+// TestInverseToMatchesFactorSolve pins the in-place inverse bit for bit
+// against Factor + LU.Solve on random, ill-conditioned (Hilbert, and
+// nearly rank-deficient) and singular inputs, reusing one workspace and
+// one dirty destination per order so no state leaks between solves.
+func TestInverseToMatchesFactorSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for n := 1; n <= 8; n++ {
+		f := NewLU(n)
+		dst := NewDense(n, n)
+		var cases []*Dense
+		for trial := 0; trial < 20; trial++ {
+			cases = append(cases, randomDense(rng, n))
+		}
+		hilbert := NewDense(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				hilbert.Set(i, j, 1/float64(i+j+1))
+			}
+		}
+		nearSingular := randomDense(rng, n)
+		if n > 1 {
+			for j := 0; j < n; j++ {
+				nearSingular.Set(n-1, j, nearSingular.At(0, j)*(1+1e-13))
+			}
+		}
+		sparse := randomDense(rng, n)
+		for i := range sparse.Data {
+			if rng.Intn(2) == 0 && i%(n+1) != 0 {
+				sparse.Data[i] = 0
+			}
+		}
+		cases = append(cases, hilbert, nearSingular, sparse)
+		for c, a := range cases {
+			for i := range dst.Data {
+				dst.Data[i] = math.NaN()
+			}
+			want, wantErr := factorSolveInverse(a)
+			gotErr := InverseTo(dst, a, f)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("n=%d case %d: InverseTo err %v, Factor+Solve err %v", n, c, gotErr, wantErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			for i := range dst.Data {
+				if math.Float64bits(dst.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("n=%d case %d: entry %d = %x, Factor+Solve %x", n, c, i, dst.Data[i], want.Data[i])
+				}
+			}
+			inv, err := Inverse(a)
+			if err != nil || !denseAlmostEqual(inv, want, 0) {
+				t.Fatalf("n=%d case %d: Inverse differs from Factor+Solve (err %v)", n, c, err)
+			}
+		}
+	}
+
+	singular := FromRows([][]float64{{1, 2, 3}, {2, 4, 6}, {1, 0, 1}})
+	if err := InverseTo(NewDense(3, 3), singular, NewLU(3)); err != ErrSingular {
+		t.Errorf("singular InverseTo err = %v, want ErrSingular", err)
+	}
+	if _, err := factorSolveInverse(singular); err != ErrSingular {
+		t.Errorf("singular Factor+Solve err = %v, want ErrSingular", err)
+	}
+	withNaN := FromRows([][]float64{{math.NaN(), 1}, {1, 1}})
+	if err := InverseTo(NewDense(2, 2), withNaN, NewLU(2)); err != ErrSingular {
+		t.Errorf("NaN InverseTo err = %v, want ErrSingular", err)
+	}
+}
+
+// TestInPlaceKernelsAllocateNothing checks the workspace forms reuse
+// their destinations: InverseTo, MulTo, VecMulTo and LU.SolveTo make no
+// allocation, and a dirty destination gives the allocating result.
+func TestInPlaceKernelsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a, b := randomDense(rng, 4), randomDense(rng, 4)
+	v := []float64{1, 0, -2, 0.5}
+	f := NewLU(4)
+	inv, prod := NewDense(4, 4), NewDense(4, 4)
+	vec, x := make([]float64, 4), make([]float64, 4)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := InverseTo(inv, a, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SolveTo(x, v); err != nil {
+			t.Fatal(err)
+		}
+		a.MulTo(prod, b)
+		a.VecMulTo(vec, v)
+	})
+	if allocs != 0 {
+		t.Errorf("in-place kernels allocate %v times per run, want 0", allocs)
+	}
+	if !denseAlmostEqual(prod, a.Mul(b), 0) {
+		t.Error("MulTo into a reused destination differs from Mul")
+	}
+	for i, w := range a.VecMul(v) {
+		if vec[i] != w {
+			t.Fatalf("VecMulTo[%d] = %v, VecMul %v", i, vec[i], w)
+		}
+	}
+	want, err := Solve(a, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if x[i] != want[i] {
+			t.Fatalf("SolveTo[%d] = %v, Solve %v", i, x[i], want[i])
+		}
+	}
+}

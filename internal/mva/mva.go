@@ -107,21 +107,32 @@ func SolveSweep(net Network, n int) ([]Result, error) {
 			Residence:    make([]float64, m),
 			Utilizations: make([]float64, m),
 		}
-		rTotal := 0.0
+		res.Throughput, res.ResponseTime = Step(net.Demands, net.ThinkTime, pop, q, res.Residence)
+		copy(res.QueueLengths, q)
 		for i := 0; i < m; i++ {
-			res.Residence[i] = net.Demands[i] * (1 + q[i])
-			rTotal += res.Residence[i]
-		}
-		res.ResponseTime = rTotal
-		res.Throughput = float64(pop) / (net.ThinkTime + rTotal)
-		for i := 0; i < m; i++ {
-			res.QueueLengths[i] = res.Throughput * res.Residence[i]
 			res.Utilizations[i] = res.Throughput * net.Demands[i]
-			q[i] = res.QueueLengths[i]
 		}
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// Step advances the exact MVA recursion by one customer without
+// allocating: q enters holding the queue lengths at population pop-1
+// and leaves holding those at pop, resid receives the per-station
+// residence times at pop, and Step returns the throughput and the total
+// response time (excluding think time) at pop. Parameters are not
+// validated; run Network.Validate first.
+func Step(demands []float64, thinkTime float64, pop int, q, resid []float64) (x, r float64) {
+	for i, d := range demands {
+		resid[i] = d * (1 + q[i])
+		r += resid[i]
+	}
+	x = float64(pop) / (thinkTime + r)
+	for i := range demands {
+		q[i] = x * resid[i]
+	}
+	return x, r
 }
 
 // SolveApprox runs the Schweitzer/Bard approximate MVA, which avoids the
