@@ -60,9 +60,17 @@ xvalidate:
 
 # scenario is the declarative-pipeline smoke check: the committed example
 # scenario runs end to end through cmd/burstlab (simulate, characterize,
-# fit, solve, cross-validate) and prints its report.
+# fit, solve, cross-validate) and prints its report. It then closes the
+# paper's measure -> plan loop: `burstlab tpcwsim -csv` writes the front
+# and db monitoring streams of a simulated testbed to temp files, and
+# `burstlab capplan -tiers` plans capacity from them.
 scenario:
 	$(GO) run ./cmd/burstlab -scenario examples/scenariofile/scenario.json
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/burstlab" ./cmd/burstlab && \
+	"$$tmp/burstlab" tpcwsim -mix browsing -ebs 50 -csv front > "$$tmp/front.csv" && \
+	"$$tmp/burstlab" tpcwsim -mix browsing -ebs 50 -csv db > "$$tmp/db.csv" && \
+	"$$tmp/burstlab" capplan -tiers "$$tmp/front.csv,$$tmp/db.csv" -ebs 25,50,100
 
 # suite is the batch-engine smoke check: the committed example suite
 # (database-tier I x population grid) expands, runs over the worker

@@ -128,7 +128,7 @@ func TestFacadeMixes(t *testing.T) {
 	if _, err := core.BuildPlanNFromCharacterizations([]Characterization{
 		{MeanServiceTime: 0.005, IndexOfDispersion: 10, P95ServiceTime: 0.02},
 		{MeanServiceTime: 0.004, IndexOfDispersion: 50, P95ServiceTime: 0.03},
-	}, 0.5, PlannerOptions{}); err != nil {
+	}, nil, 0.5, PlannerOptions{}, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,18 +1,13 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 
 	burst "repro"
-	"repro/internal/trace"
 )
 
 // foldDir holds the pinned outputs of the capplan and tpcwsim
@@ -20,112 +15,45 @@ import (
 // representative capplan and tpcwsim flag vectors.
 var foldDir = filepath.Join("testdata", "fold")
 
-// foldReportCases maps each pinned report to the scenario its flag
-// vector assembles.
-var foldReportCases = map[string]func() (burst.Scenario, error){
-	// capplan -tiers front.csv,db.csv -ebs 10,50 -decomp -bounds
-	"capplan_decomp_bounds": func() (burst.Scenario, error) {
-		return capplanScenario("10,50", "", "", burst.SolverMAP, burst.SolverMVA, burst.SolverDecomp, burst.SolverBounds)
-	},
-	// capplan -tiers front.csv,db.csv -names web,db -classes gold=3,bronze=1
-	"capplan_names_classes": func() (burst.Scenario, error) {
-		return capplanScenario("25,50,75,100,150", "web,db", "gold=3,bronze=1", burst.SolverMAP, burst.SolverMVA)
-	},
-	// tpcwsim -mix shopping -tiers 3 -ebs 30 -duration 600 -warmup 0 -replicas 2
-	"tpcwsim_zero_warmup": func() (burst.Scenario, error) {
-		return burst.NewScenarioBuilder().
-			Name("tpcwsim").
-			ThinkTime(0.5).
-			Populations(30).
-			Workload("shopping", 3).
-			Duration(600).
-			Window(0, true, 60, false).
-			Seed(1).
-			Workers(0).
-			KeepSamples(false).
-			Solvers(burst.SolverSim).
-			Replicas(2).
-			Build()
-	},
-	// tpcwsim -mix ordering -tiers 3 -ebs 20 -duration 600 -validate
-	"tpcwsim_validate": func() (burst.Scenario, error) {
-		return burst.NewScenarioBuilder().
-			Name("tpcwsim").
-			ThinkTime(0.5).
-			Populations(20).
-			Workload("ordering", 3).
-			Duration(600).
-			Window(120, false, 60, false).
-			Seed(1).
-			Workers(0).
-			KeepSamples(false).
-			Solvers(burst.SolverCrossValidate).
-			Build()
-	},
+// foldReportCases maps each pinned report to its subcommand flag
+// vector.
+var foldReportCases = map[string][]string{
+	"capplan_decomp_bounds": {"capplan", "-tiers", foldCSVs, "-ebs", "10,50", "-decomp", "-bounds"},
+	"capplan_names_classes": {"capplan", "-tiers", foldCSVs, "-names", "web,db", "-classes", "gold=3,bronze=1"},
+	"tpcwsim_zero_warmup":   {"tpcwsim", "-mix", "shopping", "-tiers", "3", "-ebs", "30", "-duration", "600", "-warmup", "0", "-replicas", "2"},
+	"tpcwsim_validate":      {"tpcwsim", "-mix", "ordering", "-tiers", "3", "-ebs", "20", "-duration", "600", "-validate"},
 }
 
-// capplanScenario replays capplan's scenario assembly over the pinned
-// front.csv and db.csv at the default period and think time.
-func capplanScenario(ebs, names, classes string, solvers ...burst.SolverKind) (burst.Scenario, error) {
-	b := burst.NewScenarioBuilder().
-		Name("capplan").
-		ThinkTime(0.5).
-		PopulationList(ebs).
-		TierNames(names).
-		Solvers(solvers...)
-	if classes != "" {
-		b.ClassList(classes)
-	}
-	for _, name := range []string{"front.csv", "db.csv"} {
-		s, err := readFoldCSV(filepath.Join(foldDir, name), 5)
-		if err != nil {
-			return burst.Scenario{}, err
-		}
-		b.SampleTier("", s)
-	}
-	return b.Build()
-}
+// foldCSVs feeds capplan the pinned tpcwsim monitoring streams.
+var foldCSVs = filepath.Join(foldDir, "front.csv") + "," + filepath.Join(foldDir, "db.csv")
 
-func readFoldCSV(path string, period float64) (trace.UtilizationSamples, error) {
-	u := trace.UtilizationSamples{PeriodSeconds: period}
-	f, err := os.Open(path)
+// foldScenario parses a subcommand flag vector into its scenario and
+// -csv tier.
+func foldScenario(t *testing.T, args []string) (burst.Scenario, string) {
+	t.Helper()
+	var (
+		sc      burst.Scenario
+		csvTier string
+		err     error
+	)
+	switch args[0] {
+	case "capplan":
+		sc, err = capplanScenario(args[1:])
+	case "tpcwsim":
+		sc, csvTier, err = tpcwsimScenario(args[1:])
+	}
 	if err != nil {
-		return u, err
+		t.Fatal(err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 2 {
-			return u, fmt.Errorf("%s: want utilization,completions", path)
-		}
-		util, err := strconv.ParseFloat(parts[0], 64)
-		if err != nil {
-			return u, err
-		}
-		compl, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil {
-			return u, err
-		}
-		u.Utilization = append(u.Utilization, util)
-		u.Completions = append(u.Completions, compl)
-	}
-	return u, sc.Err()
+	return sc, csvTier
 }
 
 // TestFoldReportGoldens pins Report.JSON() of the capplan and tpcwsim
-// flag vectors byte for byte.
+// subcommands' flag vectors byte for byte.
 func TestFoldReportGoldens(t *testing.T) {
-	for name, build := range foldReportCases {
+	for name, args := range foldReportCases {
 		t.Run(name, func(t *testing.T) {
-			sc, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
+			sc, _ := foldScenario(t, args)
 			rep, err := burst.Run(context.Background(), sc)
 			if err != nil {
 				t.Fatal(err)
@@ -139,41 +67,19 @@ func TestFoldReportGoldens(t *testing.T) {
 	}
 }
 
-// TestFoldCSVGoldens pins the bytes of `tpcwsim -mix browsing -ebs 50
-// -csv front` and of the same command with -csv db.
+// TestFoldCSVGoldens pins the bytes of `burstlab tpcwsim -mix browsing
+// -ebs 50 -csv front` and of the same command with -csv db.
 func TestFoldCSVGoldens(t *testing.T) {
 	for _, tier := range []string{"front", "db"} {
 		t.Run(tier, func(t *testing.T) {
-			sc, err := burst.NewScenarioBuilder().
-				Name("tpcwsim").
-				ThinkTime(0.5).
-				Populations(50).
-				Workload("browsing", 2).
-				Duration(1800).
-				Window(120, false, 60, false).
-				Seed(1).
-				Workers(0).
-				KeepSamples(true).
-				Solvers(burst.SolverSim).
-				Replicas(1).
-				Build()
-			if err != nil {
-				t.Fatal(err)
-			}
+			sc, csvTier := foldScenario(t, []string{"tpcwsim", "-mix", "browsing", "-ebs", "50", "-csv", tier})
 			rep, err := burst.Run(context.Background(), sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim := rep.Results[0].Sim
 			var buf bytes.Buffer
-			for i, name := range sim.TierNames {
-				if name != tier {
-					continue
-				}
-				s := sim.TierSamples[i]
-				for k := range s.Utilization {
-					fmt.Fprintf(&buf, "%.6f,%.1f\n", s.Utilization[k], s.Completions[k])
-				}
+			if err := emitTierCSV(&buf, rep.Results[0].Sim, csvTier); err != nil {
+				t.Fatal(err)
 			}
 			compareFoldGolden(t, tier+".csv", buf.Bytes())
 		})

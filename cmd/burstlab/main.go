@@ -6,11 +6,28 @@
 // scenario crossed with a parameter grid), expands it into
 // content-addressed cells and runs them over a worker pool with stage
 // memoization, streaming each finished cell to a JSONL report file. It
-// is the one CLI surface over the whole pipeline; capplan and tpcwsim
-// are thin scenario builders over the same machinery.
+// is the one CLI surface over the whole pipeline.
+//
+// Two subcommands assemble the scenario from flags instead of a file
+// and print the same summary as -scenario:
+//
+//   - capplan runs the paper's capacity-planning loop over measured
+//     tiers: one monitoring CSV ("utilization,completions" per sampling
+//     period) per tier in visit order, characterized (mean, I, p95),
+//     fitted to MAP(2)s and solved over a population sweep with the
+//     burstiness-aware MAP model and the MVA baseline.
+//   - tpcwsim runs the simulated TPC-W testbed (two tiers by default,
+//     N with -tiers, replicated with -replicas). -csv emits one tier's
+//     monitoring stream in capplan's input format; -validate closes the
+//     loop by fitting the simulated samples and comparing the MAP and
+//     MVA predictions against the simulation.
 //
 // Usage:
 //
+//	burstlab capplan -tiers front.csv,app.csv,db.csv -names front,app,db -period 5 -z 0.5 -ebs 25,50,100
+//	burstlab capplan -tiers front.csv,db.csv -ebs 10,50 -decomp -bounds -classes gold=3,bronze=1
+//	burstlab tpcwsim -mix browsing -ebs 50 -csv front > front.csv
+//	burstlab tpcwsim -mix ordering -tiers 3 -ebs 30 -replicas 3 -validate
 //	burstlab -scenario scenario.json
 //	burstlab -scenario scenario.json -out report.json -quiet
 //	burstlab -scenario scenario.json -timeout 2m
@@ -57,6 +74,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"text/tabwriter"
 	"time"
@@ -72,7 +90,10 @@ import (
 const exitPartialFailure = 3
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		fmt.Fprintln(os.Stderr, "burstlab:", err)
 		var pf partialFailureError
 		if errors.As(err, &pf) {
@@ -92,22 +113,45 @@ func (e partialFailureError) Error() string {
 	return fmt.Sprintf("%d of %d cells failed (rows recorded; re-run with -resume to retry them)", e.failed, e.cells)
 }
 
-func run() error {
-	scenarioPath := flag.String("scenario", "", "scenario JSON file to run")
-	suitePath := flag.String("suite", "", "suite JSON file to run (base scenario + parameter grid)")
-	outPath := flag.String("out", "", "write the report here: full JSON for -scenario ('-' for stdout), streamed JSONL rows for -suite")
-	resume := flag.Bool("resume", false, "with -suite: skip cells whose hash already has a completed row in -out")
-	workers := flag.Int("workers", 0, "with -suite: cap concurrently running cells (0 = GOMAXPROCS)")
-	quiet := flag.Bool("quiet", false, "suppress the human-readable summary and progress")
-	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no limit)")
-	backend := flag.String("backend", "", "CTMC generator backend: csr or matrix-free (empty = auto-select by state count); overrides the scenario's solver options")
-	onError := flag.String("on-error", "", "with -suite: failure policy, fail-fast or continue (empty = the suite file's setting)")
-	retries := flag.Int("retries", -1, "with -suite: max retries of transient cell errors (-1 = the suite file's setting)")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell (or per-scenario) deadline; expiry during the exact MAP solve degrades to the decomp approximation, then NetworkBounds (0 = no limit)")
-	classes := flag.String("classes", "", `override the workload classes of the scenario (or suite base): "browsing=3,ordering=1" for mix weights, "browsing:20,ordering:5" for fixed per-class populations`)
-	remote := flag.String("remote", "", "submit to a running burstlabd at this address (host:port or URL) instead of executing locally, follow the job and stream its rows")
-	rerun := flag.Bool("rerun", false, "with -remote: re-execute the job even if the daemon already holds its result (served from the daemon's warm memo)")
-	flag.Parse()
+// subcommands assemble a scenario from their own flags and run it
+// through runLocal, like -scenario.
+var subcommands = map[string]func(ctx context.Context, args []string) error{
+	"capplan": runCapplan,
+	"tpcwsim": runTpcwsim,
+}
+
+func run(args []string) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		sub, ok := subcommands[args[0]]
+		if !ok {
+			return fmt.Errorf("unknown subcommand %q (want capplan or tpcwsim)", args[0])
+		}
+		if err := sub(ctx, args[1:]); err != nil {
+			return fmt.Errorf("%s: %w", args[0], err)
+		}
+		return nil
+	}
+
+	fs := flag.NewFlagSet("burstlab", flag.ContinueOnError)
+	scenarioPath := fs.String("scenario", "", "scenario JSON file to run")
+	suitePath := fs.String("suite", "", "suite JSON file to run (base scenario + parameter grid)")
+	outPath := fs.String("out", "", "write the report here: full JSON for -scenario ('-' for stdout), streamed JSONL rows for -suite")
+	resume := fs.Bool("resume", false, "with -suite: skip cells whose hash already has a completed row in -out")
+	workers := fs.Int("workers", 0, "with -suite: cap concurrently running cells (0 = GOMAXPROCS)")
+	quiet := fs.Bool("quiet", false, "suppress the human-readable summary and progress")
+	timeout := fs.Duration("timeout", 0, "cancel the run after this duration (0 = no limit)")
+	backend := fs.String("backend", "", "CTMC generator backend: csr or matrix-free (empty = auto-select by state count); overrides the scenario's solver options")
+	onError := fs.String("on-error", "", "with -suite: failure policy, fail-fast or continue (empty = the suite file's setting)")
+	retries := fs.Int("retries", -1, "with -suite: max retries of transient cell errors (-1 = the suite file's setting)")
+	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell (or per-scenario) deadline; expiry during the exact MAP solve degrades to the decomp approximation, then NetworkBounds (0 = no limit)")
+	classes := fs.String("classes", "", `override the workload classes of the scenario (or suite base): "browsing=3,ordering=1" for mix weights, "browsing:20,ordering:5" for fixed per-class populations`)
+	remote := fs.String("remote", "", "submit to a running burstlabd at this address (host:port or URL) instead of executing locally, follow the job and stream its rows")
+	rerun := fs.Bool("rerun", false, "with -remote: re-execute the job even if the daemon already holds its result (served from the daemon's warm memo)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var classSpecs []burst.ClassSpec
 	if *classes != "" {
@@ -127,11 +171,9 @@ func run() error {
 	}
 
 	if (*scenarioPath == "") == (*suitePath == "") {
-		return fmt.Errorf("exactly one of -scenario or -suite is required (see examples/scenariofile, examples/suite)")
+		return fmt.Errorf("exactly one of -scenario or -suite is required (see examples/scenariofile, examples/suite), or a capplan or tpcwsim subcommand")
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -171,7 +213,15 @@ func run() error {
 		sc.Deadline = cellTimeout.Seconds()
 	}
 
-	if !*quiet {
+	_, err = runLocal(ctx, sc, *quiet, *outPath)
+	return err
+}
+
+// runLocal runs one scenario in process: progress on stderr and the
+// summary on stdout unless quiet, and the JSON report to outPath when
+// set ('-' for stdout).
+func runLocal(ctx context.Context, sc burst.Scenario, quiet bool, outPath string) (*burst.Report, error) {
+	if !quiet {
 		sc.OnProgress = func(ev burst.ProgressEvent) {
 			if ev.Population != 0 {
 				fmt.Fprintf(os.Stderr, "burstlab: %-12s N=%-5d %d/%d\n", ev.Stage, ev.Population, ev.Step, ev.Total)
@@ -184,26 +234,27 @@ func run() error {
 	start := time.Now()
 	rep, err := burst.Run(ctx, sc)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if !*quiet {
+	if !quiet {
 		printSummary(rep, time.Since(start))
 	}
-	if *outPath != "" {
-		data, err := rep.JSON()
-		if err != nil {
-			return err
-		}
-		if *outPath == "-" {
-			_, err = os.Stdout.Write(data)
-			return err
-		}
-		if err := os.WriteFile(*outPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "burstlab: report written to %s\n", *outPath)
+	if outPath == "" {
+		return rep, nil
 	}
-	return nil
+	data, err := rep.JSON()
+	if err != nil {
+		return nil, err
+	}
+	if outPath == "-" {
+		_, err = os.Stdout.Write(data)
+		return rep, err
+	}
+	if err := os.WriteFile(outPath, data, 0o644); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "burstlab: report written to %s\n", outPath)
+	return rep, nil
 }
 
 // applyBackend forces the CTMC generator backend on a scenario's solver
@@ -513,6 +564,9 @@ func printSummary(rep *burst.Report, elapsed time.Duration) {
 	first := rep.Results[0]
 	if first.MAP != nil {
 		header += "\tMAP X\tMAP R(s)"
+		for _, name := range rep.TierNames {
+			header += "\tMAP U_" + name
+		}
 	}
 	if first.Decomp != nil {
 		header += "\tdecomp X\tdecomp R(s)"
@@ -537,6 +591,9 @@ func printSummary(rep *burst.Report, elapsed time.Duration) {
 		row := fmt.Sprintf("%d", r.Population)
 		if r.MAP != nil {
 			row += fmt.Sprintf("\t%.2f\t%.4f", r.MAP.Throughput, r.MAP.ResponseTime)
+			for _, u := range r.MAP.Utils {
+				row += fmt.Sprintf("\t%.3f", u)
+			}
 		}
 		if r.Decomp != nil {
 			row += fmt.Sprintf("\t%.2f\t%.4f", r.Decomp.Throughput, r.Decomp.ResponseTime)
@@ -563,6 +620,30 @@ func printSummary(rep *burst.Report, elapsed time.Duration) {
 		fmt.Printf("solver: backend=%s peak CTMC states=%d\n", rep.SolverBackend, rep.PeakStates)
 	}
 	printClassSummary(rep)
+
+	// Per-tier simulation detail and completion mix, when the testbed ran.
+	for _, r := range rep.Results {
+		sim := r.Sim
+		if sim == nil {
+			continue
+		}
+		fmt.Printf("simulation at N=%d (%d replicas):\n", r.Population, sim.Replicas)
+		for i, name := range sim.TierNames {
+			fmt.Printf("  tier %-8s U=%.3f±%.3f  contention=%.3f\n",
+				name, sim.TierUtil[i].Mean, sim.TierUtil[i].HalfWidth, sim.ContentionFraction[i].Mean)
+		}
+		var total int64
+		for _, c := range sim.CompletedByType {
+			total += c
+		}
+		if total == 0 {
+			continue
+		}
+		fmt.Println("  per-type completions:")
+		for t, c := range sim.CompletedByType {
+			fmt.Printf("    %-22s %8d (%.3f)\n", sim.TransactionNames[t], c, float64(c)/float64(total))
+		}
+	}
 
 	// Per-tier validation detail, when the loop was closed.
 	for _, r := range rep.Results {

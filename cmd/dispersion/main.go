@@ -53,7 +53,7 @@ func run(in io.Reader, out io.Writer) error {
 			len(tr), tr.Mean(), tr.SCV(), i, p95)
 		return nil
 	case "monitor":
-		samples, err := readMonitor(in, *period)
+		samples, err := trace.ReadUtilizationCSV(in, *period)
 		if err != nil {
 			return err
 		}
@@ -91,36 +91,4 @@ func readTrace(in io.Reader) (trace.T, error) {
 		return nil, err
 	}
 	return tr, nil
-}
-
-func readMonitor(in io.Reader, period float64) (trace.UtilizationSamples, error) {
-	u := trace.UtilizationSamples{PeriodSeconds: period}
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 2 {
-			return u, fmt.Errorf("line %d: want utilization,completions", lineNo)
-		}
-		util, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil {
-			return u, fmt.Errorf("line %d: bad utilization: %w", lineNo, err)
-		}
-		compl, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return u, fmt.Errorf("line %d: bad completions: %w", lineNo, err)
-		}
-		u.Utilization = append(u.Utilization, util)
-		u.Completions = append(u.Completions, compl)
-	}
-	if err := sc.Err(); err != nil {
-		return u, err
-	}
-	return u, nil
 }

@@ -162,36 +162,3 @@ func TestParseClassList(t *testing.T) {
 		}
 	}
 }
-
-func TestScenarioBuilderClasses(t *testing.T) {
-	sc, err := NewScenarioBuilder().
-		ThinkTime(0.5).
-		Populations(4).
-		DemandTier("front", 0.006, 3, 0.015).
-		DemandTier("db", 0.009, 40, 0.02).
-		Class("light", 3, 0, 0.004, 0.005).
-		ClassList("heavy=1").
-		Solvers(SolverMVA).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Classes) != 2 || sc.Classes[0].Name != "light" || sc.Classes[1].Name != "heavy" {
-		t.Fatalf("classes = %+v", sc.Classes)
-	}
-	if !reflect.DeepEqual(sc.Classes[0].TierDemands, []float64{0.004, 0.005}) {
-		t.Errorf("tier demands = %v", sc.Classes[0].TierDemands)
-	}
-
-	// A bad class list surfaces at Build.
-	_, err = NewScenarioBuilder().
-		ThinkTime(0.5).
-		Populations(4).
-		DemandTier("db", 0.009, 40, 0.02).
-		ClassList("a=0").
-		Solvers(SolverMVA).
-		Build()
-	if err == nil || !strings.Contains(err.Error(), "classes") {
-		t.Fatalf("bad class list: got %v", err)
-	}
-}

@@ -127,17 +127,24 @@ func BuildPlanN(tiers []trace.UtilizationSamples, thinkTime float64, opts Planne
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return BuildPlanNFromCharacterizations(chars, thinkTime, opts)
+	return BuildPlanNFromCharacterizations(chars, nil, thinkTime, opts, nil)
 }
 
-// BuildPlanNFromCharacterizations skips the measurement step, fitting
-// MAP(2)s directly from already-computed per-tier characterizations.
-func BuildPlanNFromCharacterizations(chars []inference.Characterization, thinkTime float64, opts PlannerOptions) (*PlanN, error) {
+// BuildPlanNFromCharacterizations skips the measurement step, fitting a
+// MAP(2) per tier from already-computed characterizations. visits holds
+// the per-tier visit ratios (nil, or a non-positive entry, means one
+// visit per cycle). With a non-nil memo each fit is memoized by its
+// (characterization, fit options) key, so a suite fits every distinct
+// tier spec exactly once; a nil memo fits directly and computes no key.
+func BuildPlanNFromCharacterizations(chars []inference.Characterization, visits []float64, thinkTime float64, opts PlannerOptions, memo *Memo) (*PlanN, error) {
 	if thinkTime <= 0 {
 		return nil, fmt.Errorf("core: think time %v must be > 0", thinkTime)
 	}
 	if len(chars) == 0 {
 		return nil, errors.New("core: no tiers to plan for")
+	}
+	if visits != nil && len(visits) != len(chars) {
+		return nil, fmt.Errorf("core: %d visit ratios for %d tiers", len(visits), len(chars))
 	}
 	names, err := tierNames(len(chars), opts.TierNames)
 	if err != nil {
@@ -148,32 +155,31 @@ func BuildPlanNFromCharacterizations(chars []inference.Characterization, thinkTi
 		if err := c.Validate(); err != nil {
 			return nil, fmt.Errorf("core: %s characterization: %w", names[i], err)
 		}
-		fit, err := markov.FitThreePoint(c.MeanServiceTime, c.IndexOfDispersion, c.P95ServiceTime, opts.Fit)
+		var key string
+		if memo != nil {
+			key, err = HashJSON(struct {
+				Mean float64           `json:"mean"`
+				I    float64           `json:"i"`
+				P95  float64           `json:"p95"`
+				Fit  markov.FitOptions `json:"fit"`
+			}{c.MeanServiceTime, c.IndexOfDispersion, c.P95ServiceTime, opts.Fit})
+			if err != nil {
+				return nil, fmt.Errorf("core: %s MAP fit: %w", names[i], err)
+			}
+		}
+		fit, err := memo.Fit(key, func() (markov.FitResult, error) {
+			return markov.FitThreePoint(c.MeanServiceTime, c.IndexOfDispersion, c.P95ServiceTime, opts.Fit)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %s MAP fit: %w", names[i], err)
 		}
-		plan.Tiers[i] = Tier{Name: names[i], Characterization: c, Fit: fit, Visits: 1}
+		v := 1.0
+		if visits != nil && visits[i] > 0 {
+			v = visits[i]
+		}
+		plan.Tiers[i] = Tier{Name: names[i], Characterization: c, Fit: fit, Visits: v}
 	}
 	return plan, nil
-}
-
-// NewPlanN assembles a plan from already characterized and fitted
-// tiers — the constructor the suite engine's memoized pipeline uses,
-// where characterize→fit results are cached per tier spec and must not
-// be recomputed per cell. Callers own the tiers' correctness; use
-// BuildPlanN / BuildPlanNFromCharacterizations to run the pipeline.
-func NewPlanN(tiers []Tier, thinkTime float64, opts PlannerOptions) (*PlanN, error) {
-	if thinkTime <= 0 {
-		return nil, fmt.Errorf("core: think time %v must be > 0", thinkTime)
-	}
-	if len(tiers) == 0 {
-		return nil, errors.New("core: no tiers to plan for")
-	}
-	return &PlanN{
-		Tiers:     append([]Tier(nil), tiers...),
-		ThinkTime: thinkTime,
-		opts:      opts,
-	}, nil
 }
 
 // Stations assembles the MAP network stations of the plan.

@@ -14,7 +14,7 @@ func TestBuildPlanNFromCharacterizations(t *testing.T) {
 		validChar(0.006, 120, 0.04),
 		validChar(0.004, 300, 0.03),
 	}
-	plan, err := BuildPlanNFromCharacterizations(chars, 0.5, PlannerOptions{})
+	plan, err := BuildPlanNFromCharacterizations(chars, nil, 0.5, PlannerOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,20 +38,41 @@ func TestBuildPlanNFromCharacterizations(t *testing.T) {
 	}
 }
 
+// TestBuildPlanNVisitsAndMemo pins the plan fit's visit ratios and its
+// memo key: identical characterizations share one fit, and a zero
+// visit ratio means one visit per cycle.
+func TestBuildPlanNVisitsAndMemo(t *testing.T) {
+	c := validChar(0.005, 40, 0.02)
+	memo := NewMemo()
+	plan, err := BuildPlanNFromCharacterizations([]inference.Characterization{c, c}, []float64{0, 1.5}, 0.5, PlannerOptions{}, memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Tiers[0].Visits != 1 || plan.Tiers[1].Visits != 1.5 {
+		t.Errorf("visits = %v, %v; want 1, 1.5", plan.Tiers[0].Visits, plan.Tiers[1].Visits)
+	}
+	if st := memo.Stats(); st.FitMisses != 1 || st.FitHits != 1 {
+		t.Errorf("fit memo %d hits / %d misses, want 1/1", st.FitHits, st.FitMisses)
+	}
+	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{c, c}, []float64{1}, 0.5, PlannerOptions{}, nil); err == nil {
+		t.Error("expected error for visit/tier count mismatch")
+	}
+}
+
 func TestBuildPlanNErrors(t *testing.T) {
 	good := validChar(0.005, 40, 0.02)
-	if _, err := BuildPlanNFromCharacterizations(nil, 0.5, PlannerOptions{}); err == nil {
+	if _, err := BuildPlanNFromCharacterizations(nil, nil, 0.5, PlannerOptions{}, nil); err == nil {
 		t.Error("expected error for no tiers")
 	}
-	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{good}, 0, PlannerOptions{}); err == nil {
+	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{good}, nil, 0, PlannerOptions{}, nil); err == nil {
 		t.Error("expected error for zero think time")
 	}
 	bad := validChar(0, 40, 0.02)
-	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{good, bad}, 0.5, PlannerOptions{}); err == nil {
+	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{good, bad}, nil, 0.5, PlannerOptions{}, nil); err == nil {
 		t.Error("expected error for invalid characterization")
 	}
-	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{good, good}, 0.5,
-		PlannerOptions{TierNames: []string{"only-one"}}); err == nil {
+	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{good, good}, nil, 0.5,
+		PlannerOptions{TierNames: []string{"only-one"}}, nil); err == nil {
 		t.Error("expected error for name/tier count mismatch")
 	}
 	if _, err := BuildPlanN(nil, 0.5, PlannerOptions{}); err == nil {
@@ -67,7 +88,7 @@ func TestPlanNPredictThreeTier(t *testing.T) {
 		validChar(0.004, 20, 0.015),
 		validChar(0.006, 150, 0.04), // bursty middle tier
 		validChar(0.003, 10, 0.008),
-	}, 0.5, PlannerOptions{})
+	}, nil, 0.5, PlannerOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +138,7 @@ func TestPlanNCompare(t *testing.T) {
 		validChar(0.005, 5, 0.02),
 		validChar(0.004, 5, 0.02),
 		validChar(0.006, 5, 0.02),
-	}, 0.5, PlannerOptions{TierNames: []string{"web", "cache", "db"}})
+	}, nil, 0.5, PlannerOptions{TierNames: []string{"web", "cache", "db"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

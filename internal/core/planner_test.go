@@ -19,7 +19,7 @@ func validChar(mean, i, p95 float64) inference.Characterization {
 
 // twoTierPlan fits the paper's front+DB plan from two characterizations.
 func twoTierPlan(front, db inference.Characterization, thinkTime float64) (*PlanN, error) {
-	return BuildPlanNFromCharacterizations([]inference.Characterization{front, db}, thinkTime, PlannerOptions{})
+	return BuildPlanNFromCharacterizations([]inference.Characterization{front, db}, nil, thinkTime, PlannerOptions{}, nil)
 }
 
 func TestBuildPlanFromCharacterizations(t *testing.T) {

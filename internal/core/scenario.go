@@ -258,9 +258,9 @@ type ProgressFunc func(ProgressEvent)
 
 // Scenario is the declarative description of one end-to-end experiment:
 // the paper's measure → characterize → fit → solve → validate pipeline as
-// data. Build one (directly, via ScenarioBuilder, or from JSON), then
-// execute it with the facade's Run. The zero values of most fields mean
-// "use the documented default"; WithDefaults materializes them.
+// data. Build one as a struct literal or from JSON, then execute it with
+// the facade's Run. The zero values of most fields mean "use the
+// documented default"; WithDefaults materializes them.
 //
 // A Scenario round-trips through JSON: ParseScenario(sc.JSON()) runs
 // identically to sc (the OnProgress callback is the only field excluded

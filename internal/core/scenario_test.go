@@ -144,76 +144,3 @@ func TestParseIntList(t *testing.T) {
 		t.Fatal("expected empty-list error")
 	}
 }
-
-func TestCLIWindowSentinel(t *testing.T) {
-	if got := CLIWindow(0, true); got != ZeroWindow {
-		t.Fatalf("explicit zero -> %v, want ZeroWindow", got)
-	}
-	if got := CLIWindow(0, false); got != 0 {
-		t.Fatalf("unset -> %v, want 0 (library default)", got)
-	}
-	if got := CLIWindow(30, true); got != 30 {
-		t.Fatalf("explicit 30 -> %v", got)
-	}
-}
-
-func TestScenarioBuilder(t *testing.T) {
-	u := sampleStream()
-	sc, err := NewScenarioBuilder().
-		Name("built").
-		ThinkTime(0.5).
-		PopulationList("10,20").
-		SampleTier("", u).
-		SampleTier("", u).
-		TierNames("web,db").
-		Solvers(SolverMAP, SolverMVA).
-		SolverTolerance(1e-8).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Tiers[0].Name != "web" || sc.Tiers[1].Name != "db" {
-		t.Fatalf("tier names not applied: %+v", sc.Tiers)
-	}
-	if sc.Planner == nil || sc.Planner.Solver.Tol != 1e-8 {
-		t.Fatalf("solver tolerance not applied: %+v", sc.Planner)
-	}
-	if !reflect.DeepEqual(sc.Populations, []int{10, 20}) {
-		t.Fatalf("populations %v", sc.Populations)
-	}
-
-	// Name-count mismatch fails.
-	if _, err := NewScenarioBuilder().
-		ThinkTime(0.5).PopulationList("10").
-		SampleTier("", u).TierNames("a,b,c").Build(); err == nil {
-		t.Fatal("expected tier-name mismatch error")
-	}
-
-	// Collected parse errors surface at Build.
-	if _, err := NewScenarioBuilder().
-		ThinkTime(0.5).PopulationList("nope").
-		SampleTier("", u).Build(); err == nil {
-		t.Fatal("expected population parse error")
-	}
-
-	// Workload-backed scenario via builder.
-	ws, err := NewScenarioBuilder().
-		ThinkTime(0.5).
-		Populations(30).
-		Workload("ordering", 3).
-		Duration(600).
-		Window(0, true, 30, true).
-		Seed(7).
-		Replicas(2).
-		Solvers(SolverCrossValidate).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ws.Workload.Warmup != ZeroWindow || ws.Workload.Cooldown != 30 {
-		t.Fatalf("window mapping: %+v", ws.Workload)
-	}
-	if ws.Workload.Mix != "ordering" || ws.Workload.Tiers != 3 {
-		t.Fatalf("workload: %+v", ws.Workload)
-	}
-}

@@ -43,11 +43,11 @@ func fitCharacterizations(mix tpcw.Mix, zEstim float64, ebs int, seed int64, sca
 // twoTierPlan fits the paper's front+DB MAP(2) plan from the two tiers'
 // characterizations, to be evaluated at Zqn = 0.5 s.
 func twoTierPlan(chars []inference.Characterization, scale Scale) (*core.PlanN, error) {
-	return core.BuildPlanNFromCharacterizations(chars, 0.5, core.PlannerOptions{
+	return core.BuildPlanNFromCharacterizations(chars, nil, 0.5, core.PlannerOptions{
 		Solver:    solverOpts(scale),
 		Fit:       fitOpts(),
 		TierNames: []string{"front", "db"},
-	})
+	}, nil)
 }
 
 // meanDemands is the MVA baseline's input: each tier's mean service

@@ -188,7 +188,7 @@ func compare(ctx context.Context, cfg tpcw.ConfigN, rr *tpcw.ReplicaResult, opts
 	if len(popts.TierNames) == 0 {
 		popts.TierNames = rr.TierNames
 	}
-	plan, err := core.BuildPlanNFromCharacterizations(chars, z, popts)
+	plan, err := core.BuildPlanNFromCharacterizations(chars, nil, z, popts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("validate: plan: %w", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/inference"
 	"repro/internal/mapqn"
-	"repro/internal/markov"
 	"repro/internal/mva"
 	"repro/internal/stats"
 	"repro/internal/tpcw"
@@ -37,8 +36,6 @@ type (
 	ProgressEvent = core.ProgressEvent
 	// ProgressFunc observes scenario execution.
 	ProgressFunc = core.ProgressFunc
-	// ScenarioBuilder accumulates CLI-style inputs into a Scenario.
-	ScenarioBuilder = core.ScenarioBuilder
 
 	// Report is the unified outcome of running a Scenario.
 	Report = core.Report
@@ -80,10 +77,6 @@ const (
 	StageValidate     = core.StageValidate
 	StageBounds       = core.StageBounds
 )
-
-// NewScenarioBuilder returns a builder that accumulates CLI-style inputs
-// into a Scenario.
-func NewScenarioBuilder() *ScenarioBuilder { return core.NewScenarioBuilder() }
 
 // ParseClassList parses the CLI syntax for workload classes
 // ("browsing=3,ordering=1" for mix weights, "browsing:20,ordering:5"
@@ -323,8 +316,12 @@ func runModelSolvers(ctx, parent context.Context, sc Scenario, rep *Report, prog
 	if err := fire(inj, StageFit); err != nil {
 		return err
 	}
+	visits := make([]float64, len(sc.Tiers))
+	for i, spec := range sc.Tiers {
+		visits[i] = spec.Visits
+	}
 	plan, err := core.MemoRetry(ctx, func() (*PlanN, error) {
-		return buildPlanMemo(chars, names, sc, popts, memo)
+		return core.BuildPlanNFromCharacterizations(chars, visits, sc.ThinkTime, popts, memo)
 	})
 	if err != nil {
 		return core.MarkStage(err, StageFit)
@@ -385,43 +382,6 @@ func solveMulticlassModel(sc Scenario, chars []Characterization, rep *Report, po
 		rep.Results[i].Multiclass = mp
 	}
 	return nil
-}
-
-// buildPlanMemo assembles the N-tier plan, fitting a MAP(2) per tier —
-// each fit memoized by its (characterization, fit options) key so a
-// suite re-fits every distinct tier spec exactly once.
-func buildPlanMemo(chars []Characterization, names []string, sc Scenario, popts core.PlannerOptions, memo *core.Memo) (*PlanN, error) {
-	tiers := make([]core.Tier, len(chars))
-	for i, c := range chars {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("burst: %s characterization: %w", names[i], err)
-		}
-		var key string
-		if memo != nil {
-			var err error
-			key, err = core.HashJSON(struct {
-				Mean float64           `json:"mean"`
-				I    float64           `json:"i"`
-				P95  float64           `json:"p95"`
-				Fit  markov.FitOptions `json:"fit"`
-			}{c.MeanServiceTime, c.IndexOfDispersion, c.P95ServiceTime, popts.Fit})
-			if err != nil {
-				return nil, fmt.Errorf("burst: %s MAP fit: %w", names[i], err)
-			}
-		}
-		fit, err := memo.Fit(key, func() (markov.FitResult, error) {
-			return markov.FitThreePoint(c.MeanServiceTime, c.IndexOfDispersion, c.P95ServiceTime, popts.Fit)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("burst: %s MAP fit: %w", names[i], err)
-		}
-		visits := 1.0
-		if v := sc.Tiers[i].Visits; v > 0 {
-			visits = v
-		}
-		tiers[i] = core.Tier{Name: names[i], Characterization: c, Fit: fit, Visits: visits}
-	}
-	return core.NewPlanN(tiers, sc.ThinkTime, popts)
 }
 
 // tierReports summarizes a plan's tiers for the report.
