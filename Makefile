@@ -54,9 +54,10 @@ faults:
 
 # xvalidate is the sim-vs-solver smoke check: a K=3 replicated simulation
 # cross-validated against the exact MAP network within the documented
-# tolerance (see internal/validate).
+# tolerance, the two ladder degradations, and the byte-for-byte
+# cross-validation goldens (see burst_xval_test.go).
 xvalidate:
-	$(GO) test -run 'CrossValidation' -v ./internal/validate/
+	$(GO) test -run 'CrossValidation' -v .
 
 # scenario is the declarative-pipeline smoke check: the committed example
 # scenario runs end to end through cmd/burstlab (simulate, characterize,

@@ -50,8 +50,10 @@
 // station, solved exactly over the CTMC on states
 // (n_1..n_K, phase_1..phase_K). The paper's two-tier front+DB model is
 // the K=2 special case. Alongside Run, the imperative surface is
-// context-aware and N-tier: SolveNetwork, SolveNetworkSweep, Simulate,
-// SimulateReplicas, CrossValidate.
+// context-aware and N-tier: SolveNetwork, SolveNetworkSweep,
+// SolveNetworkDecomp, SolveNetworkDecompSweep, Simulate and
+// SimulateReplicas. Cross-validation against the simulated testbed is a
+// Scenario with a Workload and the "crossvalidate" solver.
 //
 // See the examples/ directory for complete programs
 // (examples/scenariofile for the declarative path).
@@ -68,7 +70,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tpcw"
 	"repro/internal/trace"
-	"repro/internal/validate"
 	"repro/internal/xrand"
 )
 
@@ -162,10 +163,6 @@ type (
 	TPCWReplicaResult = tpcw.ReplicaResult
 	// Interval is a mean with a 95% confidence half-width.
 	Interval = stats.Interval
-	// ValidationOptions tunes a sim-vs-model cross-validation.
-	ValidationOptions = validate.Options
-	// ValidationReport compares simulation against the MAP and MVA models.
-	ValidationReport = validate.Report
 
 	// QueueResult summarizes a single-queue simulation (Table 1).
 	QueueResult = queues.Result

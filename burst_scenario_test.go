@@ -3,7 +3,6 @@ package burst
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -168,63 +167,6 @@ func TestRunSimScenarioDelegates(t *testing.T) {
 	if sim.Throughput != rr.Throughput || sim.MeanResponse != rr.MeanResponse {
 		t.Fatalf("scenario sim %+v != SimulateReplicas %+v", sim.Throughput, rr.Throughput)
 	}
-}
-
-// TestCommittedScenarioMatchesCrossValidate is the acceptance check: the
-// committed examples/scenariofile/scenario.json runs through Run and its
-// MAP-vs-simulation deltas equal the CrossValidate path on the same
-// fixed seed.
-func TestCommittedScenarioMatchesCrossValidate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-validation scenario is slow under -short/-race instrumentation")
-	}
-	sc, err := LoadScenario("examples/scenariofile/scenario.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(context.Background(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 1 || rep.Results[0].Validation == nil {
-		t.Fatalf("expected one validated population, got %+v", rep.Results)
-	}
-	v := rep.Results[0].Validation
-
-	mix := BrowsingMix()
-	tiers, err := DefaultTPCWTiers(mix, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := TPCWConfigN{
-		Mix: mix, Tiers: tiers, EBs: 40, ThinkTime: 0.5,
-		Duration: 600, Warmup: 60, Cooldown: 30, Seed: 2024,
-	}
-	direct, err := CrossValidate(context.Background(), cfg, ValidationOptions{
-		Replicas: 2,
-		Planner:  PlannerOptions{Solver: SolverOptions{Tol: 1e-8}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const tol = 1e-9
-	if math.Abs(v.MAPError-direct.MAPError) > tol || math.Abs(v.MVAError-direct.MVAError) > tol {
-		t.Fatalf("scenario deltas (MAP %+.4f%%, MVA %+.4f%%) != CrossValidate (MAP %+.4f%%, MVA %+.4f%%)",
-			100*v.MAPError, 100*v.MVAError, 100*direct.MAPError, 100*direct.MVAError)
-	}
-	if v.SimThroughput != direct.SimThroughput || v.States != direct.States {
-		t.Fatalf("scenario ground truth diverges: %+v vs %+v", v.SimThroughput, direct.SimThroughput)
-	}
-	for i, tierV := range v.Tiers {
-		if math.Abs(tierV.MAPError-direct.Tiers[i].MAPError) > tol {
-			t.Errorf("tier %s MAP utilization delta %v != CrossValidate %v",
-				tierV.Name, tierV.MAPError, direct.Tiers[i].MAPError)
-		}
-	}
-	t.Logf("deltas at %d EBs: MAP %+.2f%%, MVA %+.2f%% (sim X = %.2f ± %.2f)",
-		rep.Results[0].Population, 100*v.MAPError, 100*v.MVAError,
-		v.SimThroughput.Mean, v.SimThroughput.HalfWidth)
 }
 
 // waitGoroutines polls until the goroutine count returns to within a

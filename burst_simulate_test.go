@@ -8,8 +8,8 @@ import (
 // The facade's N-tier simulation entry points: build a 3-tier testbed,
 // run a small replicated simulation, and check the aggregate shape. The
 // heavier engine behaviour (bit-identity with the seed two-tier engine,
-// worker-count invariance, cross-validation accuracy) is covered in
-// internal/tpcw and internal/validate.
+// worker-count invariance) is covered in internal/tpcw, cross-validation
+// accuracy in burst_xval_test.go.
 func TestSimulateTPCWReplicasFacade(t *testing.T) {
 	tiers, err := DefaultTPCWTiers(OrderingMix(), 3)
 	if err != nil {

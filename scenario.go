@@ -13,7 +13,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tpcw"
 	"repro/internal/trace"
-	"repro/internal/validate"
 )
 
 // The declarative Scenario pipeline: one data structure describes the
@@ -480,14 +479,10 @@ func runSimulationSolvers(ctx context.Context, sc Scenario, rep *Report, prog *p
 			if err := fire(inj, StageValidate); err != nil {
 				return err
 			}
-			vrep, err := validate.CrossValidateReplicasCtx(ctx, rr, validate.Options{
-				Workers: wl.Workers,
-				Planner: plannerOptions(sc),
-			})
+			vp, err := crossValidate(ctx, rr, plannerOptions(sc), sc.Multiclass())
 			if err != nil {
 				return core.MarkStage(err, StageValidate)
 			}
-			vp := validationPoint(vrep, sc.Multiclass())
 			rep.Results[i].Validation = vp
 			if vp.Degraded {
 				rep.Degraded = true
@@ -499,6 +494,132 @@ func runSimulationSolvers(ctx context.Context, sc Scenario, rep *Report, prog *p
 		}
 	}
 	return nil
+}
+
+// crossValidate closes the paper's measure → characterize → fit → model
+// loop on one replica set: characterize every simulated tier stream,
+// fit a MAP(2) per tier, walk the solver ladder for the exact MAP
+// network and the MVA baseline at the simulated population, and report
+// the model-vs-simulation deltas. The model columns degrade by the same
+// ladder rules as a scenario's. The per-class columns are computed for
+// multiclass scenarios only: the testbed always measures its default
+// classes, but a single-class report must stay byte-identical to the
+// pre-class format (see simPoint).
+func crossValidate(ctx context.Context, rr *TPCWReplicaResult, popts core.PlannerOptions, multiclass bool) (*ValidationPoint, error) {
+	z := rr.Config.ThinkTime
+	chars, err := inference.CharacterizeAll(rr.TierSamples, popts.Inference)
+	if err != nil {
+		return nil, fmt.Errorf("validate: characterization: %w", err)
+	}
+	if len(popts.TierNames) == 0 {
+		popts.TierNames = rr.TierNames
+	}
+	plan, err := core.BuildPlanNFromCharacterizations(chars, nil, z, popts, nil)
+	if err != nil {
+		return nil, fmt.Errorf("validate: plan: %w", err)
+	}
+	model := &Report{Results: []PopulationReport{{Population: rr.Config.EBs}}}
+	if err := plan.SolveLadder(ctx, ctx, model, []SolverKind{SolverMAP, SolverMVA}, nil, nil, nil); err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, fmt.Errorf("validate: model solve: %w", err)
+	}
+	res := model.Results[0]
+	vp := &ValidationPoint{
+		SimThroughput:  rr.Throughput,
+		MVAThroughput:  res.MVA.Throughput,
+		Degraded:       model.Degraded,
+		FallbackReason: model.FallbackReason,
+		Decomp:         res.Decomp,
+		Bounds:         res.Bounds,
+	}
+	if res.MAP != nil {
+		vp.MAPThroughput = res.MAP.Throughput
+		vp.States = res.MAP.States
+		vp.SolverBackend = res.MAP.SolverBackend
+		vp.MAPWithinCI = rr.Throughput.Contains(res.MAP.Throughput)
+	}
+	if rr.Throughput.Mean > 0 {
+		vp.MVAError = (vp.MVAThroughput - rr.Throughput.Mean) / rr.Throughput.Mean
+		if res.MAP != nil {
+			vp.MAPError = (vp.MAPThroughput - rr.Throughput.Mean) / rr.Throughput.Mean
+		}
+	}
+	vp.Tiers = make([]TierValidation, len(rr.TierNames))
+	for i, name := range rr.TierNames {
+		tv := TierValidation{
+			Name:              name,
+			SimUtil:           rr.AvgUtil[i],
+			MVAUtil:           res.MVA.Utilizations[i],
+			IndexOfDispersion: chars[i].IndexOfDispersion,
+		}
+		tv.MVAError = tv.MVAUtil - tv.SimUtil.Mean
+		if res.MAP != nil {
+			tv.MAPUtil = res.MAP.Utils[i]
+			tv.MAPError = tv.MAPUtil - tv.SimUtil.Mean
+		}
+		vp.Tiers[i] = tv
+	}
+	if multiclass {
+		vp.Classes, vp.ClassFallbackReason = classValidations(rr, z, popts)
+	}
+	return vp, nil
+}
+
+// classValidations compares every workload class against multiclass
+// MVA: characterize each class from its pooled per-tier streams, split
+// the operating point's EBs over the classes by their measured behavior
+// (interactive response law), solve at that split, and report per-class
+// throughput/response errors. Any failure — e.g. a class too lightly
+// loaded to characterize — returns a fallback reason instead of failing
+// the row.
+func classValidations(rr *TPCWReplicaResult, z float64, popts core.PlannerOptions) ([]ClassValidation, string) {
+	chars, err := inference.CharacterizeClasses(rr.ClassTierSamples, popts.Inference)
+	if err != nil {
+		return nil, err.Error()
+	}
+	classes := make([]core.ClassDemands, len(rr.ClassNames))
+	specs := make([]core.ClassSpec, len(rr.ClassNames))
+	for c, name := range rr.ClassNames {
+		d := make([]float64, len(chars[c]))
+		for i, ch := range chars[c] {
+			d[i] = ch.MeanServiceTime
+		}
+		classes[c] = core.ClassDemands{Name: name, Demands: d, ThinkTime: z}
+		specs[c] = core.ClassSpec{
+			Name:   name,
+			Weight: rr.ClassThroughput[c].Mean * (rr.ClassMeanResponse[c].Mean + z),
+		}
+	}
+	pop, err := core.SplitPopulation(specs, rr.Config.EBs)
+	if err != nil {
+		return nil, err.Error()
+	}
+	results, err := core.SolveMulticlassSweep(core.MultiNetworkFor(classes), [][]int{pop}, popts.Solver.Tol)
+	if err != nil {
+		return nil, err.Error()
+	}
+	res := results[0].Result
+	out := make([]ClassValidation, len(rr.ClassNames))
+	for c, name := range rr.ClassNames {
+		cv := ClassValidation{
+			Name:            name,
+			Population:      pop[c],
+			SimThroughput:   rr.ClassThroughput[c],
+			SimMeanResponse: rr.ClassMeanResponse[c],
+			MVAThroughput:   res.Throughput[c],
+			MVAResponse:     res.ResponseTime[c],
+		}
+		if cv.SimThroughput.Mean > 0 {
+			cv.MVAError = (cv.MVAThroughput - cv.SimThroughput.Mean) / cv.SimThroughput.Mean
+		}
+		if cv.SimMeanResponse.Mean > 0 {
+			cv.ResponseError = (cv.MVAResponse - cv.SimMeanResponse.Mean) / cv.SimMeanResponse.Mean
+		}
+		out[c] = cv
+	}
+	return out, ""
 }
 
 // simPoint converts a replica set into the report's ground-truth column.
@@ -544,60 +665,9 @@ func simPoint(rr *TPCWReplicaResult, keepSamples, multiclass bool) *SimPoint {
 	return sp
 }
 
-// validationPoint converts a cross-validation report into the report's
-// delta column. Per-class columns are copied only for multiclass
-// scenarios (see simPoint).
-func validationPoint(v *ValidationReport, multiclass bool) *ValidationPoint {
-	vp := &ValidationPoint{
-		SimThroughput:  v.SimThroughput,
-		MAPThroughput:  v.MAPThroughput,
-		MVAThroughput:  v.MVAThroughput,
-		MAPError:       v.MAPError,
-		MVAError:       v.MVAError,
-		MAPWithinCI:    v.MAPWithinCI,
-		States:         v.States,
-		SolverBackend:  v.SolverBackend,
-		Degraded:       v.Degraded,
-		FallbackReason: v.FallbackReason,
-		Decomp:         v.Decomp,
-		Bounds:         v.Bounds,
-		Tiers:          make([]TierValidation, len(v.Tiers)),
-	}
-	for i, t := range v.Tiers {
-		vp.Tiers[i] = TierValidation{
-			Name:              t.Name,
-			SimUtil:           t.SimUtil,
-			MAPUtil:           t.MAPUtil,
-			MVAUtil:           t.MVAUtil,
-			MAPError:          t.MAPError,
-			MVAError:          t.MVAError,
-			IndexOfDispersion: t.Characterization.IndexOfDispersion,
-		}
-	}
-	if multiclass {
-		vp.ClassFallbackReason = v.ClassFallbackReason
-		if len(v.Classes) > 0 {
-			vp.Classes = make([]ClassValidation, len(v.Classes))
-			for c, ca := range v.Classes {
-				vp.Classes[c] = ClassValidation{
-					Name:            ca.Name,
-					Population:      ca.Population,
-					SimThroughput:   ca.SimThroughput,
-					SimMeanResponse: ca.SimMeanResponse,
-					MVAThroughput:   ca.MVAThroughput,
-					MVAResponse:     ca.MVAResponse,
-					MVAError:        ca.MVAError,
-					ResponseError:   ca.ResponseError,
-				}
-			}
-		}
-	}
-	return vp
-}
-
 // Context-aware entry points: single steps of the pipeline (exact and
-// decomp network solves, simulation, cross-validation) for callers that
-// drive it imperatively, each with cooperative cancellation.
+// decomp network solves, simulation) for callers that drive it
+// imperatively, each with cooperative cancellation.
 
 // SolveNetwork solves a closed K-station MAP queueing network exactly,
 // with cooperative cancellation.
@@ -644,10 +714,4 @@ func Simulate(ctx context.Context, cfg TPCWConfigN) (*TPCWResultN, error) {
 // cooperative cancellation and an optional progress callback.
 func SimulateReplicas(ctx context.Context, cfg TPCWConfigN, replicas, workers int, progress ReplicaProgress) (*TPCWReplicaResult, error) {
 	return tpcw.RunReplicasCtx(ctx, cfg, replicas, workers, progress)
-}
-
-// CrossValidate closes the measure → characterize → fit → solve loop
-// against the simulated N-tier testbed, with cooperative cancellation.
-func CrossValidate(ctx context.Context, cfg TPCWConfigN, opts ValidationOptions) (*ValidationReport, error) {
-	return validate.CrossValidateCtx(ctx, cfg, opts)
 }
