@@ -259,15 +259,10 @@ func (p *PlanN) DecompOptions() mapqn.DecompOptions {
 	return mapqn.DecompOptions{}
 }
 
-// PredictDecomp evaluates the approximate decomposition model at each
+// PredictDecompCtx evaluates the approximate decomposition model at each
 // population level as one warm-started sweep (consecutive populations
-// seed each other's demand fixed points).
-func (p *PlanN) PredictDecomp(populations []int) ([]mapqn.NetworkMetrics, error) {
-	return p.PredictDecompCtx(context.Background(), populations, nil)
-}
-
-// PredictDecompCtx is PredictDecomp with cooperative cancellation and an
-// optional per-population progress callback (nil to disable).
+// seed each other's demand fixed points), with cooperative cancellation
+// and an optional per-population progress callback (nil to disable).
 func (p *PlanN) PredictDecompCtx(ctx context.Context, populations []int, progress mapqn.SweepProgress) ([]mapqn.NetworkMetrics, error) {
 	if len(populations) == 0 {
 		return nil, errors.New("core: no populations requested")
@@ -285,36 +280,6 @@ func (p *PlanN) PredictDecompCtx(ctx context.Context, populations []int, progres
 		return nil, fmt.Errorf("core: decomp model: %w", err)
 	}
 	return mets, nil
-}
-
-// MulticlassNetwork assembles the multiclass MVA network of the plan
-// from resolved class demands. Every class must supply one demand per
-// tier; classes inherit nothing here — ResolveClassDemands materializes
-// inherited tier demands before this point.
-func (p *PlanN) MulticlassNetwork(classes []ClassDemands) (mva.MultiNetwork, error) {
-	if len(classes) == 0 {
-		return mva.MultiNetwork{}, errors.New("core: no classes declared")
-	}
-	for _, c := range classes {
-		if len(c.Demands) != len(p.Tiers) {
-			return mva.MultiNetwork{}, fmt.Errorf("core: class %s has %d demands for %d tiers", c.Name, len(c.Demands), len(p.Tiers))
-		}
-	}
-	return MultiNetworkFor(classes), nil
-}
-
-// PredictMulticlass evaluates the multiclass analytic path of the plan:
-// exact multiclass MVA (Schweitzer/Bard beyond the tractable lattice) at
-// each per-class population vector. It complements Predict, whose MAP
-// column stays single-class — exact multiclass CTMC state spaces explode
-// — so a multiclass scenario pairs this sweep with the aggregated-class
-// MAP solve.
-func (p *PlanN) PredictMulticlass(classes []ClassDemands, populations [][]int) ([]MulticlassResult, error) {
-	net, err := p.MulticlassNetwork(classes)
-	if err != nil {
-		return nil, err
-	}
-	return SolveMulticlassSweep(net, populations, p.opts.Solver.Tol)
 }
 
 // Bounds brackets the MAP network's throughput at each population with

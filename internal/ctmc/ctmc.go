@@ -163,11 +163,6 @@ func SteadyStateCtx(ctx context.Context, q *matrix.CSR, opts Options) (Result, e
 	return SteadyStateOperatorCtx(ctx, q, opts)
 }
 
-// SteadyStateOperator is SteadyStateOperatorCtx without cancellation.
-func SteadyStateOperator(op Operator, opts Options) (Result, error) {
-	return SteadyStateOperatorCtx(context.Background(), op, opts)
-}
-
 // Iterative-stage limits: the forward Gauss-Seidel stage runs at most
 // gsMaxSweeps sweeps, checks the residual every residualEvery sweeps,
 // and hands over to symmetric Gauss-Seidel once its best residual has

@@ -139,18 +139,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return percentileSorted(sorted, p), nil
 }
 
-// PercentileSorted is like Percentile but assumes xs is already sorted in
-// ascending order, avoiding the copy and sort.
-func PercentileSorted(sorted []float64, p float64) (float64, error) {
-	if len(sorted) == 0 {
-		return 0, ErrEmpty
-	}
-	if p <= 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of range (0,100]", p)
-	}
-	return percentileSorted(sorted, p), nil
-}
-
 func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
