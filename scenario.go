@@ -561,29 +561,25 @@ func crossValidate(ctx context.Context, rr *TPCWReplicaResult, popts core.Planne
 		}
 		vp.Tiers[i] = tv
 	}
-	if multiclass {
-		vp.Classes, vp.ClassFallbackReason = classValidations(rr, z, popts)
+	if !multiclass {
+		return vp, nil
 	}
-	return vp, nil
-}
 
-// classValidations compares every workload class against multiclass
-// MVA: characterize each class from its pooled per-tier streams, split
-// the operating point's EBs over the classes by their measured behavior
-// (interactive response law), solve at that split, and report per-class
-// throughput/response errors. Any failure — e.g. a class too lightly
-// loaded to characterize — returns a fallback reason instead of failing
-// the row.
-func classValidations(rr *TPCWReplicaResult, z float64, popts core.PlannerOptions) ([]ClassValidation, string) {
-	chars, err := inference.CharacterizeClasses(rr.ClassTierSamples, popts.Inference)
+	// Per-class columns: characterize each class from its pooled per-tier
+	// streams, split the operating point's EBs over the classes by their
+	// measured behavior (interactive response law), and solve multiclass
+	// MVA at that split. Any failure — e.g. a class too lightly loaded to
+	// characterize — records a fallback reason instead of failing the row.
+	classChars, err := inference.CharacterizeClasses(rr.ClassTierSamples, popts.Inference)
 	if err != nil {
-		return nil, err.Error()
+		vp.ClassFallbackReason = err.Error()
+		return vp, nil
 	}
 	classes := make([]core.ClassDemands, len(rr.ClassNames))
 	specs := make([]core.ClassSpec, len(rr.ClassNames))
 	for c, name := range rr.ClassNames {
-		d := make([]float64, len(chars[c]))
-		for i, ch := range chars[c] {
+		d := make([]float64, len(classChars[c]))
+		for i, ch := range classChars[c] {
 			d[i] = ch.MeanServiceTime
 		}
 		classes[c] = core.ClassDemands{Name: name, Demands: d, ThinkTime: z}
@@ -594,22 +590,24 @@ func classValidations(rr *TPCWReplicaResult, z float64, popts core.PlannerOption
 	}
 	pop, err := core.SplitPopulation(specs, rr.Config.EBs)
 	if err != nil {
-		return nil, err.Error()
+		vp.ClassFallbackReason = err.Error()
+		return vp, nil
 	}
 	results, err := core.SolveMulticlassSweep(core.MultiNetworkFor(classes), [][]int{pop}, popts.Solver.Tol)
 	if err != nil {
-		return nil, err.Error()
+		vp.ClassFallbackReason = err.Error()
+		return vp, nil
 	}
-	res := results[0].Result
-	out := make([]ClassValidation, len(rr.ClassNames))
+	mres := results[0].Result
+	vp.Classes = make([]ClassValidation, len(rr.ClassNames))
 	for c, name := range rr.ClassNames {
 		cv := ClassValidation{
 			Name:            name,
 			Population:      pop[c],
 			SimThroughput:   rr.ClassThroughput[c],
 			SimMeanResponse: rr.ClassMeanResponse[c],
-			MVAThroughput:   res.Throughput[c],
-			MVAResponse:     res.ResponseTime[c],
+			MVAThroughput:   mres.Throughput[c],
+			MVAResponse:     mres.ResponseTime[c],
 		}
 		if cv.SimThroughput.Mean > 0 {
 			cv.MVAError = (cv.MVAThroughput - cv.SimThroughput.Mean) / cv.SimThroughput.Mean
@@ -617,9 +615,9 @@ func classValidations(rr *TPCWReplicaResult, z float64, popts core.PlannerOption
 		if cv.SimMeanResponse.Mean > 0 {
 			cv.ResponseError = (cv.MVAResponse - cv.SimMeanResponse.Mean) / cv.SimMeanResponse.Mean
 		}
-		out[c] = cv
+		vp.Classes[c] = cv
 	}
-	return out, ""
+	return vp, nil
 }
 
 // simPoint converts a replica set into the report's ground-truth column.
