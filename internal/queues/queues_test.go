@@ -36,6 +36,37 @@ func TestMTrace1ExponentialMatchesMM1(t *testing.T) {
 	}
 }
 
+// TestMTrace1BitIdentical pins the FCFS path of the des kernel bit for
+// bit: a strongly bursty trace at utilization 0.8, so long queues form
+// and drain. The values were recorded from the container/heap event
+// calendar; any change to the order in which events fire moves them.
+func TestMTrace1BitIdentical(t *testing.T) {
+	tr, err := trace.GenerateH2Trace(20000, 1, 3, trace.ProfileStrongBursts, xrand.New(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MTrace1(tr, 0.8, xrand.New(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Jobs != len(tr) {
+		t.Errorf("Jobs = %d, want %d", res.Jobs, len(tr))
+	}
+	for _, c := range []struct {
+		field     string
+		got, want float64
+	}{
+		{"MeanResponse", res.MeanResponse, 0x1.5d820e130bacbp+07},
+		{"P95Response", res.P95Response, 0x1.398a09a06621fp+09},
+		{"Utilization", res.Utilization, 0x1.99a2d6e6e93afp-01},
+		{"MeanWait", res.MeanWait, 0x1.5b83f06fdab4cp+07},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %x, want %x", c.field, c.got, c.want)
+		}
+	}
+}
+
 func TestMG1MatchesPollaczekKhinchine(t *testing.T) {
 	// H2 service, iid: simulated mean response must match P-K.
 	h, err := xrand.NewHyper2(1, 3)

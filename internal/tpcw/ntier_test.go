@@ -1,9 +1,12 @@
 package tpcw
 
 import (
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // twoTier returns cfg with the paper's front+DB tiers for its mix.
@@ -122,6 +125,88 @@ func TestRunBitIdenticalToSeedEngine(t *testing.T) {
 				check("InSystem1s[2][10]", res.InSystem1s[2][10], tc.series.in2)
 			}
 		})
+	}
+}
+
+// resultDigest folds every number a ResultN reports, bit for bit and in
+// a fixed order, into one FNV-1a hash.
+func resultDigest(res *ResultN) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			bits := math.Float64bits(v)
+			for i := range buf {
+				buf[i] = byte(bits >> (8 * i))
+			}
+			h.Write(buf[:])
+		}
+	}
+	samples := func(ss []trace.UtilizationSamples) {
+		for _, s := range ss {
+			put(s.Utilization...)
+			put(s.Completions...)
+		}
+	}
+	put(res.Throughput, res.MeanResponse, res.P95Response, float64(res.Completed))
+	put(res.AvgUtil...)
+	put(res.ContentionFraction...)
+	samples(res.TierSamples)
+	for t := 0; t < NumTransactions; t++ {
+		put(float64(res.CompletedByType[t]), res.ThroughputByType[t], res.MeanResponseByType[t])
+		put(res.InSystem1s[t]...)
+	}
+	for i := range res.TierUtil1s {
+		put(res.TierUtil1s[i]...)
+		put(res.TierQueueLen1s[i]...)
+	}
+	put(res.ClassThroughput...)
+	put(res.ClassMeanResponse...)
+	for _, ss := range res.ClassTierSamples {
+		samples(ss)
+	}
+	return h.Sum64()
+}
+
+// TestRunNThreeTierClassesBitIdentical pins a three-tier browsing run
+// with the 1-second series and the two default classes bit for bit. It
+// reaches what TestRunBitIdenticalToSeedEngine does not: an interior
+// tier, the per-class sampler and the per-class series. The digest
+// covers every number in the result; the hex values name a few of them
+// so a mismatch says where the run diverged.
+func TestRunNThreeTierClassesBitIdentical(t *testing.T) {
+	tiers, err := DefaultTiers(BrowsingMix(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunN(ConfigN{
+		Mix: BrowsingMix(), Tiers: tiers, Classes: DefaultClasses(),
+		EBs: 60, Seed: 31, Duration: 600, Warmup: 60, Cooldown: 30,
+		TrackSeries: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(field string, got, want float64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s = %x, want %x", field, got, want)
+		}
+	}
+	if res.Completed != 45442 {
+		t.Errorf("Completed = %d, want %d", res.Completed, 45442)
+	}
+	check("Throughput", res.Throughput, 0x1.6468686868687p+06)
+	check("MeanResponse", res.MeanResponse, 0x1.5d49163ac1c24p-03)
+	check("P95Response", res.P95Response, 0x1.ac941f3d80b6fp-01)
+	check("AvgUtil[app]", res.AvgUtil[1], 0x1.56e0ed58646fp-02)
+	check("AvgUtil[db]", res.AvgUtil[2], 0x1.eade6e2488488p-02)
+	check("ContentionFraction[db]", res.ContentionFraction[2], 0x1.978fddab63c8cp-03)
+	check("ClassMeanResponse[1]", res.ClassMeanResponse[1], 0x1.1f9fcad72ed17p-03)
+	check("ClassTierSamples[1][db].Utilization[0]", res.ClassTierSamples[1][2].Utilization[0], 0x1.71c1de667f031p-06)
+	check("TierQueueLen1s[db][101]", res.TierQueueLen1s[2][101], 0x1p+00)
+	if got, want := resultDigest(res), uint64(0x780d5bfde48ae85c); got != want {
+		t.Errorf("result digest = %#x, want %#x", got, want)
 	}
 }
 
