@@ -100,18 +100,19 @@ paperrepro-check:
 # solves, the warm/cold population sweep, the suite-engine batch run,
 # the multiclass MVA solvers (exact lattice and Schweitzer/Bard), and
 # the generator microbenches (assembly strategies, CSR vs matrix-free
-# backends), and the exact solve of a nearly-decomposable grid cell on
-# both backends (SteadyStateNCD) — and archives the numbers (ns/op,
-# states, nnz, allocs, throughput) as JSON. -benchtime=1x for the
-# seconds-scale solves (a single iteration is already deterministic
-# enough for a trajectory); the tens-of-milliseconds SolveDecomp
-# benches run 10 iterations and the microsecond-scale MulticlassMVA
+# backends), the exact solve of a nearly-decomposable grid cell on
+# both backends (SteadyStateNCD), and the TPC-W simulator on its own
+# (SimulateTPCW) — and archives the numbers (ns/op, states, nnz, allocs,
+# throughput) as JSON. -benchtime=1x for the seconds-scale solves (a
+# single iteration is already deterministic enough for a trajectory);
+# the tens-of-milliseconds SolveDecomp benches and the 0.1-second
+# SimulateTPCW run 10 iterations and the microsecond-scale MulticlassMVA
 # benches 50, each in a separate invocation, because their single-run
 # timings swing by 25% or more with scheduler noise, which would make
 # the benchgate flaky.
 bench:
 	$(GO) test -run=NONE -bench='SolveThreeTier|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x . > .bench_root.txt
-	$(GO) test -run=NONE -bench='SolveDecomp' -benchmem -benchtime=10x . >> .bench_root.txt
+	$(GO) test -run=NONE -bench='SolveDecomp|SimulateTPCW' -benchmem -benchtime=10x . >> .bench_root.txt
 	$(GO) test -run=NONE -bench='MulticlassMVA' -benchmem -benchtime=50x . >> .bench_root.txt
 	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends|SteadyStateNCD' -benchmem ./internal/mapqn/ > .bench_mapqn.txt
 	cat .bench_root.txt .bench_mapqn.txt | $(GO) run ./cmd/benchjson > BENCH_solver.json
@@ -124,7 +125,7 @@ bench:
 # runs this on every push; run it locally before optimization PRs.
 benchgate:
 	$(GO) test -run=NONE -bench='SolveThreeTier|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x . > .bench_root.txt
-	$(GO) test -run=NONE -bench='SolveDecomp' -benchmem -benchtime=10x . >> .bench_root.txt
+	$(GO) test -run=NONE -bench='SolveDecomp|SimulateTPCW' -benchmem -benchtime=10x . >> .bench_root.txt
 	$(GO) test -run=NONE -bench='MulticlassMVA' -benchmem -benchtime=50x . >> .bench_root.txt
 	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends|SteadyStateNCD' -benchmem ./internal/mapqn/ > .bench_mapqn.txt
 	cat .bench_root.txt .bench_mapqn.txt | $(GO) run ./cmd/benchjson > .bench_fresh.json

@@ -293,6 +293,33 @@ func BenchmarkMulticlassMVA(b *testing.B) {
 	})
 }
 
+// BenchmarkSimulateTPCW tracks the TPC-W discrete-event simulator on its
+// own: one browsing-mix front+DB testbed, 100 EBs over 600 simulated
+// seconds, the run every cross-validation replica makes. Its allocs/op
+// is the per-run setup and result collection only: the event calendar,
+// the stations and the emulated browsers allocate nothing per event or
+// per transaction, and the gate holds that.
+func BenchmarkSimulateTPCW(b *testing.B) {
+	tiers, err := DefaultTPCWTiers(BrowsingMix(), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := TPCWConfigN{
+		Mix: BrowsingMix(), Tiers: tiers,
+		EBs: 100, Seed: 9, Duration: 600, Warmup: 60, Cooldown: 30,
+	}
+	for i := 0; i < b.N; i++ {
+		res, err := Simulate(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(res.Throughput, "X")
+			b.ReportMetric(float64(res.Completed), "completions")
+		}
+	}
+}
+
 // benchScale is the measurement scale used by the benchmark harness:
 // long enough for stable estimates, short enough that the full suite
 // completes in minutes.

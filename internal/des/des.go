@@ -3,10 +3,21 @@
 // FCFS, delay) sufficient to simulate the paper's testbed — closed-loop
 // clients over a two-tier server pipeline — and the single-queue
 // experiments of Section 2.
+//
+// The calendar is a binary heap of *Event ordered by (time, scheduling
+// sequence), a total order, so events fire in the same sequence however
+// the heap arranges them. Cancel is lazy: a canceled event stays in the
+// heap until it reaches the top and is dropped unfired. Reschedule moves
+// an event the caller already holds (pending, canceled or fired) to a
+// new time in place; it takes a fresh sequence number exactly as
+// Schedule does, so it fires in the order a Cancel plus a Schedule would
+// give, but allocates nothing. The stations use it to keep one
+// completion event each, so their completions allocate nothing in
+// steady state. Pending counts the events in the heap: live ones plus
+// canceled ones not yet dropped, with a rescheduled event counted once.
 package des
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -33,33 +44,78 @@ func (e *Event) Cancel() {
 // Time returns the scheduled fire time.
 func (e *Event) Time() float64 { return e.time }
 
+// eventHeap is a binary min-heap ordered by (time, seq). Each event
+// records its index so Reschedule can restore the order in place.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
+
+func (h eventHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h eventHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *eventHeap) push(e *Event) {
 	e.index = len(*h)
 	*h = append(*h, e)
+	h.up(e.index)
 }
-func (h *eventHeap) Pop() any {
+
+func (h *eventHeap) pop() *Event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	old.swap(0, n)
+	old.down(0, n)
+	e := old[n]
+	old[n] = nil
 	e.index = -1
-	*h = old[:n-1]
+	*h = old[:n]
 	return e
+}
+
+// fix restores the heap order after the event at index i changed its
+// (time, seq) key.
+func (h eventHeap) fix(i int) {
+	if !h.down(i, len(h)) {
+		h.up(i)
+	}
 }
 
 // Sim is the simulation executive. The zero value is not usable;
@@ -98,7 +154,29 @@ func (s *Sim) ScheduleAt(t float64, fn func()) *Event {
 	}
 	s.seq++
 	e := &Event{time: t, seq: s.seq, fn: fn}
-	heap.Push(&s.events, e)
+	s.events.push(e)
+	return e
+}
+
+// Reschedule moves e to fire fn after delay seconds and returns e. It
+// takes a fresh scheduling sequence number exactly as Schedule does, so
+// the firing order is the one a Cancel of e followed by a Schedule
+// would give, without allocating a new event. e may be pending,
+// canceled or already fired; a nil e falls through to Schedule.
+func (s *Sim) Reschedule(e *Event, delay float64, fn func()) *Event {
+	if e == nil {
+		return s.Schedule(delay, fn)
+	}
+	if delay < 0 || math.IsNaN(delay) {
+		panic(fmt.Sprintf("des: negative or NaN delay %v", delay))
+	}
+	s.seq++
+	e.time, e.seq, e.fn, e.canceled = s.now+delay, s.seq, fn, false
+	if e.index >= 0 {
+		s.events.fix(e.index)
+	} else {
+		s.events.push(e)
+	}
 	return e
 }
 
@@ -126,7 +204,7 @@ func (s *Sim) RunUntilCtx(ctx context.Context, t float64) error {
 		if next.time > t {
 			break
 		}
-		heap.Pop(&s.events)
+		s.events.pop()
 		if next.canceled {
 			continue
 		}
@@ -162,7 +240,7 @@ func (s *Sim) Drain() {
 // if the calendar is empty.
 func (s *Sim) Step() bool {
 	for len(s.events) > 0 {
-		next := heap.Pop(&s.events).(*Event)
+		next := s.events.pop()
 		if next.canceled {
 			continue
 		}
@@ -175,5 +253,6 @@ func (s *Sim) Step() bool {
 }
 
 // Pending returns the number of events in the calendar, including
-// canceled-but-unpopped entries.
+// canceled events not yet dropped from it. An event moved by Reschedule
+// counts once.
 func (s *Sim) Pending() int { return len(s.events) }

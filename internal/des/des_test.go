@@ -1,8 +1,10 @@
 package des
 
 import (
+	"container/heap"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -354,5 +356,278 @@ func TestPropFCFSSerialization(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refSim is the container/heap calendar with lazy cancel that Sim's
+// typed heap replaced. It is the reference the differential test holds
+// Sim to: Reschedule must fire exactly as its Cancel plus Schedule does.
+type refSim struct {
+	now    float64
+	events refHeap
+	seq    int64
+}
+
+type refEvent struct {
+	time     float64
+	seq      int64
+	fn       func()
+	canceled bool
+}
+
+type refHeap []*refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].time != h[j].time {
+		return h[i].time < h[j].time
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+func (s *refSim) schedule(delay float64, fn func()) *refEvent {
+	s.seq++
+	e := &refEvent{time: s.now + delay, seq: s.seq, fn: fn}
+	heap.Push(&s.events, e)
+	return e
+}
+
+func (s *refSim) runUntil(t float64) {
+	for len(s.events) > 0 {
+		next := s.events[0]
+		if next.time > t {
+			break
+		}
+		heap.Pop(&s.events)
+		if next.canceled {
+			continue
+		}
+		s.now = next.time
+		next.fn()
+	}
+	if s.now < t {
+		s.now = t
+	}
+}
+
+func (s *refSim) step() bool {
+	for len(s.events) > 0 {
+		next := heap.Pop(&s.events).(*refEvent)
+		if next.canceled {
+			continue
+		}
+		s.now = next.time
+		next.fn()
+		return true
+	}
+	return false
+}
+
+// calendar addresses events by slot, so one random script can drive
+// both calendars. Scheduling into an occupied slot forgets the old
+// event's handle; the event itself stays pending.
+type calendar interface {
+	schedule(slot int, delay float64)
+	cancel(slot int)
+	reschedule(slot int, delay float64)
+	runUntil(t float64)
+	step() bool
+	now() float64
+}
+
+type simCalendar struct {
+	s    *Sim
+	ev   []*Event
+	fire func(slot int)
+}
+
+func (c *simCalendar) fn(slot int) func()               { return func() { c.fire(slot) } }
+func (c *simCalendar) schedule(slot int, delay float64) { c.ev[slot] = c.s.Schedule(delay, c.fn(slot)) }
+func (c *simCalendar) cancel(slot int)                  { c.ev[slot].Cancel() }
+func (c *simCalendar) reschedule(slot int, delay float64) {
+	c.ev[slot] = c.s.Reschedule(c.ev[slot], delay, c.fn(slot))
+}
+func (c *simCalendar) runUntil(t float64) { c.s.RunUntil(t) }
+func (c *simCalendar) step() bool         { return c.s.Step() }
+func (c *simCalendar) now() float64       { return c.s.Now() }
+
+type refCalendar struct {
+	s    refSim
+	ev   []*refEvent
+	fire func(slot int)
+}
+
+func (c *refCalendar) schedule(slot int, delay float64) {
+	c.ev[slot] = c.s.schedule(delay, func() { c.fire(slot) })
+}
+func (c *refCalendar) cancel(slot int) {
+	if e := c.ev[slot]; e != nil {
+		e.canceled = true
+	}
+}
+func (c *refCalendar) reschedule(slot int, delay float64) {
+	c.cancel(slot)
+	c.schedule(slot, delay)
+}
+func (c *refCalendar) runUntil(t float64) { c.s.runUntil(t) }
+func (c *refCalendar) step() bool         { return c.s.step() }
+func (c *refCalendar) now() float64       { return c.s.now }
+
+// firing is one entry of a calendar's log: the slot of a fired event
+// (or -1 after a RunUntil or Step returns) and the clock at that moment.
+type firing struct {
+	slot int
+	at   float64
+}
+
+// runCalendarScript drives a calendar with a seeded random mix of
+// Schedule, Cancel, Reschedule, RunUntil and Step, with delays on a
+// half-second grid so that many events tie in time. Fired callbacks
+// also schedule, cancel and reschedule. It returns the firing log.
+func runCalendarScript(seed int64, newCal func(fire func(slot int)) calendar) []firing {
+	const slots = 8
+	src := xrand.New(seed)
+	var cal calendar
+	var log []firing
+	delay := func() float64 { return 0.5 * float64(src.Intn(4)) }
+	op := func() {
+		slot := src.Intn(slots)
+		switch src.Intn(3) {
+		case 0:
+			cal.schedule(slot, delay())
+		case 1:
+			cal.cancel(slot)
+		case 2:
+			cal.reschedule(slot, delay())
+		}
+	}
+	cal = newCal(func(slot int) {
+		log = append(log, firing{slot, cal.now()})
+		if src.Intn(3) == 0 {
+			op()
+		}
+	})
+	for i := 0; i < 300; i++ {
+		switch src.Intn(5) {
+		case 0, 1, 2:
+			op()
+		case 3:
+			cal.runUntil(cal.now() + delay())
+			log = append(log, firing{-1, cal.now()})
+		case 4:
+			cal.step()
+			log = append(log, firing{-1, cal.now()})
+		}
+	}
+	// Each firing adds at most 2/9 of an event on average, so the
+	// calendar drains; the bound only guards a broken calendar.
+	for i := 0; i < 100000 && cal.step(); i++ {
+	}
+	return append(log, firing{-1, cal.now()})
+}
+
+func TestRescheduleMatchesReferenceCalendar(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		got := runCalendarScript(seed, func(fire func(int)) calendar {
+			return &simCalendar{s: NewSim(), ev: make([]*Event, 8), fire: fire}
+		})
+		want := runCalendarScript(seed, func(fire func(int)) calendar {
+			return &refCalendar{ev: make([]*refEvent, 8), fire: fire}
+		})
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d log entries, reference has %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: entry %d = %+v, reference %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestRescheduleMovesOneEvent(t *testing.T) {
+	s := NewSim()
+	var order []string
+	a := s.Schedule(1, func() { order = append(order, "a") })
+	s.Schedule(2, func() { order = append(order, "b") })
+	if got := s.Reschedule(a, 3, func() { order = append(order, "a'") }); got != a {
+		t.Fatal("Reschedule returned a different event")
+	}
+	if s.Pending() != 2 {
+		t.Errorf("Pending = %d, want 2: a rescheduled event counts once", s.Pending())
+	}
+	a.Cancel()
+	s.Reschedule(a, 2, func() { order = append(order, "a''") }) // revives it
+	s.RunUntil(10)
+	if got := strings.Join(order, " "); got != "b a''" {
+		t.Errorf("fired %q, want %q", got, "b a''")
+	}
+	// A fired event goes back on the calendar; a nil one is scheduled.
+	s.Reschedule(a, 1, func() { order = append(order, "again") })
+	s.Reschedule(nil, 2, func() { order = append(order, "new") })
+	s.RunUntil(20)
+	if got := strings.Join(order, " "); got != "b a'' again new" {
+		t.Errorf("fired %q, want %q", got, "b a'' again new")
+	}
+}
+
+// TestStationCompletionsAllocateNothing: once the calendar, the job
+// lists and the scratch slices have grown, a cycle of arrivals, a speed
+// change and completions at a PS and a FCFS station allocates nothing.
+func TestStationCompletionsAllocateNothing(t *testing.T) {
+	s := NewSim()
+	ps := NewPSStation(s, "ps", func(*Job) {})
+	fcfs := NewFCFSStation(s, "q", func(*Job) {})
+	psJobs := []Job{{ID: 1, Demand: 1}, {ID: 2, Demand: 2}, {ID: 3, Demand: 0.5}}
+	fcfsJobs := []Job{{ID: 1, Demand: 1}, {ID: 2, Demand: 2}, {ID: 3, Demand: 0.5}}
+	cycle := func() {
+		for i := range psJobs {
+			ps.Arrive(&psJobs[i])
+			fcfs.Arrive(&fcfsJobs[i])
+		}
+		ps.SetSpeed(0.5)
+		s.RunUntil(s.Now() + 4)
+		ps.SetSpeed(1)
+		s.RunUntil(s.Now() + 4)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("arrive/complete cycle allocates %v times, want 0", n)
+	}
+	if ps.Completions() != 306 || fcfs.Completions() != 306 {
+		t.Errorf("completions = %d/%d, want 306 each (102 cycles of 3 jobs)", ps.Completions(), fcfs.Completions())
+	}
+}
+
+// TestFCFSOrderUnderBacklog keeps a FCFS queue busy while it grows, so
+// its served prefix is slid down into place more than once, and checks
+// that jobs still leave in arrival order with serial service.
+func TestFCFSOrderUnderBacklog(t *testing.T) {
+	s := NewSim()
+	var done []int64
+	st := NewFCFSStation(s, "q", func(j *Job) { done = append(done, j.ID) })
+	for i := int64(0); i < 200; i++ {
+		j := &Job{ID: i, Demand: 1}
+		s.Schedule(0.6*float64(i), func() { st.Arrive(j) })
+	}
+	s.RunUntil(1000)
+	if len(done) != 200 {
+		t.Fatalf("completions = %d, want 200", len(done))
+	}
+	for i, id := range done {
+		if id != int64(i) {
+			t.Fatalf("completion %d is job %d: FCFS order broken", i, id)
+		}
+	}
+	if s.Now() != 1000 || math.Abs(st.BusyTime()-200) > 1e-9 {
+		t.Errorf("busy time = %v, want 200", st.BusyTime())
 	}
 }

@@ -43,9 +43,13 @@ type PSStation struct {
 
 	sim        *Sim
 	jobs       []*Job
+	done       []*Job // complete's scratch list, reused
 	speed      float64
 	lastUpdate float64
+	// pending is the one completion event, moved by Reschedule; it is
+	// canceled (not dropped) while the station is empty or stopped.
 	pending    *Event
+	completeFn func() // st.complete, bound once
 	onComplete func(*Job)
 
 	busyTime    float64
@@ -58,7 +62,9 @@ func NewPSStation(sim *Sim, name string, onComplete func(*Job)) *PSStation {
 	if sim == nil || onComplete == nil {
 		panic("des: PSStation needs a sim and a completion callback")
 	}
-	return &PSStation{Name: name, sim: sim, speed: 1, onComplete: onComplete}
+	st := &PSStation{Name: name, sim: sim, speed: 1, onComplete: onComplete}
+	st.completeFn = st.complete
+	return st
 }
 
 // advance progresses attained service to the current instant.
@@ -78,9 +84,8 @@ func (st *PSStation) advance() {
 
 // reschedule plans the next completion event.
 func (st *PSStation) reschedule() {
-	st.pending.Cancel()
-	st.pending = nil
 	if len(st.jobs) == 0 || st.speed <= 0 {
+		st.pending.Cancel()
 		return
 	}
 	minRem := math.Inf(1)
@@ -93,7 +98,7 @@ func (st *PSStation) reschedule() {
 		minRem = 0
 	}
 	delay := minRem * float64(len(st.jobs)) / st.speed
-	st.pending = st.sim.Schedule(delay, st.complete)
+	st.pending = st.sim.Reschedule(st.pending, delay, st.completeFn)
 }
 
 // Arrive submits a job; its remaining work is initialized from Demand.
@@ -110,11 +115,10 @@ func (st *PSStation) Arrive(j *Job) {
 
 // complete fires when the job with least remaining work finishes.
 func (st *PSStation) complete() {
-	st.pending = nil
 	st.advance()
 	// Pop every job whose remaining work is (numerically) exhausted;
 	// simultaneous completions are possible after speed changes.
-	var done []*Job
+	done := st.done[:0]
 	kept := st.jobs[:0]
 	for _, j := range st.jobs {
 		if j.remaining <= completionEpsilon {
@@ -137,10 +141,12 @@ func (st *PSStation) complete() {
 		done = append(done, j)
 	}
 	st.reschedule()
-	for _, j := range done {
+	for i, j := range done {
+		done[i] = nil
 		st.completions++
 		st.onComplete(j)
 	}
+	st.done = done[:0]
 }
 
 // SetSpeed changes the service speed multiplier (1 = nominal). Attained
@@ -174,9 +180,11 @@ type FCFSStation struct {
 	Name string
 
 	sim        *Sim
-	queue      []*Job
+	queue      []*Job // waiting jobs are queue[head:]
+	head       int
 	inService  *Job
-	pending    *Event
+	pending    *Event // the one completion event, moved by Reschedule
+	completeFn func() // st.complete, bound once
 	onComplete func(*Job)
 	serveStart float64
 
@@ -189,7 +197,9 @@ func NewFCFSStation(sim *Sim, name string, onComplete func(*Job)) *FCFSStation {
 	if sim == nil || onComplete == nil {
 		panic("des: FCFSStation needs a sim and a completion callback")
 	}
-	return &FCFSStation{Name: name, sim: sim, onComplete: onComplete}
+	st := &FCFSStation{Name: name, sim: sim, onComplete: onComplete}
+	st.completeFn = st.complete
+	return st
 }
 
 // Arrive enqueues a job, starting service immediately if idle.
@@ -198,6 +208,13 @@ func (st *FCFSStation) Arrive(j *Job) {
 		panic(fmt.Sprintf("des: job %d has invalid demand %v", j.ID, j.Demand))
 	}
 	j.Arrived = st.sim.Now()
+	if n := len(st.queue); n == cap(st.queue) && st.head >= n/2 && st.head > 0 {
+		// Full, and at least half of it served: slide the waiting jobs
+		// down instead of growing the array.
+		live := copy(st.queue, st.queue[st.head:])
+		clear(st.queue[live:])
+		st.queue, st.head = st.queue[:live], 0
+	}
 	st.queue = append(st.queue, j)
 	if st.inService == nil {
 		st.startNext()
@@ -205,14 +222,17 @@ func (st *FCFSStation) Arrive(j *Job) {
 }
 
 func (st *FCFSStation) startNext() {
-	if len(st.queue) == 0 {
+	if st.head == len(st.queue) {
+		// Empty: rewind so the backing array is reused from the start.
+		st.queue, st.head = st.queue[:0], 0
 		st.inService = nil
 		return
 	}
-	st.inService = st.queue[0]
-	st.queue = st.queue[1:]
+	st.inService = st.queue[st.head]
+	st.queue[st.head] = nil
+	st.head++
 	st.serveStart = st.sim.Now()
-	st.pending = st.sim.Schedule(st.inService.Demand, st.complete)
+	st.pending = st.sim.Reschedule(st.pending, st.inService.Demand, st.completeFn)
 }
 
 func (st *FCFSStation) complete() {
@@ -225,7 +245,7 @@ func (st *FCFSStation) complete() {
 
 // QueueLen returns the number of jobs waiting or in service.
 func (st *FCFSStation) QueueLen() int {
-	n := len(st.queue)
+	n := len(st.queue) - st.head
 	if st.inService != nil {
 		n++
 	}

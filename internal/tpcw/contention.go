@@ -68,17 +68,24 @@ type contentionEnv struct {
 	activations  int64
 	contendedDur float64
 	lastStart    float64
+
+	// recovery is the one pending end-of-epoch event (epochs never
+	// overlap), moved by Reschedule; recoverFn is e.recover, bound once.
+	recovery  *des.Event
+	recoverFn func()
 }
 
 func newContentionEnv(sim *des.Sim, station *des.PSStation, params ContentionParams, src *xrand.Source) *contentionEnv {
 	e := &contentionEnv{params: params, station: station, sim: sim, src: src}
+	e.recoverFn = e.recover
 	if params.BackgroundRate > 0 {
+		var next *des.Event
 		var background func()
 		background = func() {
 			e.activate()
-			sim.Schedule(src.ExpRate(params.BackgroundRate), background)
+			next = sim.Reschedule(next, src.ExpRate(params.BackgroundRate), background)
 		}
-		sim.Schedule(src.ExpRate(params.BackgroundRate), background)
+		next = sim.Schedule(src.ExpRate(params.BackgroundRate), background)
 	}
 	return e
 }
@@ -93,7 +100,7 @@ func (e *contentionEnv) activate() {
 	e.activations++
 	e.lastStart = e.sim.Now()
 	e.station.SetSpeed(e.params.SlowFactor)
-	e.sim.Schedule(e.src.Exp(e.params.MeanDuration), e.recover)
+	e.recovery = e.sim.Reschedule(e.recovery, e.src.Exp(e.params.MeanDuration), e.recoverFn)
 }
 
 // maybeTrigger is called on each triggering event; it starts a contention

@@ -325,10 +325,17 @@ type ResultN struct {
 	TierNames []string
 }
 
-// emulatedBrowser is one closed-loop client session.
+// emulatedBrowser is one closed-loop client session. A closed-loop
+// browser has exactly one transaction, and so one pass, in flight: it
+// owns that transaction's state, the pass's job and its think event, and
+// reuses them for every transaction.
 type emulatedBrowser struct {
-	id      int
-	current Transaction
+	id       int
+	current  Transaction
+	txn      txnStateN
+	job      des.Job
+	think    *des.Event
+	submitFn func() // e.submit(eb), bound once
 }
 
 // txnStateN tracks one in-flight transaction through the tier chain.
@@ -374,6 +381,7 @@ type engineN struct {
 	classResponses [][]float64
 
 	lastTierBusy      []float64
+	classDeltas       []float64 // sampleClasses scratch, one per class
 	lastClassConsumed [][]float64
 	lastClassCompl    [][]int64
 	classUtilSeries   [][][]float64 // [tier][class][period]
@@ -389,7 +397,8 @@ func (e *engineN) inWindow() bool {
 func (e *engineN) submit(eb *emulatedBrowser) {
 	next := e.cbmg.Next(eb.current, e.navSrc)
 	eb.current = next
-	st := &txnStateN{eb: eb, txType: next, submittedAt: e.sim.Now()}
+	st := &eb.txn
+	*st = txnStateN{eb: eb, txType: next, submittedAt: e.sim.Now()}
 	e.inSystem[next]++
 	e.enterTier(st, 0)
 }
@@ -411,11 +420,13 @@ func (e *engineN) issuePass(st *txnStateN) {
 	tier := st.tier
 	d := e.cfg.Tiers[tier].Demands[st.txType]
 	e.envs[tier].maybeTrigger(d.ContentionWeight)
-	e.stations[tier].Arrive(&des.Job{
+	j := &st.eb.job
+	*j = des.Job{
 		Class:  int(st.txType),
 		Demand: e.dists[tier][st.txType].Sample(e.demandSrc),
 		Ctx:    st,
-	})
+	}
+	e.stations[tier].Arrive(j)
 }
 
 // onComplete handles a pass completion at the given tier: issue the next
@@ -446,7 +457,7 @@ func (e *engineN) onComplete(tier int, j *des.Job) {
 		e.classResponses[class] = append(e.classResponses[class], resp)
 	}
 	eb := st.eb
-	e.sim.Schedule(e.thinkSrc.Exp(e.cfg.ThinkTime), func() { e.submit(eb) })
+	eb.think = e.sim.Reschedule(eb.think, e.thinkSrc.Exp(e.cfg.ThinkTime), eb.submitFn)
 }
 
 // sampleClasses snapshots the per-class cumulative counters at a monitor
@@ -469,7 +480,7 @@ func (e *engineN) sampleClasses() {
 			tierU = 1
 		}
 		total := 0.0
-		deltas := make([]float64, nc)
+		deltas := e.classDeltas
 		for c := 0; c < nc; c++ {
 			deltas[c] = e.classConsumed[i][c] - e.lastClassConsumed[i][c]
 			e.lastClassConsumed[i][c] = e.classConsumed[i][c]
@@ -553,6 +564,7 @@ func RunNCtx(ctx context.Context, cfg ConfigN) (*ResultN, error) {
 		e.classComplSeries[i] = make([][]float64, nc)
 	}
 	e.classResponses = make([][]float64, nc)
+	e.classDeltas = make([]float64, nc)
 
 	e.stations = make([]*des.PSStation, k)
 	for i := range cfg.Tiers {
@@ -613,7 +625,8 @@ func RunNCtx(ctx context.Context, cfg ConfigN) (*ResultN, error) {
 	// herd at t=0 (sessions are already active when measurement starts).
 	for i := 0; i < cfg.EBs; i++ {
 		eb := &emulatedBrowser{id: i, current: Home}
-		sim.Schedule(e.thinkSrc.Exp(cfg.ThinkTime), func() { e.submit(eb) })
+		eb.submitFn = func() { e.submit(eb) }
+		eb.think = sim.Schedule(e.thinkSrc.Exp(cfg.ThinkTime), eb.submitFn)
 	}
 	if err := sim.RunUntilCtx(ctx, cfg.Duration); err != nil {
 		return nil, err
