@@ -295,10 +295,11 @@ func BenchmarkMulticlassMVA(b *testing.B) {
 
 // BenchmarkSimulateTPCW tracks the TPC-W discrete-event simulator on its
 // own: one browsing-mix front+DB testbed, 100 EBs over 600 simulated
-// seconds, the run every cross-validation replica makes. Its allocs/op
-// is the per-run setup and result collection only: the event calendar,
-// the stations and the emulated browsers allocate nothing per event or
-// per transaction, and the gate holds that.
+// seconds, the kind of run each cross-validation replica makes. Its
+// allocs/op is the per-run setup, monitoring and result collection
+// only: the event calendar, the stations and the emulated browsers
+// allocate nothing per event or per transaction, and the gate holds
+// that.
 func BenchmarkSimulateTPCW(b *testing.B) {
 	tiers, err := DefaultTPCWTiers(BrowsingMix(), 2)
 	if err != nil {

@@ -162,7 +162,8 @@ func (s *Sim) ScheduleAt(t float64, fn func()) *Event {
 // takes a fresh scheduling sequence number exactly as Schedule does, so
 // the firing order is the one a Cancel of e followed by a Schedule
 // would give, without allocating a new event. e may be pending,
-// canceled or already fired; a nil e falls through to Schedule.
+// canceled or already fired; a nil e falls through to Schedule, and an
+// event that is not in this calendar (a zero Event, say) is added to it.
 func (s *Sim) Reschedule(e *Event, delay float64, fn func()) *Event {
 	if e == nil {
 		return s.Schedule(delay, fn)
@@ -172,8 +173,8 @@ func (s *Sim) Reschedule(e *Event, delay float64, fn func()) *Event {
 	}
 	s.seq++
 	e.time, e.seq, e.fn, e.canceled = s.now+delay, s.seq, fn, false
-	if e.index >= 0 {
-		s.events.fix(e.index)
+	if i := e.index; i >= 0 && i < len(s.events) && s.events[i] == e {
+		s.events.fix(i)
 	} else {
 		s.events.push(e)
 	}

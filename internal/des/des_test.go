@@ -577,6 +577,14 @@ func TestRescheduleMovesOneEvent(t *testing.T) {
 	if got := strings.Join(order, " "); got != "b a'' again new" {
 		t.Errorf("fired %q, want %q", got, "b a'' again new")
 	}
+	// A zero Event claims heap index 0 without being in the heap; it is
+	// added, not mistaken for the event at the top.
+	s.Schedule(1, func() { order = append(order, "top") })
+	s.Reschedule(&Event{}, 2, func() { order = append(order, "zero") })
+	s.RunUntil(30)
+	if got := strings.Join(order, " "); got != "b a'' again new top zero" {
+		t.Errorf("fired %q, want %q", got, "b a'' again new top zero")
+	}
 }
 
 // TestStationCompletionsAllocateNothing: once the calendar, the job
