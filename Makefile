@@ -106,15 +106,19 @@ paperrepro-check:
 # throughput) as JSON. -benchtime=1x for the seconds-scale solves (a
 # single iteration is already deterministic enough for a trajectory);
 # the tens-of-milliseconds SolveDecomp benches and the 0.1-second
-# SimulateTPCW run 10 iterations and the microsecond-scale MulticlassMVA
-# benches 50, each in a separate invocation, because their single-run
-# timings swing by 25% or more with scheduler noise, which would make
-# the benchgate flaky.
+# SimulateTPCW run 10 iterations, and the microsecond-scale
+# MulticlassMVA benches as many as fill one second, each in a separate
+# invocation, because their short runs swing by 25% or more with
+# scheduler noise (50 iterations, about 15 ms in all, swung 28-65% on
+# unchanged code), which would make the benchgate flaky. Every
+# benchmark runs three times (-count=3) and cmd/benchjson records the
+# median of each metric, so one run slowed by a busy host does not move
+# the archived or the gated number.
 bench:
-	$(GO) test -run=NONE -bench='SolveThreeTier|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x . > .bench_root.txt
-	$(GO) test -run=NONE -bench='SolveDecomp|SimulateTPCW' -benchmem -benchtime=10x . >> .bench_root.txt
-	$(GO) test -run=NONE -bench='MulticlassMVA' -benchmem -benchtime=50x . >> .bench_root.txt
-	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends|SteadyStateNCD' -benchmem ./internal/mapqn/ > .bench_mapqn.txt
+	$(GO) test -run=NONE -bench='SolveThreeTier|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x -count=3 . > .bench_root.txt
+	$(GO) test -run=NONE -bench='SolveDecomp|SimulateTPCW' -benchmem -benchtime=10x -count=3 . >> .bench_root.txt
+	$(GO) test -run=NONE -bench='MulticlassMVA' -benchmem -benchtime=1s -count=3 . >> .bench_root.txt
+	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends|SteadyStateNCD' -benchmem -count=3 ./internal/mapqn/ > .bench_mapqn.txt
 	cat .bench_root.txt .bench_mapqn.txt | $(GO) run ./cmd/benchjson > BENCH_solver.json
 	rm -f .bench_root.txt .bench_mapqn.txt
 	cat BENCH_solver.json
@@ -124,10 +128,10 @@ bench:
 # regressed more than 25% against the committed BENCH_solver.json. CI
 # runs this on every push; run it locally before optimization PRs.
 benchgate:
-	$(GO) test -run=NONE -bench='SolveThreeTier|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x . > .bench_root.txt
-	$(GO) test -run=NONE -bench='SolveDecomp|SimulateTPCW' -benchmem -benchtime=10x . >> .bench_root.txt
-	$(GO) test -run=NONE -bench='MulticlassMVA' -benchmem -benchtime=50x . >> .bench_root.txt
-	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends|SteadyStateNCD' -benchmem ./internal/mapqn/ > .bench_mapqn.txt
+	$(GO) test -run=NONE -bench='SolveThreeTier|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x -count=3 . > .bench_root.txt
+	$(GO) test -run=NONE -bench='SolveDecomp|SimulateTPCW' -benchmem -benchtime=10x -count=3 . >> .bench_root.txt
+	$(GO) test -run=NONE -bench='MulticlassMVA' -benchmem -benchtime=1s -count=3 . >> .bench_root.txt
+	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends|SteadyStateNCD' -benchmem -count=3 ./internal/mapqn/ > .bench_mapqn.txt
 	cat .bench_root.txt .bench_mapqn.txt | $(GO) run ./cmd/benchjson > .bench_fresh.json
 	rm -f .bench_root.txt .bench_mapqn.txt
 	$(GO) run ./cmd/benchgate -baseline BENCH_solver.json -fresh .bench_fresh.json

@@ -42,9 +42,10 @@ func BenchmarkServiceRepeatQuery(b *testing.B) {
 	})
 	// One memo-served rerun is a few milliseconds — scheduler-jitter
 	// territory for the 25% benchgate — so each warm iteration runs a
-	// batch of resubmits and reports the amortized per-resubmit cost as
-	// a metric alongside the gated ns/op.
-	const warmResubmits = 25
+	// batch of resubmits, about half a second in all (a batch of 25,
+	// about 0.1 s, swung 28% on unchanged code), and reports the
+	// amortized per-resubmit cost as a metric alongside the gated ns/op.
+	const warmResubmits = 125
 	b.Run("warm", func(b *testing.B) {
 		svc := newBenchService(b)
 		submitAndWait(b, svc, body, false) // populate the shared memo

@@ -7,7 +7,10 @@
 //
 // Standard columns (ns/op, B/op, allocs/op) and custom b.ReportMetric
 // columns ("58.52 X", "1984 states") both become fields of the
-// benchmark's metrics map.
+// benchmark's metrics map. A benchmark that appears more than once, as
+// under `go test -count`, is recorded once, in first-seen order, with
+// the median of each metric and of the iteration counts: one slow
+// repeat on a noisy host then cannot move the archived number.
 package main
 
 import (
@@ -15,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -45,6 +49,7 @@ func main() {
 
 func run(in *os.File, out *os.File) error {
 	rep := Report{GeneratedAt: time.Now().UTC().Format(time.RFC3339)}
+	var runs []Benchmark
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	for sc.Scan() {
@@ -58,13 +63,14 @@ func run(in *os.File, out *os.File) error {
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseLine(line); ok {
-				rep.Benchmarks = append(rep.Benchmarks, b)
+				runs = append(runs, b)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
+	rep.Benchmarks = medians(runs)
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
@@ -101,4 +107,47 @@ func parseLine(line string) (Benchmark, bool) {
 		b.Metrics[fields[i+1]] = v
 	}
 	return b, true
+}
+
+// medians merges repeated runs of a benchmark into one record per name,
+// in first-seen order, holding the median iteration count and the
+// median of each metric over the runs that report it.
+func medians(runs []Benchmark) []Benchmark {
+	var names []string
+	byName := map[string][]Benchmark{}
+	for _, b := range runs {
+		if _, ok := byName[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		byName[b.Name] = append(byName[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(names))
+	for _, name := range names {
+		reps := byName[name]
+		var iters []float64
+		values := map[string][]float64{}
+		for _, b := range reps {
+			iters = append(iters, float64(b.Iterations))
+			for unit, v := range b.Metrics {
+				values[unit] = append(values[unit], v)
+			}
+		}
+		m := Benchmark{Name: name, Iterations: int64(median(iters)), Metrics: map[string]float64{}}
+		for unit, vs := range values {
+			m.Metrics[unit] = median(vs)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// median returns the middle value of vs, or the mean of the two middle
+// values when their number is even; vs is sorted in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }

@@ -5,6 +5,14 @@
 // iteratively: forward Gauss-Seidel sweeps first, and symmetric
 // (forward-then-backward) Gauss-Seidel once the forward residual
 // plateaus, as it does on MAP-modulated networks.
+//
+// The solvers read only Q^T, through an Operator that hands them row
+// blocks (RowBlock): int32 source indices and values per row, with each
+// row's diagonal q_ii held apart in its own array. A stored generator
+// is one block over every row; a matrix-free one regenerates blocks of
+// rows on each scan. Both feed the same Gauss-Seidel loops, which
+// accumulate each row's terms in stored order, so a given generator
+// yields the same iterates bit for bit on either backend.
 package ctmc
 
 import (
@@ -100,7 +108,8 @@ func ValidateGenerator(q *matrix.CSR) error {
 
 // iterState is the shared workspace of the iterative solvers: the
 // generator viewed as an Operator (both Gauss-Seidel stages consume Q^T
-// through it) and a scratch vector reused across residual checks.
+// through its block scans) and a scratch vector reused across residual
+// checks.
 type iterState struct {
 	op      Operator
 	scratch []float64
@@ -149,7 +158,8 @@ func initialVector(n int, opts Options) []float64 {
 }
 
 // SteadyState solves pi*Q = 0, pi*1 = 1 for the generator q; see
-// SteadyStateOperatorCtx for the solver ladder.
+// SteadyStateOperatorCtx for the solver ladder. q is converted once into
+// the stored compact Q^T (CompactTranspose).
 func SteadyState(q *matrix.CSR, opts Options) (Result, error) {
 	return SteadyStateCtx(context.Background(), q, opts)
 }
@@ -160,7 +170,11 @@ func SteadyState(q *matrix.CSR, opts Options) (Result, error) {
 // direct path (small chains) runs to completion regardless — it is
 // microseconds of work.
 func SteadyStateCtx(ctx context.Context, q *matrix.CSR, opts Options) (Result, error) {
-	return SteadyStateOperatorCtx(ctx, q, opts)
+	qt, err := CompactTranspose(q)
+	if err != nil {
+		return Result{}, err
+	}
+	return SteadyStateOperatorCtx(ctx, qt, opts)
 }
 
 // Iterative-stage limits: the forward Gauss-Seidel stage runs at most
@@ -179,7 +193,7 @@ const (
 //
 //   - Chains at or below DenseCutoff (512 states by default) are solved
 //     directly by dense LU, the balance equations recovered through
-//     ScanTranspose.
+//     ScanBlocks.
 //   - Larger chains start with forward Gauss-Seidel sweeps over the
 //     transposed balance equations. On birth-death-like chains they
 //     converge within a few hundred sweeps.
@@ -189,7 +203,7 @@ const (
 //     has not halved within 64 sweeps (or after 1500 sweeps).
 //   - Symmetric Gauss-Seidel takes over from the forward iterate: each
 //     iteration is a forward sweep followed by a backward sweep
-//     (ScanTransposeReverse), which damps the oscillation. It runs under
+//     (ScanBlocksReverse), which damps the oscillation. It runs under
 //     the same residual test, residual <= Tol*max|q_ii|, for up to
 //     MaxIter iterations and otherwise returns ErrNoConvergence, which
 //     model builders degrade on (exact -> decomp -> bounds).
@@ -229,9 +243,13 @@ func steadyStateDense(op Operator) ([]float64, error) {
 	n := op.Dim()
 	a := matrix.NewDense(n, n)
 	// a = Q^T with the last equation replaced by normalization.
-	op.ScanTranspose(func(row int, cols []int, vals []float64) {
-		for k, c := range cols {
-			a.Set(row, c, vals[k])
+	op.ScanBlocks(func(b *RowBlock) {
+		for r, d := range b.Diag {
+			i := b.Lo + r
+			a.Set(i, i, d)
+			for k := b.Ptr[r]; k < b.Ptr[r+1]; k++ {
+				a.Set(i, int(b.Cols[k]), b.Vals[k])
+			}
 		}
 	})
 	for j := 0; j < n; j++ {
@@ -248,30 +266,63 @@ func steadyStateDense(op Operator) ([]float64, error) {
 	return pi, nil
 }
 
-// relax returns the Gauss-Seidel row update for one row of Q^T: it
-// solves equation i of the transposed balance equations,
-// pi_i = sum_{j != i} pi_j q_{ji} / (-q_{ii}), for pi_i with the latest
-// values of the other entries, and raises *maxDelta to the size of the
-// change. Row i of Q^T carries q_{ji} for all j, so one pass gives both
-// the diagonal and the off-diagonal sum in stored order.
-func relax(pi []float64, maxDelta *float64) func(i int, cols []int, vals []float64) {
-	return func(i int, cols []int, vals []float64) {
-		d, sum := 0.0, 0.0 // d = q_{ii} <= 0
-		for k, j := range cols {
-			if j == i {
-				d = vals[k]
-			} else {
-				sum += vals[k] * pi[j]
-			}
-		}
+// The Gauss-Seidel row update solves equation i of the transposed
+// balance equations, pi_i = sum_{j != i} pi_j q_{ji} / (-q_{ii}), for
+// pi_i with the latest values of the other entries, summing the row's
+// off-diagonal terms in stored (ascending source) order. Rows whose
+// diagonal is not negative — absorbing or isolated states — keep their
+// mass as is. The three sweeps below share that update and differ only
+// in direction and in whether they track the largest change.
+
+// rowSum returns sum_k Vals[k]*pi[Cols[k]] over the off-diagonal
+// entries of the block's r-th row, in stored order.
+func (b *RowBlock) rowSum(r int, pi []float64) float64 {
+	lo, hi := b.Ptr[r], b.Ptr[r+1]
+	cols := b.Cols[lo:hi]
+	vals := b.Vals[lo:hi]
+	vals = vals[:len(cols)]
+	sum := 0.0
+	for k, c := range cols {
+		sum += vals[k] * pi[c]
+	}
+	return sum
+}
+
+// sweepTracked relaxes the block's rows in ascending order and returns
+// the largest change, raised from maxDelta.
+func (b *RowBlock) sweepTracked(pi []float64, maxDelta float64) float64 {
+	for r, d := range b.Diag {
 		if d >= 0 {
-			return // absorbing or isolated state: leave mass as is
+			continue
 		}
-		next := sum / (-d)
-		if delta := math.Abs(next - pi[i]); delta > *maxDelta {
-			*maxDelta = delta
+		i := b.Lo + r
+		next := b.rowSum(r, pi) / (-d)
+		if delta := math.Abs(next - pi[i]); delta > maxDelta {
+			maxDelta = delta
 		}
 		pi[i] = next
+	}
+	return maxDelta
+}
+
+// sweepForward relaxes the block's rows in ascending order.
+func (b *RowBlock) sweepForward(pi []float64) {
+	for r, d := range b.Diag {
+		if d >= 0 {
+			continue
+		}
+		pi[b.Lo+r] = b.rowSum(r, pi) / (-d)
+	}
+}
+
+// sweepBackward relaxes the block's rows in descending order.
+func (b *RowBlock) sweepBackward(pi []float64) {
+	for r := len(b.Diag) - 1; r >= 0; r-- {
+		d := b.Diag[r]
+		if d >= 0 {
+			continue
+		}
+		pi[b.Lo+r] = b.rowSum(r, pi) / (-d)
 	}
 }
 
@@ -282,14 +333,14 @@ func relax(pi []float64, maxDelta *float64) func(i int, cols []int, vals []float
 // caller tells convergence from a handover by comparing it with tol.
 func (s *iterState) gaussSeidel(ctx context.Context, pi []float64, maxSweeps int, tol float64) (int, float64, error) {
 	var maxDelta float64
-	sweep := relax(pi, &maxDelta)
+	sweep := func(b *RowBlock) { maxDelta = b.sweepTracked(pi, maxDelta) }
 	r, best, bestAt := math.Inf(1), math.Inf(1), 0
 	for it := 1; it <= maxSweeps; it++ {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, err
 		}
 		maxDelta = 0
-		s.op.ScanTranspose(sweep)
+		s.op.ScanBlocks(sweep)
 		normalize(pi)
 		if it%residualEvery == 0 || maxDelta == 0 {
 			r = s.residual(pi)
@@ -310,17 +361,18 @@ func (s *iterState) gaussSeidel(ctx context.Context, pi []float64, maxSweeps int
 // up to maxIter symmetric iterations — a forward sweep, then a backward
 // one — renormalizing after each iteration. sweeps is the forward
 // stage's count; the result reports the total (an iteration counts as
-// two sweeps).
+// two sweeps). This stage checks the residual on a fixed cadence, so it
+// tracks no per-row change.
 func (s *iterState) symmetricGaussSeidel(ctx context.Context, pi []float64, sweeps, maxIter int, tol float64) (Result, error) {
-	var maxDelta float64 // unread: this stage checks the residual on a fixed cadence
-	sweep := relax(pi, &maxDelta)
+	forward := func(b *RowBlock) { b.sweepForward(pi) }
+	backward := func(b *RowBlock) { b.sweepBackward(pi) }
 	r := math.Inf(1)
 	for it := 1; it <= maxIter; it++ {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		s.op.ScanTranspose(sweep)
-		s.op.ScanTransposeReverse(sweep)
+		s.op.ScanBlocks(forward)
+		s.op.ScanBlocksReverse(backward)
 		normalize(pi)
 		if it%(residualEvery/2) == 0 || it == maxIter {
 			if r = s.residual(pi); r <= tol {

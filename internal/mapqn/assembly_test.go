@@ -206,10 +206,11 @@ func TestDirectAssemblyMatchesTriplet(t *testing.T) {
 	}
 }
 
-// TestTransposeAssemblyMatchesTransposedGenerator checks the CSR
-// backend's stored generator: Q^T assembled row by row from the
-// transpose emitter must equal the assembled Q transposed, entry for
-// entry, under both idle-phase semantics and with zero think time.
+// TestTransposeAssemblyMatchesTransposedGenerator checks the stored
+// backend's generator: Q^T assembled row by row from the transpose
+// emitter must equal the assembled Q transposed and split by
+// ctmc.CompactTranspose, entry for entry, under both idle-phase
+// semantics and with zero think time — with entry arrays sized exactly.
 func TestTransposeAssemblyMatchesTransposedGenerator(t *testing.T) {
 	for _, tc := range []struct {
 		idle bool
@@ -221,7 +222,10 @@ func TestTransposeAssemblyMatchesTransposedGenerator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := gen.Transpose()
+		want, err := ctmc.CompactTranspose(gen)
+		if err != nil {
+			t.Fatal(err)
+		}
 		g, err := newGenParams(m, maps)
 		if err != nil {
 			t.Fatal(err)
@@ -234,18 +238,40 @@ func TestTransposeAssemblyMatchesTransposedGenerator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.N != want.N || got.NNZ() != want.NNZ() || cap(got.Vals) != want.NNZ() {
-			t.Fatalf("idle=%v z=%v: dim %d/%d nnz %d/%d cap %d", tc.idle, tc.z, got.N, want.N, got.NNZ(), want.NNZ(), cap(got.Vals))
+		name := fmt.Sprintf("idle=%v z=%v", tc.idle, tc.z)
+		if got.Lo != 0 || got.Hi != gen.N || cap(got.Vals) != len(want.Vals) || cap(got.Cols) != len(want.Cols) || cap(got.Ptr) != gen.N+1 {
+			t.Fatalf("%s: rows [%d,%d) of %d, caps %d/%d/%d for %d entries", name, got.Lo, got.Hi, gen.N,
+				cap(got.Ptr), cap(got.Cols), cap(got.Vals), len(want.Vals))
 		}
-		for r := range want.RowPtr {
-			if got.RowPtr[r] != want.RowPtr[r] {
-				t.Fatalf("idle=%v z=%v: rowPtr[%d] = %d, want %d", tc.idle, tc.z, r, got.RowPtr[r], want.RowPtr[r])
-			}
+		if got.MaxAbsDiag() != gen.MaxAbsDiag() {
+			t.Fatalf("%s: MaxAbsDiag %v, want %v", name, got.MaxAbsDiag(), gen.MaxAbsDiag())
 		}
-		for k := range want.ColIdx {
-			if got.ColIdx[k] != want.ColIdx[k] || got.Vals[k] != want.Vals[k] {
-				t.Fatalf("idle=%v z=%v: entry %d = (%d,%v), want (%d,%v)",
-					tc.idle, tc.z, k, got.ColIdx[k], got.Vals[k], want.ColIdx[k], want.Vals[k])
+		sameRows(t, name, got, want)
+	}
+}
+
+// sameRows fails unless block b holds rows [b.Lo, b.Hi) of the stored
+// block want (spanning every row) entry for entry: the same diagonal,
+// the same off-diagonal columns and values in the same order.
+func sameRows(t *testing.T, name string, b, want *ctmc.RowBlock) {
+	t.Helper()
+	if len(b.Diag) != b.Hi-b.Lo || len(b.Ptr) != b.Hi-b.Lo+1 {
+		t.Fatalf("%s: block [%d,%d) has %d diagonals and %d row pointers", name, b.Lo, b.Hi, len(b.Diag), len(b.Ptr))
+	}
+	for r := range b.Diag {
+		i := b.Lo + r
+		if b.Diag[r] != want.Diag[i] {
+			t.Fatalf("%s: row %d diagonal %v, want %v", name, i, b.Diag[r], want.Diag[i])
+		}
+		lo, hi := b.Ptr[r], b.Ptr[r+1]
+		wlo, whi := want.Ptr[i], want.Ptr[i+1]
+		if hi-lo != whi-wlo {
+			t.Fatalf("%s: row %d has %d off-diagonals, want %d", name, i, hi-lo, whi-wlo)
+		}
+		for a := int32(0); a < hi-lo; a++ {
+			if b.Cols[lo+a] != want.Cols[wlo+a] || b.Vals[lo+a] != want.Vals[wlo+a] {
+				t.Fatalf("%s: row %d entry %d = (%d,%v), want (%d,%v)", name, i, a,
+					b.Cols[lo+a], b.Vals[lo+a], want.Cols[wlo+a], want.Vals[wlo+a])
 			}
 		}
 	}

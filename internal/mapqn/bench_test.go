@@ -79,8 +79,8 @@ func BenchmarkGeneratorBackends(b *testing.B) {
 				b.Fatal(err)
 			}
 			if i == 0 {
-				b.ReportMetric(float64(qt.N), "states")
-				b.ReportMetric(float64(qt.NNZ()), "nnz-resident")
+				b.ReportMetric(float64(qt.Dim()), "states")
+				b.ReportMetric(float64(len(qt.Diag)+len(qt.Vals)), "nnz-resident")
 			}
 		}
 	})

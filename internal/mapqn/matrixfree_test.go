@@ -2,6 +2,7 @@ package mapqn
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -37,15 +38,105 @@ func randomMAP(t *testing.T, rng *rand.Rand) *markov.MAP {
 // TestMatrixFreeProductsBitIdentical is the backend-equivalence property
 // test: over randomized networks (K in 1..4, N in 0..12, mixed phase
 // counts, both idle semantics, think time zero and positive) the
-// matrix-free VecMulTo must reproduce the materialized CSR product bit
-// for bit, and the synthesized transpose rows — scanned forward and in
-// reverse — must match CSR.Transpose entry for entry. Several cases
-// cross the parallel-kernel threshold so both the sequential and
-// fanned-out paths are exercised.
+// matrix-free and stored VecMulTo must reproduce the materialized CSR
+// product bit for bit, the stored Q^T must equal CSR.Transpose with its
+// diagonal split out, and the matrix-free block scans — forward and in
+// reverse — must cover every row once, in order, with the stored
+// block's entries. Several cases cross the parallel-kernel threshold so
+// both the sequential and fanned-out paths are exercised, and single-
+// station cases put the state count below one scan chunk, at an exact
+// multiple of it, and just above a multiple.
 func TestMatrixFreeProductsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	type tcase struct {
+		name string
+		m    NetworkModel
+		maps []*markov.MAP
+	}
 	ctx := context.Background()
-	parallelCases := 0
+	parallelCases, chunkSizes := 0, map[string]bool{}
+	check := func(tc tcase) {
+		g, err := newGenParams(tc.m, tc.maps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csr, err := g.assembleCSR(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mf, err := newMatrixFreeGen(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := mf.assembleTranspose(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ctmc.CompactTranspose(csr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mf.NNZ() != csr.NNZ() {
+			t.Fatalf("%s: matrix-free nnz %d, CSR %d", tc.name, mf.NNZ(), csr.NNZ())
+		}
+		if mf.Dim() != csr.Dim() || stored.Dim() != csr.Dim() {
+			t.Fatalf("%s: dim %d/%d vs %d", tc.name, mf.Dim(), stored.Dim(), csr.Dim())
+		}
+		if mf.MaxAbsDiag() != csr.MaxAbsDiag() || stored.MaxAbsDiag() != csr.MaxAbsDiag() {
+			t.Fatalf("%s: MaxAbsDiag %v/%v vs %v", tc.name, mf.MaxAbsDiag(), stored.MaxAbsDiag(), csr.MaxAbsDiag())
+		}
+		if mf.NNZ() >= 1<<15 {
+			parallelCases++
+		}
+		switch {
+		case g.size < blockChunk:
+			chunkSizes["below"] = true
+		case g.size%blockChunk == 0:
+			chunkSizes["multiple"] = true
+		default:
+			chunkSizes["above"] = true
+		}
+		sameRows(t, tc.name+" stored", stored, want)
+		x := make([]float64, g.size)
+		for i := range x {
+			x[i] = rng.Float64()
+		}
+		yc := make([]float64, g.size)
+		ym := make([]float64, g.size)
+		ys := make([]float64, g.size)
+		csr.VecMulTo(yc, x)
+		mf.VecMulTo(ym, x)
+		stored.VecMulTo(ys, x)
+		for i := range yc {
+			if yc[i] != ym[i] || yc[i] != ys[i] {
+				t.Fatalf("%s: VecMulTo[%d] = %v (matrix-free), %v (stored) vs %v (CSR)", tc.name, i, ym[i], ys[i], yc[i])
+			}
+		}
+		// Forward scans must tile [0, n) upward and reverse scans
+		// downward, each block holding the stored rows entry for entry.
+		next := 0
+		mf.ScanBlocks(func(b *ctmc.RowBlock) {
+			if b.Lo != next || b.Hi <= b.Lo {
+				t.Fatalf("%s: forward block [%d,%d), want it to start at %d", tc.name, b.Lo, b.Hi, next)
+			}
+			next = b.Hi
+			sameRows(t, tc.name+" ScanBlocks", b, stored)
+		})
+		if next != g.size {
+			t.Fatalf("%s: ScanBlocks stopped at row %d of %d", tc.name, next, g.size)
+		}
+		next = g.size
+		mf.ScanBlocksReverse(func(b *ctmc.RowBlock) {
+			if b.Hi != next || b.Hi <= b.Lo {
+				t.Fatalf("%s: reverse block [%d,%d), want it to end at %d", tc.name, b.Lo, b.Hi, next)
+			}
+			next = b.Lo
+			sameRows(t, tc.name+" ScanBlocksReverse", b, stored)
+		})
+		if next != 0 {
+			t.Fatalf("%s: ScanBlocksReverse stopped at row %d", tc.name, next)
+		}
+	}
 	for k := 1; k <= 4; k++ {
 		for _, n := range []int{0, 1, 4, 12} {
 			if k == 4 && n == 12 && testing.Short() {
@@ -62,84 +153,35 @@ func TestMatrixFreeProductsBitIdentical(t *testing.T) {
 				if rng.Intn(2) == 1 {
 					z = 0.5 + rng.Float64()
 				}
-				m := NetworkModel{Stations: stations, ThinkTime: z, Customers: n, PhasesRunWhileIdle: idle}
-				g, err := newGenParams(m, maps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				csr, err := g.assembleCSR(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mf, err := newMatrixFreeGen(ctx, g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mf.NNZ() != csr.NNZ() {
-					t.Fatalf("K=%d N=%d idle=%v: matrix-free nnz %d, CSR %d", k, n, idle, mf.NNZ(), csr.NNZ())
-				}
-				if mf.Dim() != csr.Dim() {
-					t.Fatalf("K=%d N=%d idle=%v: dim %d vs %d", k, n, idle, mf.Dim(), csr.Dim())
-				}
-				if mf.MaxAbsDiag() != csr.MaxAbsDiag() {
-					t.Fatalf("K=%d N=%d idle=%v: MaxAbsDiag %v vs %v", k, n, idle, mf.MaxAbsDiag(), csr.MaxAbsDiag())
-				}
-				if mf.NNZ() >= 1<<15 {
-					parallelCases++
-				}
-				x := make([]float64, g.size)
-				for i := range x {
-					x[i] = rng.Float64()
-				}
-				yc := make([]float64, g.size)
-				ym := make([]float64, g.size)
-				csr.VecMulTo(yc, x)
-				mf.VecMulTo(ym, x)
-				for i := range yc {
-					if yc[i] != ym[i] {
-						t.Fatalf("K=%d N=%d idle=%v: VecMulTo[%d] = %v (matrix-free) vs %v (CSR)", k, n, idle, i, ym[i], yc[i])
-					}
-				}
-				tr := csr.Transpose()
-				// Every transpose scan — forward and reverse, matrix-free
-				// and CSR — must yield tr's rows entry for entry, each row
-				// once, in its scan's order.
-				scans := []struct {
-					name string
-					scan func(func(int, []int, []float64))
-					rev  bool
-				}{
-					{"matrix-free ScanTranspose", mf.ScanTranspose, false},
-					{"matrix-free ScanTransposeReverse", mf.ScanTransposeReverse, true},
-					{"CSR ScanTransposeReverse", csr.ScanTransposeReverse, true},
-				}
-				for _, sc := range scans {
-					next, step, end := 0, 1, g.size
-					if sc.rev {
-						next, step, end = g.size-1, -1, -1
-					}
-					sc.scan(func(row int, cols []int, vals []float64) {
-						if row != next {
-							t.Fatalf("K=%d N=%d idle=%v: %s row %d, want %d", k, n, idle, sc.name, row, next)
-						}
-						next += step
-						lo, hi := tr.RowPtr[row], tr.RowPtr[row+1]
-						if len(cols) != hi-lo {
-							t.Fatalf("K=%d N=%d idle=%v: %s row %d has %d entries, want %d", k, n, idle, sc.name, row, len(cols), hi-lo)
-						}
-						for a := range cols {
-							if cols[a] != tr.ColIdx[lo+a] || vals[a] != tr.Vals[lo+a] {
-								t.Fatalf("K=%d N=%d idle=%v: %s row %d entry %d = (%d,%v), want (%d,%v)",
-									k, n, idle, sc.name, row, a, cols[a], vals[a], tr.ColIdx[lo+a], tr.Vals[lo+a])
-							}
-						}
-					})
-					if next != end {
-						t.Fatalf("K=%d N=%d idle=%v: %s stopped before row %d", k, n, idle, sc.name, next)
-					}
-				}
+				check(tcase{
+					name: fmt.Sprintf("K=%d N=%d idle=%v", k, n, idle),
+					m:    NetworkModel{Stations: stations, ThinkTime: z, Customers: n, PhasesRunWhileIdle: idle},
+					maps: maps,
+				})
 			}
 		}
+	}
+	mmpp, err := markov.MMPP2(0.5, 4, 0.2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		mp *markov.MAP
+		n  int
+	}{
+		{markov.Poisson(1.5), 255}, // 256 states: exactly one chunk
+		{mmpp, 255},                // 512 states: two chunks
+		{markov.Poisson(1.5), 300}, // 301 states: one row past a chunk
+		{mmpp, 300},                // 602 states
+	} {
+		check(tcase{
+			name: fmt.Sprintf("K=1 order %d N=%d", c.mp.Order(), c.n),
+			m:    NetworkModel{Stations: []Station{{MAP: c.mp}}, ThinkTime: 0.7, Customers: c.n},
+			maps: []*markov.MAP{c.mp},
+		})
+	}
+	if len(chunkSizes) != 3 {
+		t.Fatalf("state counts covered %v of below/multiple/above one scan chunk", chunkSizes)
 	}
 	if !testing.Short() && parallelCases == 0 {
 		t.Fatal("no randomized case crossed the parallel SpMV threshold; enlarge the grid")

@@ -237,38 +237,45 @@ func (s *stateSpaceN) sizeChecked() (int, error) {
 
 // compRank ranks a population vector lexicographically among all vectors
 // with sum <= n: it counts, per position, the vectors sharing the prefix
-// whose entry at that position is smaller. With rem budget left and p
-// positions remaining, each candidate value v contributes
-// C(rem-v+p-1, p-1) completions.
+// whose entry at that position is smaller. With rem budget left and
+// j = K-i-1 positions after position i, a candidate value v contributes
+// C(rem-v+j, j) completions, and by the hockey-stick identity the p
+// candidates below pop[i] contribute C(rem+j+1, j+1) - C(rem-p+j+1, j+1)
+// together — O(K) per rank. Every table entry read is at most
+// C(n+K, K), so none is saturated once sizeChecked has passed.
 func (s *stateSpaceN) compRank(pop []int) int {
 	k := len(s.phases)
 	rank := 0
 	rem := s.n
 	for i := 0; i < k; i++ {
-		for v := 0; v < pop[i]; v++ {
-			rank += s.binom[rem-v+k-i-1][k-i-1]
-		}
-		rem -= pop[i]
+		j, p := k-i-1, pop[i]
+		rank += s.binom[rem+j+1][j+1] - s.binom[rem-p+j+1][j+1]
+		rem -= p
 	}
 	return rank
 }
 
-// compUnrank inverts compRank into pop (len K).
+// compUnrank inverts compRank into pop (len K). At each position it
+// binary-searches the largest v whose count of smaller candidates,
+// C(rem+j+1, j+1) - C(rem-v+j+1, j+1), does not exceed the rank left.
 func (s *stateSpaceN) compUnrank(rank int, pop []int) {
 	k := len(s.phases)
 	rem := s.n
 	for i := 0; i < k; i++ {
-		v := 0
-		for {
-			c := s.binom[rem-v+k-i-1][k-i-1]
-			if rank < c {
-				break
+		j := k - i - 1
+		all := s.binom[rem+j+1][j+1]
+		lo, hi := 0, rem // the answer lies in [lo, hi]
+		for lo < hi {
+			mid := (lo + hi + 1) / 2
+			if all-s.binom[rem-mid+j+1][j+1] <= rank {
+				lo = mid
+			} else {
+				hi = mid - 1
 			}
-			rank -= c
-			v++
 		}
-		pop[i] = v
-		rem -= v
+		pop[i] = lo
+		rank -= all - s.binom[rem-lo+j+1][j+1]
+		rem -= lo
 	}
 }
 
@@ -318,8 +325,9 @@ func (s *stateSpaceN) decode(idx int, pop, phase []int) {
 }
 
 // Per-backend state-count ceilings and the auto-selection threshold.
-// The CSR backend stores Q^T, ~10 entries of 16 bytes per state, so a
-// few million states already costs gigabytes; the
+// The stored ("csr") backend keeps Q^T, ~10 entries of 12 bytes plus an
+// 8-byte diagonal per state, so a few million states already costs
+// gigabytes (and its int32 indices stay far from overflow); the
 // matrix-free backend keeps one float64 per state and regenerates rows
 // on the fly, so its ceiling is set by the solver vectors alone.
 // ctmc.Options.MaxStates overrides the per-backend default.
@@ -440,7 +448,7 @@ func solveNetwork(ctx context.Context, m NetworkModel, opts ctmc.Options, warm *
 		if err != nil {
 			return NetworkMetrics{}, nil, err
 		}
-		op = transposeOp{qt}
+		op = qt
 	}
 	res, err := ctmc.SteadyStateOperatorCtx(ctx, op, opts)
 	if err != nil {

@@ -3,22 +3,24 @@ package mapqn
 import (
 	"context"
 	"fmt"
-	"sync"
 
+	"repro/internal/ctmc"
 	"repro/internal/markov"
 	"repro/internal/matrix"
 )
 
 // Row synthesis for the K-station network CTMC, shared by the two
-// solver backends. The solver reads only Q^T, so both are built on the
-// transpose emitter:
+// solver backends. The solver reads only Q^T, as ctmc.RowBlocks (int32
+// sources and values per row, the diagonal held apart), so both are
+// built on the transpose emitter:
 //
-//   - the materialized CSR path streams every row of Q^T into CSR arrays
-//     once — Q itself is never stored;
-//   - the matrix-free path regenerates rows on each product, storing only
-//     the per-row diagonal — O(states) for solver vectors instead of
-//     O(nnz) for the generator, which lifts the state-space ceiling from
-//     what CSR arrays fit in memory to millions of states.
+//   - the stored ("csr") path streams every row of Q^T into one
+//     RowBlock over all rows, once — Q itself is never stored;
+//   - the matrix-free path regenerates blocks of rows on each product
+//     and scan, storing only the per-row diagonal — O(states) for solver
+//     vectors instead of O(nnz) for the generator, which lifts the
+//     state-space ceiling from what stored arrays fit in memory to
+//     millions of states.
 //
 // The forward emitter yields rows of Q: one pass over it records the
 // diagonal and the nonzero count both backends need (the tests also
@@ -276,10 +278,11 @@ func (e *rowEmitter) emitRow(cols []int, vals []float64) ([]int, []float64) {
 // transEmitter synthesizes rows of Q^T — row s lists the predecessors of
 // state s with their inbound rates, sources ascending. The ordering
 // matches matrix.CSR.Transpose output (which scans forward rows in
-// order), and each value is a single model rate or the precomputed
-// forward diagonal, so the rows are bit-identical to the materialized
-// transpose: the gather VecMulTo and the Gauss-Seidel sweeps consuming
-// them reproduce the CSR backend's arithmetic exactly.
+// order), each value is a single model rate, and the diagonal is the
+// precomputed forward one, so the rows are bit-identical to the
+// materialized transpose: the gather VecMulTo and the Gauss-Seidel
+// sweeps consuming them reproduce the stored backend's arithmetic
+// exactly.
 type transEmitter struct {
 	rowWalker
 	diag         []float64 // forward-accumulated diagonal per row (read-only)
@@ -339,9 +342,10 @@ func (e *transEmitter) setupBlock() {
 	}
 }
 
-// emitRow appends row e.row of Q^T (sources ascending) to cols/vals,
-// advances, and returns the grown slices.
-func (e *transEmitter) emitRow(cols []int, vals []float64) ([]int, []float64) {
+// emitRow appends the off-diagonal entries of row e.row of Q^T (sources
+// ascending) to cols/vals, advances, and returns the grown slices. The
+// row's diagonal is e.diag[row], which blocks reference in place.
+func (e *transEmitter) emitRow(cols []int32, vals []float64) ([]int32, []float64) {
 	g := e.g
 	start := len(cols)
 	row, ph := e.row, e.ph
@@ -349,7 +353,7 @@ func (e *transEmitter) emitRow(cols []int, vals []float64) ([]int, []float64) {
 		if rate <= 0 {
 			return
 		}
-		cols = append(cols, col)
+		cols = append(cols, int32(col))
 		vals = append(vals, rate)
 	}
 	// Inbound think completion: the source had one more thinker, so its
@@ -385,10 +389,6 @@ func (e *transEmitter) emitRow(cols []int, vals []float64) ([]int, []float64) {
 			}
 		}
 	}
-	if d := e.diag[row]; d != 0 {
-		cols = append(cols, row)
-		vals = append(vals, d)
-	}
 	for a := start + 1; a < len(cols); a++ {
 		c, v := cols[a], vals[a]
 		b := a
@@ -406,58 +406,96 @@ func (e *transEmitter) emitRow(cols []int, vals []float64) ([]int, []float64) {
 	return cols, vals
 }
 
+// startBlock empties b at row lo, keeping its arrays' capacity, and
+// positions the emitter at lo — a seek only when it is not already
+// there.
+func (e *transEmitter) startBlock(b *ctmc.RowBlock, lo int) {
+	if e.row != lo {
+		e.seek(lo)
+	}
+	b.Lo, b.Hi = lo, lo
+	b.Ptr = append(b.Ptr[:0], 0)
+	b.Cols, b.Vals = b.Cols[:0], b.Vals[:0]
+}
+
+// extendBlock emits rows [b.Hi, hi) onto b; the emitter must stand at
+// row b.Hi.
+func (e *transEmitter) extendBlock(b *ctmc.RowBlock, hi int) {
+	for e.row < hi {
+		b.Cols, b.Vals = e.emitRow(b.Cols, b.Vals)
+		b.Ptr = append(b.Ptr, int32(len(b.Cols)))
+	}
+	b.Hi = hi
+	b.Diag = e.diag[b.Lo:hi]
+}
+
+// fillBlock regenerates rows [lo, hi) of Q^T into b, reusing its arrays.
+func (e *transEmitter) fillBlock(b *ctmc.RowBlock, lo, hi int) {
+	e.startBlock(b, lo)
+	e.extendBlock(b, hi)
+}
+
 // matrixFreeGen is the matrix-free generator backend: a ctmc.Operator
 // whose products regenerate rows per call instead of reading stored
 // nonzeros. Persistent state is one float64 per row (the diagonal,
-// which the transpose rows and MaxAbsDiag need) — everything else is
-// O(K + phases) per worker.
+// which the transpose rows and MaxAbsDiag need) plus, per product
+// worker, an emitter and a one-chunk block reused across calls. Like
+// the solver that drives it, an operator runs one scan or product at a
+// time.
 type matrixFreeGen struct {
 	g       *genParams
 	diag    []float64
 	nnz     int
 	maxDiag float64
+	workers int
+	scratch []*chunkScratch // per worker, built on first use
+}
+
+// chunkScratch is one worker's reusable row-regeneration state.
+type chunkScratch struct {
+	e *transEmitter
+	b *ctmc.RowBlock
 }
 
 // newMatrixFreeGen builds the operator: one forward pass (parallel over
 // row blocks) records each row's diagonal in CSR emission order — the
 // identical float the materialized path stores — and counts the stored
 // entries the product kernels size their fan-out by and assembleTranspose
-// sizes its arrays by.
+// sizes its arrays by. Both backends' blocks index states with int32, so
+// a state count beyond that range fails here with ErrStateLimit.
 func newMatrixFreeGen(ctx context.Context, g *genParams) (*matrixFreeGen, error) {
+	if err := ctmc.CheckCompactSize(g.size, 0); err != nil {
+		return nil, fmt.Errorf("mapqn: %w: %w", err, ErrStateLimit)
+	}
 	q := &matrixFreeGen{g: g, diag: make([]float64, g.size)}
 	workers := matrix.SpMVWorkers(g.size * g.est)
-	bounds := matrix.RowBlocks(g.size, workers)
 	counts := make([]int, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			e := newRowEmitter(g)
-			if lo > 0 {
-				e.seek(lo)
+	matrix.ForRowBlocks(g.size, workers, func(w, lo, hi int) {
+		e := newRowEmitter(g)
+		if lo > 0 {
+			e.seek(lo)
+		}
+		cols := make([]int, 0, g.est)
+		vals := make([]float64, 0, g.est)
+		nnz := 0
+		for r := lo; r < hi; r++ {
+			if r&0xFFF == 0 && ctx.Err() != nil {
+				return
 			}
-			cols := make([]int, 0, g.est)
-			vals := make([]float64, 0, g.est)
-			nnz := 0
-			for r := lo; r < hi; r++ {
-				if r&0xFFF == 0 && ctx.Err() != nil {
-					return
-				}
-				cols, vals = e.emitRow(cols[:0], vals[:0])
-				q.diag[r] = e.diag
-				nnz += len(cols)
-			}
-			counts[w] = nnz
-		}(w, bounds[w], bounds[w+1])
-	}
-	wg.Wait()
+			cols, vals = e.emitRow(cols[:0], vals[:0])
+			q.diag[r] = e.diag
+			nnz += len(cols)
+		}
+		counts[w] = nnz
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for _, c := range counts {
 		q.nnz += c
 	}
+	q.workers = matrix.SpMVWorkers(q.nnz)
+	q.scratch = make([]*chunkScratch, q.workers)
 	for _, d := range q.diag {
 		if d < 0 {
 			d = -d
@@ -479,134 +517,96 @@ func (q *matrixFreeGen) NNZ() int { return q.nnz }
 func (q *matrixFreeGen) MaxAbsDiag() float64 { return q.maxDiag }
 
 // VecMulTo computes y = x*Q as a gather over regenerated transpose rows:
-// row s of Q^T lists the terms Q[r,s]*x[r] in increasing r — the order
-// and association of both the sequential CSR scatter and the parallel
-// cached-transpose gather — so the result is bit-identical to the
-// materialized product.
+// each worker regenerates its row range chunk by chunk and runs the
+// stored backend's kernel (ctmc.RowBlock.MulRows) on each chunk, so the
+// result is bit-identical to the stored product.
 func (q *matrixFreeGen) VecMulTo(y, x []float64) {
 	n := q.g.size
 	if len(x) != n || len(y) != n {
 		panic(fmt.Sprintf("mapqn: VecMul length %d/%d, want %d", len(x), len(y), n))
 	}
-	q.runBlocks(func(lo, hi int) {
-		e := newTransEmitter(q.g, q.diag)
-		if lo > 0 {
-			e.seek(lo)
-		}
-		cols := make([]int, 0, q.g.est)
-		vals := make([]float64, 0, q.g.est)
-		for r := lo; r < hi; r++ {
-			cols, vals = e.emitRow(cols[:0], vals[:0])
-			sum := 0.0
-			for k, c := range cols {
-				sum += vals[k] * x[c]
-			}
-			y[r] = sum
+	matrix.ForRowBlocks(n, q.workers, func(w, lo, hi int) {
+		sc := q.chunkScratch(w)
+		for clo := lo; clo < hi; clo += blockChunk {
+			chi := min(clo+blockChunk, hi)
+			sc.e.fillBlock(sc.b, clo, chi)
+			sc.b.MulRows(y, x, clo, chi)
 		}
 	})
 }
 
-// runBlocks executes kernel over contiguous row blocks, inline when the
-// chain is too small to amortize goroutine handoff.
-func (q *matrixFreeGen) runBlocks(kernel func(lo, hi int)) {
-	workers := matrix.SpMVWorkers(q.nnz)
-	if workers == 1 {
-		kernel(0, q.g.size)
-		return
+// blockChunk is how many rows the matrix-free scans regenerate per
+// block: enough to amortize a seek's composition unranking and the
+// per-block call, few enough that the block stays a small scratch.
+const blockChunk = 256
+
+// chunkScratch returns worker w's emitter and one-chunk block.
+func (q *matrixFreeGen) chunkScratch(w int) *chunkScratch {
+	if q.scratch[w] == nil {
+		chunk := min(blockChunk, q.g.size)
+		q.scratch[w] = &chunkScratch{
+			e: newTransEmitter(q.g, q.diag),
+			b: &ctmc.RowBlock{
+				Ptr:  make([]int32, 0, chunk+1),
+				Cols: make([]int32, 0, chunk*q.g.est),
+				Vals: make([]float64, 0, chunk*q.g.est),
+			},
+		}
 	}
-	bounds := matrix.RowBlocks(q.g.size, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			kernel(lo, hi)
-		}(bounds[w], bounds[w+1])
-	}
-	wg.Wait()
+	return q.scratch[w]
 }
 
-// ScanTranspose hands each regenerated row of Q^T to fn in row order —
-// the access pattern Gauss-Seidel sweeps need. Rows are synthesized
-// into a scratch reused across calls; they match the materialized
-// transpose entry for entry.
-func (q *matrixFreeGen) ScanTranspose(fn func(row int, cols []int, vals []float64)) {
-	e := newTransEmitter(q.g, q.diag)
-	cols := make([]int, 0, q.g.est)
-	vals := make([]float64, 0, q.g.est)
-	for r := 0; r < q.g.size; r++ {
-		cols, vals = e.emitRow(cols[:0], vals[:0])
-		fn(r, cols, vals)
+// ScanBlocks regenerates Q^T chunk by chunk in ascending row order into
+// one reused block — the access pattern Gauss-Seidel sweeps need. The
+// emitter walks on from one chunk to the next without seeking.
+func (q *matrixFreeGen) ScanBlocks(fn func(b *ctmc.RowBlock)) {
+	sc := q.chunkScratch(0)
+	for lo := 0; lo < q.g.size; lo += blockChunk {
+		sc.e.fillBlock(sc.b, lo, min(lo+blockChunk, q.g.size))
+		fn(sc.b)
 	}
 }
 
-// reverseChunk is how many rows ScanTransposeReverse regenerates per
-// seek: enough to amortize the seek's composition unranking, few enough
-// that the chunk's rows stay a small scratch.
-const reverseChunk = 256
-
-// ScanTransposeReverse hands the rows of Q^T to fn in descending order.
-// The emitter only walks forward, so it seeks to the start of each row
-// chunk, regenerates the chunk's rows forward, and hands them back in
-// reverse — the same rows ScanTranspose yields, entry for entry.
-func (q *matrixFreeGen) ScanTransposeReverse(fn func(row int, cols []int, vals []float64)) {
+// ScanBlocksReverse hands the chunks to fn in descending order. The
+// emitter only walks forward, so it seeks to the start of each chunk
+// and regenerates the chunk's rows forward — the same rows ScanBlocks
+// yields, entry for entry.
+func (q *matrixFreeGen) ScanBlocksReverse(fn func(b *ctmc.RowBlock)) {
 	n := q.g.size
-	chunk := min(reverseChunk, n)
-	e := newTransEmitter(q.g, q.diag)
-	ptr := make([]int, chunk+1)
-	cols := make([]int, 0, chunk*q.g.est)
-	vals := make([]float64, 0, chunk*q.g.est)
-	for hi := n; hi > 0; {
-		lo := max(0, hi-chunk)
-		e.seek(lo)
-		cols, vals = cols[:0], vals[:0]
-		for r := lo; r < hi; r++ {
-			cols, vals = e.emitRow(cols, vals)
-			ptr[r-lo+1] = len(cols)
-		}
-		for r := hi - 1; r >= lo; r-- {
-			a, b := ptr[r-lo], ptr[r-lo+1]
-			fn(r, cols[a:b], vals[a:b])
-		}
-		hi = lo
+	sc := q.chunkScratch(0)
+	for lo := (n - 1) / blockChunk * blockChunk; lo >= 0; lo -= blockChunk {
+		sc.e.fillBlock(sc.b, lo, min(lo+blockChunk, n))
+		fn(sc.b)
 	}
 }
 
 // assembleTranspose stores Q^T — the only form the solver reads — by
-// streaming the transpose emitter's rows into CSR arrays sized exactly
-// by the operator's nonzero count.
-func (q *matrixFreeGen) assembleTranspose(ctx context.Context) (*matrix.CSR, error) {
+// streaming the transpose emitter's rows into one ctmc.RowBlock over
+// all rows. The entry arrays are sized exactly by the off-diagonal
+// count, and the block's diagonal is the operator's own, not a copy.
+func (q *matrixFreeGen) assembleTranspose(ctx context.Context) (*ctmc.RowBlock, error) {
 	g := q.g
-	rowPtr := make([]int, g.size+1)
-	colIdx := make([]int, 0, q.nnz)
-	vals := make([]float64, 0, q.nnz)
-	e := newTransEmitter(g, q.diag)
-	for row := 0; row < g.size; row++ {
-		if row&0xFFF == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	off := q.nnz
+	for _, d := range q.diag {
+		if d != 0 {
+			off--
 		}
-		colIdx, vals = e.emitRow(colIdx, vals)
-		rowPtr[row+1] = len(colIdx)
 	}
-	return matrix.NewCSRFromRows(g.size, rowPtr, colIdx, vals), nil
-}
-
-// transposeOp presents a stored Q^T as the generator's ctmc.Operator:
-// Q^T's rows are the transpose scans, and its ordinary product Q^T*x is
-// the solver's x*Q — a gather that reproduces the matrix-free product
-// bit for bit.
-type transposeOp struct{ qt *matrix.CSR }
-
-func (o transposeOp) Dim() int                { return o.qt.N }
-func (o transposeOp) VecMulTo(y, x []float64) { o.qt.MulVecTo(y, x) }
-func (o transposeOp) MaxAbsDiag() float64     { return o.qt.MaxAbsDiag() }
-
-func (o transposeOp) ScanTranspose(fn func(row int, cols []int, vals []float64)) {
-	o.qt.ScanRows(fn)
-}
-
-func (o transposeOp) ScanTransposeReverse(fn func(row int, cols []int, vals []float64)) {
-	o.qt.ScanRowsReverse(fn)
+	if err := ctmc.CheckCompactSize(g.size, off); err != nil {
+		return nil, err
+	}
+	b := &ctmc.RowBlock{
+		Ptr:  make([]int32, 0, g.size+1),
+		Cols: make([]int32, 0, off),
+		Vals: make([]float64, 0, off),
+	}
+	e := newTransEmitter(g, q.diag)
+	e.startBlock(b, 0)
+	for lo := 0; lo < g.size; lo += 0x1000 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		e.extendBlock(b, min(lo+0x1000, g.size))
+	}
+	return b, nil
 }

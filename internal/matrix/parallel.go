@@ -36,10 +36,26 @@ const maxSpmvWorkers = 16
 // kernels and stay bit-identical to them.
 func SpMVWorkers(nnz int) int { return spmvWorkers(nnz) }
 
-// RowBlocks splits the rows [0, n) into nearly equal contiguous blocks,
-// returning the block boundaries (len workers+1) — the partition the
-// parallel kernels (and external matrix-free operators) fan out over.
-func RowBlocks(n, workers int) []int { return rowBlocks(n, workers) }
+// ForRowBlocks splits the rows [0, n) into workers nearly equal
+// contiguous blocks and runs fn(w, lo, hi) on block w, returning once
+// every block is done. Block 0 runs on the calling goroutine and each
+// other block on its own, so one worker runs fn inline. It is the
+// fan-out of the CSR kernels, exported so operators built outside this
+// package (which synthesize rows instead of storing them) partition
+// work the same way.
+func ForRowBlocks(n, workers int, fn func(w, lo, hi int)) {
+	bounds := rowBlocks(n, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			fn(w, bounds[w], bounds[w+1])
+		}(w)
+	}
+	fn(0, bounds[0], bounds[1])
+	wg.Wait()
+}
 
 // spmvWorkers returns how many workers an operation on nnz stored
 // entries should use; 1 means run sequentially.
@@ -74,16 +90,7 @@ func rowBlocks(n, workers int) []int {
 // goroutine per row block. Outputs are disjoint, so no reduction is
 // needed and the result is identical to the sequential kernel.
 func (m *CSR) mulVecBlocks(y, x []float64, workers int) {
-	bounds := rowBlocks(m.N, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			m.mulVecRange(y, x, lo, hi)
-		}(bounds[w], bounds[w+1])
-	}
-	wg.Wait()
+	ForRowBlocks(m.N, workers, func(_, lo, hi int) { m.mulVecRange(y, x, lo, hi) })
 }
 
 // cachedTranspose returns A^T, building it on first use. The CSR

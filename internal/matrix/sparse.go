@@ -118,38 +118,6 @@ func (m *CSR) NNZ() int { return len(m.Vals) }
 // Dim returns the square dimension.
 func (m *CSR) Dim() int { return m.N }
 
-// ScanTranspose invokes fn once per row of A^T in row order, handing it
-// the row's column indices (ascending) and values as slices valid only
-// for the duration of the call. Gauss-Seidel sweeps over the transposed
-// balance equations through this without materializing A^T per caller;
-// the CSR implementation serves slices of the cached transpose.
-func (m *CSR) ScanTranspose(fn func(row int, cols []int, vals []float64)) {
-	m.cachedTranspose().ScanRows(fn)
-}
-
-// ScanTransposeReverse is ScanTranspose in descending row order.
-func (m *CSR) ScanTransposeReverse(fn func(row int, cols []int, vals []float64)) {
-	m.cachedTranspose().ScanRowsReverse(fn)
-}
-
-// ScanRows invokes fn once per row of A in ascending row order with
-// slices of the row's stored columns and values, valid only for the
-// duration of the call.
-func (m *CSR) ScanRows(fn func(row int, cols []int, vals []float64)) {
-	for r := 0; r < m.N; r++ {
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		fn(r, m.ColIdx[lo:hi], m.Vals[lo:hi])
-	}
-}
-
-// ScanRowsReverse is ScanRows in descending row order.
-func (m *CSR) ScanRowsReverse(fn func(row int, cols []int, vals []float64)) {
-	for r := m.N - 1; r >= 0; r-- {
-		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
-		fn(r, m.ColIdx[lo:hi], m.Vals[lo:hi])
-	}
-}
-
 // At returns entry (i, j); absent entries are zero.
 func (m *CSR) At(i, j int) float64 {
 	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -126,6 +127,13 @@ func RawMoment(xs []float64, k int) float64 {
 // Percentile returns the p-th percentile (0 < p <= 100) of xs using linear
 // interpolation between closest ranks (the same convention as common
 // spreadsheet/statistics packages: R type-7). xs is not modified.
+//
+// It selects the two ranks it needs instead of sorting: a quickselect
+// puts the lower rank in place, and the upper one is the least value
+// above it. The result equals interpolating over sort.Float64s's order
+// bit for bit. Equal values share their bits except zeros (±0) and
+// NaNs (payloads), whose order among themselves only the sort fixes, so
+// when a selected rank holds either, Percentile sorts a fresh copy.
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
@@ -133,24 +141,89 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if p <= 0 || p > 100 {
 		return 0, fmt.Errorf("stats: percentile %v out of range (0,100]", p)
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p), nil
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
+	if len(xs) == 1 {
+		return xs[0], nil
 	}
-	h := (p / 100) * float64(len(sorted)-1)
+	h := (p / 100) * float64(len(xs)-1)
 	lo := int(math.Floor(h))
 	hi := int(math.Ceil(h))
+	buf := make([]float64, len(xs))
+	copy(buf, xs)
+	selectRank(buf, lo)
+	a, b := buf[lo], buf[lo]
+	if hi != lo {
+		b = buf[lo+1]
+		for _, v := range buf[lo+2:] {
+			if sortLess(v, b) {
+				b = v
+			}
+		}
+	}
+	if a == 0 || b == 0 || a != a || b != b {
+		copy(buf, xs)
+		sort.Float64s(buf)
+		a, b = buf[lo], buf[hi]
+	}
 	if lo == hi {
-		return sorted[lo]
+		return a, nil
 	}
 	frac := h - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return a*(1-frac) + b*frac, nil
+}
+
+// sortLess is sort.Float64s's order: NaNs first, then ascending.
+func sortLess(a, b float64) bool {
+	return a < b || (a != a && b == b)
+}
+
+// selectRank permutes xs so that xs[k] holds the k-th smallest value in
+// sortLess order, with no greater value before it and no smaller one
+// after. Each round splits the live range three ways around a
+// median-of-three pivot, so runs of ties cost one pass; a range that
+// survives 2*log2(n) rounds is sorted instead.
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs) // live range [lo, hi) contains k
+	for budget := 2 * bits.Len(uint(len(xs))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			sort.Float64s(xs[lo:hi])
+			return
+		}
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		if sortLess(b, a) {
+			a, b = b, a
+		}
+		if sortLess(c, b) {
+			b = c
+			if sortLess(b, a) {
+				b = a
+			}
+		}
+		pivot := b
+		// Three-way partition: [lo, lt) < pivot, [lt, i) == pivot,
+		// [gt, hi) > pivot.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := xs[i]; {
+			case sortLess(v, pivot):
+				xs[lt], xs[i] = v, xs[lt]
+				lt++
+				i++
+			case sortLess(pivot, v):
+				gt--
+				xs[i], xs[gt] = xs[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
 }
 
 // Median returns the 50th percentile of xs.

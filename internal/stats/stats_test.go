@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -416,5 +417,90 @@ func TestRawMoment(t *testing.T) {
 	xs := []float64{1, 2, 3}
 	if got := RawMoment(xs, 2); !almostEqual(got, (1.0+4+9)/3, 1e-12) {
 		t.Errorf("RawMoment2 = %v", got)
+	}
+}
+
+// sortedPercentile is the sort-based reference Percentile must match:
+// sort.Float64s on a copy, then R type-7 interpolation.
+func sortedPercentile(xs []float64, p float64) float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	if len(sorted) == 1 {
+		return sorted[0]
+	}
+	h := (p / 100) * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(h)), int(math.Ceil(h))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := h - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// TestPercentileMatchesSortBitForBit checks selection against the sort
+// reference on seeded samples: continuous values, heavy ties, a single
+// element, signed zeros, NaNs (which sort.Float64s orders first) and
+// infinities, at random and boundary percentiles. A NaN result must be
+// NaN in both.
+func TestPercentileMatchesSortBitForBit(t *testing.T) {
+	src := rand.New(rand.NewSource(29))
+	nan := math.NaN()
+	cases := [][]float64{
+		{4.5},
+		{nan},
+		{math.Copysign(0, -1)},
+		{0, math.Copysign(0, -1), 0, math.Copysign(0, -1), 1, -1},
+		{nan, 3, 1, nan, 2, math.Inf(1), math.Inf(-1)},
+		{math.NaN(), 0 * math.Inf(1), 5, 5, 5},
+		{2, 2, 2, 2, 2, 2, 2},
+	}
+	for c := 0; c < 60; c++ {
+		n := 1 + src.Intn(400)
+		xs := make([]float64, n)
+		levels := 1 + src.Intn(8) // few levels make ties
+		for i := range xs {
+			switch r := src.Float64(); {
+			case c%3 == 0:
+				xs[i] = src.ExpFloat64()
+			case r < 0.05:
+				xs[i] = nan
+			case r < 0.1:
+				xs[i] = math.Copysign(0, -1)
+			case r < 0.15:
+				xs[i] = 0
+			default:
+				xs[i] = float64(src.Intn(levels)) - 2
+			}
+		}
+		cases = append(cases, xs)
+	}
+	for ci, xs := range cases {
+		keep := append([]float64(nil), xs...)
+		for _, p := range []float64{1e-9, 1, 25, 50, 90, 95, 99, 100, 100 * src.Float64()} {
+			if p == 0 {
+				continue
+			}
+			got, err := Percentile(xs, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sortedPercentile(xs, p)
+			if math.IsNaN(want) && math.IsNaN(got) {
+				// Both picked the same NaN ranks; when they interpolate
+				// between two NaNs, which payload the sum keeps depends
+				// on the operand order the compiler emits, which Go
+				// leaves unspecified.
+				continue
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("case %d (n=%d) p=%v: Percentile = %v (%#x), sort reference %v (%#x)",
+					ci, len(xs), p, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(keep[i]) {
+				t.Fatalf("case %d: Percentile mutated its input", ci)
+			}
+		}
 	}
 }
