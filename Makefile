@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet fmt-check perfbench-check race faults xvalidate scenario suite serve-smoke paperrepro-check bench benchgate
+.PHONY: check build test vet fmt-check perfbench-check race faults fuzz xvalidate scenario suite serve-smoke paperrepro-check bench benchgate
 
 check: vet fmt-check build test perfbench-check
 
@@ -51,6 +51,18 @@ race:
 # retry.
 faults:
 	$(GO) test -race -run 'TestFault|TestScenario(StateLimit|DecompRequested|DoubleHop)|TestLadderGoldens|TestCrossValidationDegrades|TestMemoRetry' ./...
+
+# fuzz runs every committed fuzz target (each func Fuzz* that
+# `go test -list` finds in the module) for 10 seconds beyond its seed
+# corpus. A crash it finds is written under the package's
+# testdata/fuzz/ and fails the target.
+fuzz:
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' "$$pkg" | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -parallel 2 "$$pkg" || exit 1; \
+		done; \
+	done
 
 # xvalidate is the sim-vs-solver smoke check: a K=3 replicated simulation
 # cross-validated against the exact MAP network within the documented
@@ -101,38 +113,55 @@ paperrepro-check:
 # the multiclass MVA solvers (exact lattice and Schweitzer/Bard), and
 # the generator microbenches (assembly strategies, CSR vs matrix-free
 # backends), the exact solve of a nearly-decomposable grid cell on
-# both backends (SteadyStateNCD), and the TPC-W simulator on its own
-# (SimulateTPCW) — and archives the numbers (ns/op, states, nnz, allocs,
-# throughput) as JSON. -benchtime=1x for the seconds-scale solves (a
-# single iteration is already deterministic enough for a trajectory);
-# the tens-of-milliseconds SolveDecomp benches and the 0.1-second
-# SimulateTPCW run 10 iterations, and the microsecond-scale
-# MulticlassMVA benches as many as fill one second, each in a separate
-# invocation, because their short runs swing by 25% or more with
-# scheduler noise (50 iterations, about 15 ms in all, swung 28-65% on
-# unchanged code), which would make the benchgate flaky. Every
-# benchmark runs three times (-count=3) and cmd/benchjson records the
-# median of each metric, so one run slowed by a busy host does not move
-# the archived or the gated number.
+# both backends (SteadyStateNCD), the TPC-W simulator on its own
+# (SimulateTPCW), and two layers of a what-if memo miss on their own:
+# the dense direct solve (SteadyStateDense) and the MAP(2) fit
+# (FitThreePoint) — and archives the numbers (ns/op, states, nnz,
+# allocs, throughput) as JSON. BENCH_RUNS lists each benchmark function
+# as package:benchtime:name: -benchtime=1x for the seconds-scale solves
+# (a single iteration is already deterministic enough for a
+# trajectory); the tens-of-milliseconds SolveDecomp benches and the
+# 0.1-second SimulateTPCW run 10 iterations, and the microsecond- and
+# millisecond-scale benches as many as fill one second, because their
+# short runs swing by 25% or more with scheduler noise.
+#
+# The host's speed drifts by 30-60% over minutes and by a third within
+# seconds, so each function runs in its own `go test` invocation, right
+# after BenchmarkHostProbe, a fixed reference kernel (internal/hostprobe),
+# and the whole list runs five times over, one round after another.
+# cmd/benchjson records the median of each metric over the five runs of
+# a row, taken minutes apart, and stamps the row with the median of its
+# invocations' probe times; cmd/benchgate compares ns/op at the
+# baseline's host speed. The test binaries are built first, so no
+# compilation runs next to a probe.
+BENCH_RUNS = .:1x:SolveThreeTier .:1x:SolverSweep .:1x:RunSuite .:1x:ServiceRepeatQuery \
+	.:10x:SolveDecomp .:10x:SimulateTPCW .:1s:MulticlassMVA \
+	./internal/mapqn/:1s:GeneratorAssembly ./internal/mapqn/:1s:GeneratorBackends \
+	./internal/mapqn/:1s:SteadyStateNCD ./internal/ctmc/:1s:SteadyStateDense \
+	./internal/markov/:1s:FitThreePoint
+
+define bench-run
+	$(GO) test -run=NONE -bench=NONE . ./internal/mapqn/ ./internal/ctmc/ ./internal/markov/ > /dev/null
+	for round in 1 2 3 4 5; do \
+		for run in $(BENCH_RUNS); do \
+			pkg=$${run%%:*}; rest=$${run#*:}; \
+			$(GO) test -run=NONE -bench="^Benchmark($${rest#*:}|HostProbe)$$" -benchmem -benchtime=$${rest%%:*} "$$pkg" || exit 1; \
+		done; \
+	done > .bench_out.txt
+	$(GO) run ./cmd/benchjson < .bench_out.txt > $(1)
+	rm -f .bench_out.txt
+endef
+
 bench:
-	$(GO) test -run=NONE -bench='SolveThreeTier|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x -count=3 . > .bench_root.txt
-	$(GO) test -run=NONE -bench='SolveDecomp|SimulateTPCW' -benchmem -benchtime=10x -count=3 . >> .bench_root.txt
-	$(GO) test -run=NONE -bench='MulticlassMVA' -benchmem -benchtime=1s -count=3 . >> .bench_root.txt
-	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends|SteadyStateNCD' -benchmem -count=3 ./internal/mapqn/ > .bench_mapqn.txt
-	cat .bench_root.txt .bench_mapqn.txt | $(GO) run ./cmd/benchjson > BENCH_solver.json
-	rm -f .bench_root.txt .bench_mapqn.txt
+	$(call bench-run,BENCH_solver.json)
 	cat BENCH_solver.json
 
 # benchgate is the perf-regression gate: re-run the bench suite into a
-# scratch document and fail if any benchmark's ns/op, B/op or allocs/op
-# regressed more than 25% against the committed BENCH_solver.json. CI
-# runs this on every push; run it locally before optimization PRs.
+# scratch document and fail if any benchmark's ns/op (at the baseline's
+# host speed), B/op or allocs/op regressed more than 25% against the
+# committed BENCH_solver.json. CI runs this on every push; run it
+# locally before optimization PRs.
 benchgate:
-	$(GO) test -run=NONE -bench='SolveThreeTier|Solver|RunSuite|ServiceRepeatQuery' -benchmem -benchtime=1x -count=3 . > .bench_root.txt
-	$(GO) test -run=NONE -bench='SolveDecomp|SimulateTPCW' -benchmem -benchtime=10x -count=3 . >> .bench_root.txt
-	$(GO) test -run=NONE -bench='MulticlassMVA' -benchmem -benchtime=1s -count=3 . >> .bench_root.txt
-	$(GO) test -run=NONE -bench='GeneratorAssembly|GeneratorBackends|SteadyStateNCD' -benchmem -count=3 ./internal/mapqn/ > .bench_mapqn.txt
-	cat .bench_root.txt .bench_mapqn.txt | $(GO) run ./cmd/benchjson > .bench_fresh.json
-	rm -f .bench_root.txt .bench_mapqn.txt
+	$(call bench-run,.bench_fresh.json)
 	$(GO) run ./cmd/benchgate -baseline BENCH_solver.json -fresh .bench_fresh.json
 	rm -f .bench_fresh.json

@@ -19,6 +19,13 @@
 // allocation-free code does — are skipped for that metric.
 // Improvements are reported alongside regressions so the gate's output
 // doubles as a quick perf diff.
+//
+// The host drifts in speed by 30-60% over minutes, which no repetition
+// of a row absorbs, so ns/op is compared at a common host speed: when
+// both rows carry the host probe time of the invocations that ran them
+// (probe_ns_per_op, see internal/hostprobe and cmd/benchjson), the fresh
+// ns/op is first scaled by baseline probe / fresh probe. B/op and
+// allocs/op do not depend on host speed and are compared as measured.
 package main
 
 import (
@@ -32,9 +39,10 @@ import (
 
 // Benchmark mirrors cmd/benchjson's per-line record.
 type Benchmark struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
+	Name         string             `json:"name"`
+	Iterations   int64              `json:"iterations"`
+	Metrics      map[string]float64 `json:"metrics"`
+	ProbeNsPerOp float64            `json:"probe_ns_per_op,omitempty"`
 }
 
 // Report mirrors cmd/benchjson's document.
@@ -86,10 +94,11 @@ func run() error {
 }
 
 // gate compares every metric the baseline shares with the fresh run —
-// ns/op under threshold, B/op and allocs/op under memThreshold — writes
-// one line per comparison to w, and returns how many regressed and how
-// many were compared.
+// ns/op, scaled to the baseline's host speed, under threshold, B/op and
+// allocs/op under memThreshold — writes one line per comparison to w,
+// and returns how many regressed and how many were compared.
 func gate(w io.Writer, baseline, fresh *Report, threshold, memThreshold float64) (failed, compared int) {
+	baseProbe, freshProbe := indexProbe(baseline), indexProbe(fresh)
 	for _, g := range []struct {
 		metric    string
 		threshold float64
@@ -114,15 +123,20 @@ func gate(w io.Writer, baseline, fresh *Report, threshold, memThreshold float64)
 				continue
 			}
 			compared++
+			host := ""
+			if bp, fp := baseProbe[name], freshProbe[name]; g.metric == "ns/op" && bp > 0 && fp > 0 {
+				f *= bp / fp
+				host = fmt.Sprintf(" at baseline host speed (x%.3f)", bp/fp)
+			}
 			ratio := f / b
 			switch {
 			case ratio > 1+g.threshold:
 				failed++
-				fmt.Fprintf(w, "FAIL %-48s %12.0f -> %12.0f %s (%+.1f%% > +%.0f%% allowed)\n",
-					name, b, f, g.metric, 100*(ratio-1), 100*g.threshold)
+				fmt.Fprintf(w, "FAIL %-48s %12.0f -> %12.0f %s%s (%+.1f%% > +%.0f%% allowed)\n",
+					name, b, f, g.metric, host, 100*(ratio-1), 100*g.threshold)
 			default:
-				fmt.Fprintf(w, "  ok %-48s %12.0f -> %12.0f %s (%+.1f%%)\n",
-					name, b, f, g.metric, 100*(ratio-1))
+				fmt.Fprintf(w, "  ok %-48s %12.0f -> %12.0f %s%s (%+.1f%%)\n",
+					name, b, f, g.metric, host, 100*(ratio-1))
 			}
 		}
 		if g.metric == "ns/op" {
@@ -134,6 +148,18 @@ func gate(w io.Writer, baseline, fresh *Report, threshold, memThreshold float64)
 		}
 	}
 	return failed, compared
+}
+
+// indexProbe maps benchmark name to the host probe time recorded with
+// it, for the rows that have one.
+func indexProbe(rep *Report) map[string]float64 {
+	idx := make(map[string]float64, len(rep.Benchmarks))
+	for _, b := range rep.Benchmarks {
+		if b.ProbeNsPerOp > 0 {
+			idx[b.Name] = b.ProbeNsPerOp
+		}
+	}
+	return idx
 }
 
 // load reads and decodes one benchjson document.

@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"strings"
+	"testing"
+)
 
 // TestMediansMergesRepeats checks that repeated runs of a benchmark
 // collapse into one record holding per-metric medians, that a single
@@ -34,5 +40,44 @@ func TestMediansMergesRepeats(t *testing.T) {
 	}
 	if c := got[2]; c.Metrics["ns/op"] != 15 {
 		t.Fatalf("BenchmarkC ns/op = %v, want 15 (mean of the two middle runs)", c.Metrics["ns/op"])
+	}
+}
+
+// TestRunStampsEachInvocationsProbe checks that each invocation's rows
+// carry the median time of that invocation's host probe runs, that the
+// probe rows themselves are not archived, and that an invocation
+// without a probe leaves its rows unstamped.
+func TestRunStampsEachInvocationsProbe(t *testing.T) {
+	in := strings.Join([]string{
+		"goos: linux",
+		"pkg: repro",
+		"BenchmarkHostProbe-2   4   5e8 ns/op   50 probe-ns/op",
+		"BenchmarkHostProbe-2   4   5e8 ns/op   70 probe-ns/op",
+		"BenchmarkHostProbe-2   4   5e8 ns/op   60 probe-ns/op",
+		"BenchmarkA-2   1   300 ns/op",
+		"PASS",
+		"goos: linux",
+		"pkg: repro/internal/mapqn",
+		"BenchmarkB-2   1   7 ns/op",
+		"BenchmarkHostProbe-2   4   5e8 ns/op   90 probe-ns/op",
+		"goos: linux",
+		"pkg: repro/internal/ctmc",
+		"BenchmarkC-2   1   9 ns/op",
+	}, "\n")
+	var out bytes.Buffer
+	if err := run(strings.NewReader(in), &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, b := range rep.Benchmarks {
+		got[b.Name] = b.ProbeNsPerOp
+	}
+	want := map[string]float64{"BenchmarkA": 60, "BenchmarkB": 90, "BenchmarkC": 0}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("probe per row %v, want %v", got, want)
 	}
 }

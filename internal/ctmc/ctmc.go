@@ -193,7 +193,10 @@ const (
 //
 //   - Chains at or below DenseCutoff (512 states by default) are solved
 //     directly by dense LU, the balance equations recovered through
-//     ScanBlocks.
+//     ScanBlocks. The system is factored in place, and each elimination
+//     step updates a row only over the pivot row's nonzeros
+//     (matrix.FactorInPlace): on a banded network chain that is about a
+//     tenth of the dense arithmetic, with the same factors bit for bit.
 //   - Larger chains start with forward Gauss-Seidel sweeps over the
 //     transposed balance equations. On birth-death-like chains they
 //     converge within a few hundred sweeps.
@@ -238,7 +241,8 @@ func SteadyStateOperatorCtx(ctx context.Context, op Operator, opts Options) (Res
 	return st.symmetricGaussSeidel(ctx, pi, sweeps, opts.MaxIter, tol)
 }
 
-// steadyStateDense solves the balance equations directly.
+// steadyStateDense solves the balance equations directly, factoring the
+// system it builds in place.
 func steadyStateDense(op Operator) ([]float64, error) {
 	n := op.Dim()
 	a := matrix.NewDense(n, n)
@@ -257,7 +261,11 @@ func steadyStateDense(op Operator) ([]float64, error) {
 	}
 	b := make([]float64, n)
 	b[n-1] = 1
-	pi, err := matrix.Solve(a, b)
+	lu, err := matrix.FactorInPlace(a)
+	var pi []float64
+	if err == nil {
+		pi, err = lu.Solve(b)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ctmc: dense solve failed (reducible chain?): %w", err)
 	}

@@ -4,8 +4,15 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/hostprobe"
 	"repro/internal/markov"
 )
+
+// BenchmarkHostProbe times the host's speed next to this package's
+// benchmarks (see internal/hostprobe).
+func BenchmarkHostProbe(b *testing.B) {
+	hostprobe.Benchmark(b)
+}
 
 // benchModel builds the K=3 benchmark fixture outside the timed loop.
 func benchModel(b *testing.B, customers int) (NetworkModel, []*markov.MAP) {

@@ -195,26 +195,29 @@ func TestDecompNonConvergence(t *testing.T) {
 // far below round-off) makes the same number of allocations at 20 and
 // at 40 outer iterations, so every iteration — complement MVA, level
 // chain solves, residence inversion — runs inside the workspace. The
-// runtime's own allocations (the race detector's, say) can only add to
-// a count, so the pair is measured up to five times: a per-iteration
-// allocation would add at least 20 to the longer solve on every try.
+// runtime's own allocations can only add to a count: under the race
+// detector, which empties sync.Pools at random, a solve makes 94 or 99.
+// So each side is measured one solve at a time, ten times, and the
+// fewest of each are compared exactly: a per-iteration allocation would
+// add at least 20 to every solve at MaxIter=40. (An average over several
+// solves rarely reaches the floor under the race detector.)
 func TestDecompIterationsAllocateNothing(t *testing.T) {
 	m := NetworkModel{Stations: decompBenchStations(t, 4, 25, 120), ThinkTime: 0.5, Customers: 50}
 	allocs := func(maxIter int) float64 {
-		return testing.AllocsPerRun(5, func() {
+		return testing.AllocsPerRun(1, func() {
 			_, err := SolveNetworkDecomp(m, DecompOptions{Tol: 1e-300, MaxIter: maxIter})
 			if !errors.Is(err, ctmc.ErrNoConvergence) {
 				t.Fatalf("MaxIter=%d: err = %v, want ctmc.ErrNoConvergence", maxIter, err)
 			}
 		})
 	}
-	var a20, a40 float64
-	for try := 0; try < 5; try++ {
-		if a20, a40 = allocs(20), allocs(40); a20 == a40 {
-			return
-		}
+	a20, a40 := math.Inf(1), math.Inf(1)
+	for try := 0; try < 10; try++ {
+		a20, a40 = min(a20, allocs(20)), min(a40, allocs(40))
 	}
-	t.Errorf("allocations grow with iterations: %v at MaxIter=20, %v at MaxIter=40", a20, a40)
+	if a20 != a40 {
+		t.Errorf("allocations grow with iterations: %v at MaxIter=20, %v at MaxIter=40 (fewest of ten solves each)", a20, a40)
+	}
 }
 
 // TestDecompCancellation checks the outer loop polls ctx.

@@ -270,12 +270,22 @@ func h2Quantile(h H2Params, q float64) (float64, error) {
 			return 0, errors.New("markov: H2 quantile bracketing failed")
 		}
 	}
+	// Bisect for at most 100 steps, stopping at the fixed point: a step
+	// that leaves (lo, hi) as they were leaves the next mid, and so every
+	// later step, as they were too, and the answer is the one the full
+	// 100 steps give.
 	lo := 0.0
 	for i := 0; i < 100; i++ {
 		mid := (lo + hi) / 2
 		if cdf(mid) < q {
+			if mid == lo {
+				break
+			}
 			lo = mid
 		} else {
+			if mid == hi {
+				break
+			}
 			hi = mid
 		}
 	}

@@ -233,3 +233,54 @@ func TestPropFitThreePointRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// h2QuantileFullBisection is h2Quantile as it was before it stopped at
+// the bisection's fixed point: always 100 steps.
+func h2QuantileFullBisection(h H2Params, q float64) float64 {
+	cdf := func(x float64) float64 {
+		return 1 - h.P*math.Exp(-h.Rate1*x) - (1-h.P)*math.Exp(-h.Rate2*x)
+	}
+	hi := h.Mean()
+	for cdf(hi) < q {
+		hi *= 2
+	}
+	lo := 0.0
+	for i := 0; i < 100; i++ {
+		mid := (lo + hi) / 2
+		if cdf(mid) < q {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestH2QuantileMatchesFullBisection pins the early-stopping bisection
+// bit for bit against the 100-step loop over a seeded grid of means,
+// SCVs and quantiles, on balanced H2s and on H2s with a random mixing
+// probability.
+func TestH2QuantileMatchesFullBisection(t *testing.T) {
+	src := xrand.New(41)
+	qs := []float64{1e-12, 0.01, 0.5, 0.9, 0.95, 0.99, 0.999, 1 - 1e-9}
+	for trial := 0; trial < 400; trial++ {
+		mean := math.Pow(10, -4+6*src.Float64())
+		scv := 1 + math.Pow(10, -3+6*src.Float64())
+		h, err := BalancedH2(mean, scv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial%2 == 1 {
+			h = H2Params{P: src.Float64(), Rate1: 1 / (mean * (0.01 + src.Float64())), Rate2: 1 / (mean * (1 + 100*src.Float64()))}
+		}
+		for _, q := range qs {
+			got, err := h2Quantile(h, q)
+			if err != nil {
+				t.Fatalf("%+v q=%v: %v", h, q, err)
+			}
+			if want := h2QuantileFullBisection(h, q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v q=%v: quantile %x, 100-step bisection %x", h, q, got, want)
+			}
+		}
+	}
+}

@@ -6,7 +6,9 @@
 //
 // The dense routines target the tiny matrices of MAP(2)/phase-type work
 // (dimension 2..20); they favour clarity and numerical robustness over
-// asymptotic speed.
+// asymptotic speed. The LU also factors the balance equations of Markov
+// chains of a few hundred states, and skips the arithmetic on their
+// zeros.
 package matrix
 
 import (
@@ -238,7 +240,10 @@ func (m *Dense) mustSquare() {
 // also a reusable workspace: Refactor and InverseTo overwrite it without
 // allocating, so one LU they use must not be shared between goroutines.
 type LU struct {
-	lu    *Dense
+	lu *Dense
+	// pivot has length n. Its capacity beyond n, another n, is factor's
+	// scratch for the pivot row's nonzero columns (one allocation for
+	// both keeps NewLU inlinable, so Inverse's LU stays on the stack).
 	pivot []int
 	signP float64
 	col   []float64 // InverseTo's column scratch
@@ -247,8 +252,13 @@ type LU struct {
 // NewLU returns an n-by-n factorization workspace for Refactor and
 // InverseTo.
 func NewLU(n int) *LU {
-	return &LU{lu: NewDense(n, n), pivot: make([]int, n), col: make([]float64, n)}
+	return &LU{lu: NewDense(n, n), pivot: make([]int, n, 2*n), col: make([]float64, n)}
 }
+
+// sparseMinOrder is the smallest order factor skips zeros at. Below it
+// (the MAP and phase-type blocks) the bookkeeping costs more than the
+// arithmetic it saves.
+const sparseMinOrder = 16
 
 // Factor computes the LU factorization of square matrix a with partial
 // pivoting. It returns ErrSingular for numerically singular input.
@@ -261,55 +271,149 @@ func Factor(a *Dense) (*LU, error) {
 	return f, nil
 }
 
+// FactorInPlace is Factor without the copy: it overwrites the square
+// matrix a with its factors, and the returned LU keeps a as its storage,
+// so a must not be used again except through the LU. The factors are
+// Factor's, bit for bit.
+func FactorInPlace(a *Dense) (*LU, error) {
+	a.mustSquare()
+	n := a.Rows
+	f := &LU{lu: a, pivot: make([]int, n, 2*n), col: make([]float64, n)}
+	if err := f.factor(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 // Refactor overwrites f with the LU factorization of a, which must have
-// f's order. It returns ErrSingular for numerically singular input, and
-// then leaves f unusable until the next successful Refactor.
+// f's order: it copies a into f and eliminates there, updating each row
+// only where the pivot row is nonzero (see factor), with the factors of
+// the full dense elimination bit for bit. It returns ErrSingular for
+// numerically singular input, and then leaves f unusable until the next
+// successful Refactor. It allocates nothing.
 func (f *LU) Refactor(a *Dense) error {
 	a.mustSquare()
 	n := a.Rows
 	if f.lu.Rows != n {
 		panic(fmt.Sprintf("matrix: Refactor of %dx%d into an order-%d LU", n, n, f.lu.Rows))
 	}
-	lu := f.lu
-	copy(lu.Data, a.Data)
+	copy(f.lu.Data, a.Data)
+	return f.factor()
+}
+
+// factor runs Doolittle elimination with partial pivoting on f.lu in
+// place, leaving the multipliers below the diagonal and U on and above
+// it.
+//
+// Each elimination step updates row r right of the pivot column as
+// rowR[j] -= m*rowC[j], but only where that can change a value: at the
+// columns j where the pivot row rowC is nonzero, gathered once per step
+// into the scratch behind f.pivot, or, when those fill at least half of
+// the span from the first to the last of them (a band's nonzeros do),
+// over that span in one contiguous loop. On a K=2 network chain that is
+// two thirds of the updates of the full rows and a tenth of the dense
+// n^3/3: partial pivoting keeps the fill near the band. The skipped
+// updates, and those at the zeros inside a span, are x - m*(±0) with
+// |m| <= 1 (partial pivoting), which is x bit for bit, with two
+// exceptions, both handled by the full row loop:
+//
+//   - m is NaN (a NaN below the pivot): NaN*0 is NaN, so every entry of
+//     the row must take it.
+//   - x is -0: -0 - (-0) is +0. No update makes a -0 from operands that
+//     are not: x - y is -0 only when x is -0 and y is +0, since an exact
+//     zero difference rounds to +0 and a difference in the subnormal
+//     range is exact (this takes the product m*rowC[j] rounded before
+//     the subtraction, as amd64 code computes it, not fused into one
+//     FMA). The multipliers, which may be -0, sit left of the trailing
+//     matrix and are never read as x or as rowC. So a -0-free input
+//     keeps the trailing matrix -0-free, and an input holding a -0 takes
+//     the full row loop at every step.
+//
+// Matrices of order below sparseMinOrder take the full row loop too.
+func (f *LU) factor() error {
+	n := f.lu.Rows
+	data := f.lu.Data
 	pivot := f.pivot
-	sign := 1.0
 	for i := range pivot {
 		pivot[i] = i
 	}
+	sparse := n >= sparseMinOrder && !hasNegativeZero(data)
+	sign := 1.0
 	for col := 0; col < n; col++ {
 		// Find pivot row.
 		p := col
-		max := math.Abs(lu.At(col, col))
+		max := math.Abs(data[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if a := math.Abs(lu.At(r, col)); a > max {
+			if a := math.Abs(data[r*n+col]); a > max {
 				max, p = a, r
 			}
 		}
 		if max == 0 || math.IsNaN(max) {
 			return ErrSingular
 		}
+		rowC := data[col*n : (col+1)*n]
 		if p != col {
-			for j := 0; j < n; j++ {
-				lu.Data[p*n+j], lu.Data[col*n+j] = lu.Data[col*n+j], lu.Data[p*n+j]
+			rowP := data[p*n : (p+1)*n]
+			for j := range rowC {
+				rowP[j], rowC[j] = rowC[j], rowP[j]
 			}
 			pivot[p], pivot[col] = pivot[col], pivot[p]
 			sign = -sign
 		}
-		d := lu.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := lu.At(r, col) / d
-			lu.Set(r, col, f)
-			if f == 0 {
-				continue
-			}
+		nz := pivot[n:n]
+		if sparse {
 			for j := col + 1; j < n; j++ {
-				lu.Set(r, j, lu.At(r, j)-f*lu.At(col, j))
+				if rowC[j] != 0 {
+					nz = append(nz, j)
+				}
+			}
+		}
+		// A pivot row whose nonzeros fill at least half their span, as
+		// a band's do, is applied over the span in one contiguous loop.
+		var span []float64
+		lo := 0
+		if k := len(nz); k > 0 && 2*k >= nz[k-1]-nz[0]+1 {
+			lo = nz[0]
+			span = rowC[lo : nz[k-1]+1]
+		}
+		d := rowC[col]
+		for r := col + 1; r < n; r++ {
+			rowR := data[r*n : (r+1)*n]
+			m := rowR[col] / d
+			rowR[col] = m
+			switch {
+			case m == 0:
+			case sparse && !math.IsNaN(m):
+				if span != nil {
+					dst := rowR[lo : lo+len(span)]
+					for k, v := range span {
+						dst[k] -= m * v
+					}
+					break
+				}
+				for _, j := range nz {
+					rowR[j] -= m * rowC[j]
+				}
+			default:
+				for j := col + 1; j < n; j++ {
+					rowR[j] -= m * rowC[j]
+				}
 			}
 		}
 	}
 	f.signP = sign
 	return nil
+}
+
+// hasNegativeZero reports whether data holds a -0.
+func hasNegativeZero(data []float64) bool {
+	const negZero = 1 << 63
+	for _, v := range data {
+		if math.Float64bits(v) == negZero {
+			return true
+		}
+	}
+	return false
 }
 
 // Solve solves A*x = b using the factorization.
@@ -341,22 +445,27 @@ func (f *LU) SolveTo(x, b []float64) error {
 // right-hand side P*b and leaves as the solution.
 func (f *LU) substitute(x []float64) error {
 	n := f.lu.Rows
+	data := f.lu.Data
 	// Forward substitution (L has unit diagonal).
 	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			x[i] -= f.lu.At(i, j) * x[j]
+		s := x[i]
+		for j, v := range data[i*n : i*n+i] {
+			s -= v * x[j]
 		}
+		x[i] = s
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
+		row := data[i*n : (i+1)*n]
+		s := x[i]
 		for j := i + 1; j < n; j++ {
-			x[i] -= f.lu.At(i, j) * x[j]
+			s -= row[j] * x[j]
 		}
-		d := f.lu.At(i, i)
+		d := row[i]
 		if d == 0 {
 			return ErrSingular
 		}
-		x[i] /= d
+		x[i] = s / d
 	}
 	return nil
 }
@@ -412,7 +521,7 @@ func InverseTo(dst, a *Dense, f *LU) error {
 			return err
 		}
 		for i, v := range x {
-			dst.Set(i, j, v)
+			dst.Data[i*n+j] = v
 		}
 	}
 	return nil
