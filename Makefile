@@ -55,10 +55,13 @@ faults:
 # fuzz runs every committed fuzz target (each func Fuzz* that
 # `go test -list` finds in the module) for 10 seconds beyond its seed
 # corpus. A crash it finds is written under the package's
-# testdata/fuzz/ and fails the target.
+# testdata/fuzz/ and fails the target; a package whose tests do not
+# build fails the step.
 fuzz:
-	@for pkg in $$($(GO) list ./...); do \
-		for target in $$($(GO) test -list '^Fuzz' "$$pkg" | grep '^Fuzz'); do \
+	@pkgs=$$($(GO) list ./...) || exit 1; \
+	for pkg in $$pkgs; do \
+		list=$$($(GO) test -list '^Fuzz' "$$pkg") || exit 1; \
+		for target in $$(echo "$$list" | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -parallel 2 "$$pkg" || exit 1; \
 		done; \
@@ -130,10 +133,9 @@ paperrepro-check:
 # after BenchmarkHostProbe, a fixed reference kernel (internal/hostprobe),
 # and the whole list runs five times over, one round after another.
 # cmd/benchjson records the median of each metric over the five runs of
-# a row, taken minutes apart, and stamps the row with the median of its
-# invocations' probe times; cmd/benchgate compares ns/op at the
-# baseline's host speed. The test binaries are built first, so no
-# compilation runs next to a probe.
+# a row, taken minutes apart, and the median of all the run's probe
+# times; cmd/benchgate compares ns/op at the baseline's host speed. The
+# test binaries are built first, so no compilation runs next to a probe.
 BENCH_RUNS = .:1x:SolveThreeTier .:1x:SolverSweep .:1x:RunSuite .:1x:ServiceRepeatQuery \
 	.:10x:SolveDecomp .:10x:SimulateTPCW .:1s:MulticlassMVA \
 	./internal/mapqn/:1s:GeneratorAssembly ./internal/mapqn/:1s:GeneratorBackends \

@@ -22,9 +22,9 @@
 //
 // The host drifts in speed by 30-60% over minutes, which no repetition
 // of a row absorbs, so ns/op is compared at a common host speed: when
-// both rows carry the host probe time of the invocations that ran them
-// (probe_ns_per_op, see internal/hostprobe and cmd/benchjson), the fresh
-// ns/op is first scaled by baseline probe / fresh probe. B/op and
+// both documents carry the median time of the host probe over their run
+// (probe_ns_per_op, see internal/hostprobe and cmd/benchjson), every
+// fresh ns/op is first scaled by baseline probe / fresh probe. B/op and
 // allocs/op do not depend on host speed and are compared as measured.
 package main
 
@@ -39,16 +39,16 @@ import (
 
 // Benchmark mirrors cmd/benchjson's per-line record.
 type Benchmark struct {
-	Name         string             `json:"name"`
-	Iterations   int64              `json:"iterations"`
-	Metrics      map[string]float64 `json:"metrics"`
-	ProbeNsPerOp float64            `json:"probe_ns_per_op,omitempty"`
+	Name       string             `json:"name"`
+	Iterations int64              `json:"iterations"`
+	Metrics    map[string]float64 `json:"metrics"`
 }
 
 // Report mirrors cmd/benchjson's document.
 type Report struct {
-	GeneratedAt string      `json:"generated_at"`
-	Benchmarks  []Benchmark `json:"benchmarks"`
+	GeneratedAt  string      `json:"generated_at"`
+	ProbeNsPerOp float64     `json:"probe_ns_per_op,omitempty"`
+	Benchmarks   []Benchmark `json:"benchmarks"`
 }
 
 func main() {
@@ -98,7 +98,11 @@ func run() error {
 // allocs/op under memThreshold — writes one line per comparison to w,
 // and returns how many regressed and how many were compared.
 func gate(w io.Writer, baseline, fresh *Report, threshold, memThreshold float64) (failed, compared int) {
-	baseProbe, freshProbe := indexProbe(baseline), indexProbe(fresh)
+	host := 1.0
+	if bp, fp := baseline.ProbeNsPerOp, fresh.ProbeNsPerOp; bp > 0 && fp > 0 {
+		host = bp / fp
+		fmt.Fprintf(w, "host probe %.1f ms in the baseline, %.1f ms fresh: fresh ns/op scaled by %.3f\n", bp/1e6, fp/1e6, host)
+	}
 	for _, g := range []struct {
 		metric    string
 		threshold float64
@@ -123,20 +127,18 @@ func gate(w io.Writer, baseline, fresh *Report, threshold, memThreshold float64)
 				continue
 			}
 			compared++
-			host := ""
-			if bp, fp := baseProbe[name], freshProbe[name]; g.metric == "ns/op" && bp > 0 && fp > 0 {
-				f *= bp / fp
-				host = fmt.Sprintf(" at baseline host speed (x%.3f)", bp/fp)
+			if g.metric == "ns/op" {
+				f *= host
 			}
 			ratio := f / b
 			switch {
 			case ratio > 1+g.threshold:
 				failed++
-				fmt.Fprintf(w, "FAIL %-48s %12.0f -> %12.0f %s%s (%+.1f%% > +%.0f%% allowed)\n",
-					name, b, f, g.metric, host, 100*(ratio-1), 100*g.threshold)
+				fmt.Fprintf(w, "FAIL %-48s %12.0f -> %12.0f %s (%+.1f%% > +%.0f%% allowed)\n",
+					name, b, f, g.metric, 100*(ratio-1), 100*g.threshold)
 			default:
-				fmt.Fprintf(w, "  ok %-48s %12.0f -> %12.0f %s%s (%+.1f%%)\n",
-					name, b, f, g.metric, host, 100*(ratio-1))
+				fmt.Fprintf(w, "  ok %-48s %12.0f -> %12.0f %s (%+.1f%%)\n",
+					name, b, f, g.metric, 100*(ratio-1))
 			}
 		}
 		if g.metric == "ns/op" {
@@ -148,18 +150,6 @@ func gate(w io.Writer, baseline, fresh *Report, threshold, memThreshold float64)
 		}
 	}
 	return failed, compared
-}
-
-// indexProbe maps benchmark name to the host probe time recorded with
-// it, for the rows that have one.
-func indexProbe(rep *Report) map[string]float64 {
-	idx := make(map[string]float64, len(rep.Benchmarks))
-	for _, b := range rep.Benchmarks {
-		if b.ProbeNsPerOp > 0 {
-			idx[b.Name] = b.ProbeNsPerOp
-		}
-	}
-	return idx
 }
 
 // load reads and decodes one benchjson document.

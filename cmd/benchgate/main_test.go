@@ -38,12 +38,12 @@ func TestGateAllocsPerOp(t *testing.T) {
 }
 
 // TestGateScalesNsPerOpByHostProbe checks that a fresh ns/op is compared
-// at the baseline's host speed when both rows carry a host probe, that
-// B/op and allocs/op are not scaled, and that a row without a probe on
-// either side is compared as measured.
+// at the baseline's host speed when both documents carry a host probe,
+// that B/op and allocs/op are not scaled, and that a document without a
+// probe on either side is compared as measured.
 func TestGateScalesNsPerOpByHostProbe(t *testing.T) {
 	withProbe := func(r *Report, probe float64) *Report {
-		r.Benchmarks[0].ProbeNsPerOp = probe
+		r.ProbeNsPerOp = probe
 		return r
 	}
 	base := withProbe(report(1e8, 1000, 10), 5e7)
@@ -56,13 +56,13 @@ func TestGateScalesNsPerOpByHostProbe(t *testing.T) {
 		{"fast host hides no regression", withProbe(report(1e8, 1000, 10), 2.5e7), 1},
 		{"same host, regressed", withProbe(report(1.3e8, 1000, 10), 5e7), 1},
 		{"slow host does not excuse bytes or allocations", withProbe(report(1.8e8, 2000, 20), 1e8), 2},
-		{"fresh row without a probe", report(1.8e8, 1000, 10), 1},
+		{"fresh run without a probe", report(1.8e8, 1000, 10), 1},
 	} {
 		if failed, compared := gate(io.Discard, base, c.fresh, 0.25, 0.25); failed != c.failed || compared != 3 {
 			t.Errorf("%s: failed %d of %d, want %d of 3", c.name, failed, compared, c.failed)
 		}
 	}
 	if failed, _ := gate(io.Discard, report(1e8, 1000, 10), withProbe(report(1.8e8, 1000, 10), 1e8), 0.25, 0.25); failed != 1 {
-		t.Errorf("baseline row without a probe: %d failures, want 1", failed)
+		t.Errorf("baseline without a probe: %d failures, want 1", failed)
 	}
 }

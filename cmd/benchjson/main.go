@@ -12,12 +12,11 @@
 // the median of each metric and of the iteration counts: one slow
 // repeat on a noisy host then cannot move the archived number.
 //
-// Each `go test` invocation in the input (each "goos:" header starts one)
-// may also run BenchmarkHostProbe, the fixed reference kernel of
-// internal/hostprobe, which reports its time as "probe-ns/op". Its rows
-// are not archived; instead every other row of the invocation records
-// the median probe time as probe_ns_per_op, the host speed its own ns/op
-// was measured at (cmd/benchgate scales by it).
+// The input may also hold runs of BenchmarkHostProbe, the fixed
+// reference kernel of internal/hostprobe, which reports its time as
+// "probe-ns/op". Its rows are not archived; the document records the
+// median probe time over all of them as probe_ns_per_op, the host speed
+// the run was measured at (cmd/benchgate scales by it).
 package main
 
 import (
@@ -44,9 +43,6 @@ type Benchmark struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
-	// ProbeNsPerOp is the host probe time of the invocation that ran
-	// this benchmark, or 0 when that invocation ran no probe.
-	ProbeNsPerOp float64 `json:"probe_ns_per_op,omitempty"`
 }
 
 // Report is the emitted document.
@@ -56,6 +52,10 @@ type Report struct {
 	Goarch      string      `json:"goarch,omitempty"`
 	CPU         string      `json:"cpu,omitempty"`
 	Benchmarks  []Benchmark `json:"benchmarks"`
+
+	// ProbeNsPerOp is the median host probe time of the run, or 0 when
+	// it ran no probe.
+	ProbeNsPerOp float64 `json:"probe_ns_per_op,omitempty"`
 }
 
 func main() {
@@ -67,30 +67,37 @@ func main() {
 
 func run(in io.Reader, out io.Writer) error {
 	rep := Report{GeneratedAt: time.Now().UTC().Format(time.RFC3339)}
-	var runs, invocation []Benchmark
+	var runs []Benchmark
+	var probes []float64
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case strings.HasPrefix(line, "goos:"):
-			runs = append(runs, withProbe(invocation)...)
-			invocation = nil
 			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
 		case strings.HasPrefix(line, "goarch:"):
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
-			if b, ok := parseLine(line); ok {
-				invocation = append(invocation, b)
+			b, ok := parseLine(line)
+			switch {
+			case !ok:
+			case b.Name == hostProbe:
+				probes = append(probes, b.Metrics[probeMetric])
+			default:
+				runs = append(runs, b)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	rep.Benchmarks = medians(append(runs, withProbe(invocation)...))
+	if len(probes) > 0 {
+		rep.ProbeNsPerOp = median(probes)
+	}
+	rep.Benchmarks = medians(runs)
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
@@ -129,31 +136,9 @@ func parseLine(line string) (Benchmark, bool) {
 	return b, true
 }
 
-// withProbe drops one invocation's host probe rows and stamps the
-// median of their probe times on the invocation's other rows.
-func withProbe(invocation []Benchmark) []Benchmark {
-	var probes []float64
-	rows := make([]Benchmark, 0, len(invocation))
-	for _, b := range invocation {
-		if b.Name == hostProbe {
-			probes = append(probes, b.Metrics[probeMetric])
-		} else {
-			rows = append(rows, b)
-		}
-	}
-	if len(probes) > 0 {
-		probe := median(probes)
-		for i := range rows {
-			rows[i].ProbeNsPerOp = probe
-		}
-	}
-	return rows
-}
-
 // medians merges repeated runs of a benchmark into one record per name,
-// in first-seen order, holding the median iteration count, the median
-// of each metric over the runs that report it, and the median host
-// probe of the runs that have one.
+// in first-seen order, holding the median iteration count and the
+// median of each metric over the runs that report it.
 func medians(runs []Benchmark) []Benchmark {
 	var names []string
 	byName := map[string][]Benchmark{}
@@ -166,21 +151,15 @@ func medians(runs []Benchmark) []Benchmark {
 	out := make([]Benchmark, 0, len(names))
 	for _, name := range names {
 		reps := byName[name]
-		var iters, probes []float64
+		var iters []float64
 		values := map[string][]float64{}
 		for _, b := range reps {
 			iters = append(iters, float64(b.Iterations))
-			if b.ProbeNsPerOp > 0 {
-				probes = append(probes, b.ProbeNsPerOp)
-			}
 			for unit, v := range b.Metrics {
 				values[unit] = append(values[unit], v)
 			}
 		}
 		m := Benchmark{Name: name, Iterations: int64(median(iters)), Metrics: map[string]float64{}}
-		if len(probes) > 0 {
-			m.ProbeNsPerOp = median(probes)
-		}
 		for unit, vs := range values {
 			m.Metrics[unit] = median(vs)
 		}

@@ -43,41 +43,49 @@ func TestMediansMergesRepeats(t *testing.T) {
 	}
 }
 
-// TestRunStampsEachInvocationsProbe checks that each invocation's rows
-// carry the median time of that invocation's host probe runs, that the
-// probe rows themselves are not archived, and that an invocation
-// without a probe leaves its rows unstamped.
-func TestRunStampsEachInvocationsProbe(t *testing.T) {
-	in := strings.Join([]string{
+// TestRunRecordsMedianHostProbe checks that the document records the
+// median time of every host probe run in the input, that the probe rows
+// themselves are not archived, and that input without a probe records
+// none.
+func TestRunRecordsMedianHostProbe(t *testing.T) {
+	parse := func(lines ...string) Report {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(strings.NewReader(strings.Join(lines, "\n")), &out); err != nil {
+			t.Fatal(err)
+		}
+		var rep Report
+		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	rep := parse(
 		"goos: linux",
 		"pkg: repro",
 		"BenchmarkHostProbe-2   4   5e8 ns/op   50 probe-ns/op",
-		"BenchmarkHostProbe-2   4   5e8 ns/op   70 probe-ns/op",
-		"BenchmarkHostProbe-2   4   5e8 ns/op   60 probe-ns/op",
 		"BenchmarkA-2   1   300 ns/op",
 		"PASS",
 		"goos: linux",
 		"pkg: repro/internal/mapqn",
-		"BenchmarkB-2   1   7 ns/op",
 		"BenchmarkHostProbe-2   4   5e8 ns/op   90 probe-ns/op",
+		"BenchmarkB-2   1   7 ns/op",
 		"goos: linux",
 		"pkg: repro/internal/ctmc",
+		"BenchmarkHostProbe-2   4   5e8 ns/op   60 probe-ns/op",
 		"BenchmarkC-2   1   9 ns/op",
-	}, "\n")
-	var out bytes.Buffer
-	if err := run(strings.NewReader(in), &out); err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]float64{}
+	)
+	var names []string
 	for _, b := range rep.Benchmarks {
-		got[b.Name] = b.ProbeNsPerOp
+		names = append(names, b.Name)
 	}
-	want := map[string]float64{"BenchmarkA": 60, "BenchmarkB": 90, "BenchmarkC": 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("probe per row %v, want %v", got, want)
+	if want := []string{"BenchmarkA", "BenchmarkB", "BenchmarkC"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("archived %v, want %v", names, want)
+	}
+	if rep.ProbeNsPerOp != 60 {
+		t.Fatalf("probe_ns_per_op %v, want the median 60", rep.ProbeNsPerOp)
+	}
+	if rep := parse("BenchmarkA-2   1   300 ns/op"); rep.ProbeNsPerOp != 0 {
+		t.Fatalf("probe_ns_per_op %v without a probe, want 0", rep.ProbeNsPerOp)
 	}
 }

@@ -194,7 +194,7 @@ const (
 //   - Chains at or below DenseCutoff (512 states by default) are solved
 //     directly by dense LU, the balance equations recovered through
 //     ScanBlocks. The system is factored in place, and each elimination
-//     step updates a row only over the pivot row's nonzeros
+//     step updates a row only over the span of the pivot row's nonzeros
 //     (matrix.FactorInPlace): on a banded network chain that is about a
 //     tenth of the dense arithmetic, with the same factors bit for bit.
 //   - Larger chains start with forward Gauss-Seidel sweeps over the

@@ -3,10 +3,10 @@
 // 30-60% over minutes, in step on every benchmark, so each `go test
 // -bench` invocation of `make bench` and `make benchgate` also runs
 // BenchmarkHostProbe (a one-line wrapper of Benchmark in each
-// benchmarked package), cmd/benchjson records that invocation's probe
-// time on each of its rows, and cmd/benchgate scales a fresh row's ns/op
-// by baseline probe / fresh probe before it compares. The kernel never
-// changes, so any change in its time is the host's.
+// benchmarked package), cmd/benchjson records the median probe time of
+// the whole run, and cmd/benchgate scales every fresh ns/op by baseline
+// probe / fresh probe before it compares. The kernel never changes, so
+// any change in its time is the host's.
 package hostprobe
 
 import (

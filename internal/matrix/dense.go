@@ -240,10 +240,7 @@ func (m *Dense) mustSquare() {
 // also a reusable workspace: Refactor and InverseTo overwrite it without
 // allocating, so one LU they use must not be shared between goroutines.
 type LU struct {
-	lu *Dense
-	// pivot has length n. Its capacity beyond n, another n, is factor's
-	// scratch for the pivot row's nonzero columns (one allocation for
-	// both keeps NewLU inlinable, so Inverse's LU stays on the stack).
+	lu    *Dense
 	pivot []int
 	signP float64
 	col   []float64 // InverseTo's column scratch
@@ -252,13 +249,8 @@ type LU struct {
 // NewLU returns an n-by-n factorization workspace for Refactor and
 // InverseTo.
 func NewLU(n int) *LU {
-	return &LU{lu: NewDense(n, n), pivot: make([]int, n, 2*n), col: make([]float64, n)}
+	return &LU{lu: NewDense(n, n), pivot: make([]int, n), col: make([]float64, n)}
 }
-
-// sparseMinOrder is the smallest order factor skips zeros at. Below it
-// (the MAP and phase-type blocks) the bookkeeping costs more than the
-// arithmetic it saves.
-const sparseMinOrder = 16
 
 // Factor computes the LU factorization of square matrix a with partial
 // pivoting. It returns ErrSingular for numerically singular input.
@@ -278,7 +270,7 @@ func Factor(a *Dense) (*LU, error) {
 func FactorInPlace(a *Dense) (*LU, error) {
 	a.mustSquare()
 	n := a.Rows
-	f := &LU{lu: a, pivot: make([]int, n, 2*n), col: make([]float64, n)}
+	f := &LU{lu: a, pivot: make([]int, n), col: make([]float64, n)}
 	if err := f.factor(); err != nil {
 		return nil, err
 	}
@@ -287,10 +279,10 @@ func FactorInPlace(a *Dense) (*LU, error) {
 
 // Refactor overwrites f with the LU factorization of a, which must have
 // f's order: it copies a into f and eliminates there, updating each row
-// only where the pivot row is nonzero (see factor), with the factors of
-// the full dense elimination bit for bit. It returns ErrSingular for
-// numerically singular input, and then leaves f unusable until the next
-// successful Refactor. It allocates nothing.
+// only over the span of the pivot row's nonzeros (see factor), with the
+// factors of the full dense elimination bit for bit. It returns
+// ErrSingular for numerically singular input, and then leaves f unusable
+// until the next successful Refactor. It allocates nothing.
 func (f *LU) Refactor(a *Dense) error {
 	a.mustSquare()
 	n := a.Rows
@@ -306,30 +298,28 @@ func (f *LU) Refactor(a *Dense) error {
 // it.
 //
 // Each elimination step updates row r right of the pivot column as
-// rowR[j] -= m*rowC[j], but only where that can change a value: at the
-// columns j where the pivot row rowC is nonzero, gathered once per step
-// into the scratch behind f.pivot, or, when those fill at least half of
-// the span from the first to the last of them (a band's nonzeros do),
-// over that span in one contiguous loop. On a K=2 network chain that is
-// two thirds of the updates of the full rows and a tenth of the dense
-// n^3/3: partial pivoting keeps the fill near the band. The skipped
-// updates, and those at the zeros inside a span, are x - m*(±0) with
-// |m| <= 1 (partial pivoting), which is x bit for bit, with two
-// exceptions, both handled by the full row loop:
+// rowR[j] -= m*rowC[j], but only over the span from the first to the
+// last nonzero of the pivot row rowC right of the diagonal. On a K=2
+// network chain that is a tenth of the dense n^3/3 updates: the chain's
+// Q^T is banded, and partial pivoting keeps the fill near the band. The
+// skipped updates are x - m*(±0) with |m| <= 1 (partial pivoting), which
+// is x bit for bit, with two exceptions, both handled by the full row
+// loop:
 //
 //   - m is NaN (a NaN below the pivot): NaN*0 is NaN, so every entry of
 //     the row must take it.
 //   - x is -0: -0 - (-0) is +0. No update makes a -0 from operands that
 //     are not: x - y is -0 only when x is -0 and y is +0, since an exact
 //     zero difference rounds to +0 and a difference in the subnormal
-//     range is exact (this takes the product m*rowC[j] rounded before
-//     the subtraction, as amd64 code computes it, not fused into one
-//     FMA). The multipliers, which may be -0, sit left of the trailing
-//     matrix and are never read as x or as rowC. So a -0-free input
-//     keeps the trailing matrix -0-free, and an input holding a -0 takes
-//     the full row loop at every step.
-//
-// Matrices of order below sparseMinOrder take the full row loop too.
+//     range is exact. This takes the product m*rowC[j] rounded before
+//     the subtraction, as amd64 code computes it; where the compiler
+//     fuses the two into one FMA (arm64, ppc64le, s390x, riscv64), a
+//     product below the smallest subnormal subtracted from +0 can round
+//     to -0, and the factors can then differ from the full elimination's
+//     in the sign of a zero. The multipliers, which may be -0, sit left
+//     of the trailing matrix and are never read as x or as rowC. So a
+//     -0-free input keeps the trailing matrix -0-free, and an input
+//     holding a -0 takes the full row loop at every step.
 func (f *LU) factor() error {
 	n := f.lu.Rows
 	data := f.lu.Data
@@ -337,7 +327,7 @@ func (f *LU) factor() error {
 	for i := range pivot {
 		pivot[i] = i
 	}
-	sparse := n >= sparseMinOrder && !hasNegativeZero(data)
+	sparse := !hasNegativeZero(data)
 	sign := 1.0
 	for col := 0; col < n; col++ {
 		// Find pivot row.
@@ -360,44 +350,30 @@ func (f *LU) factor() error {
 			pivot[p], pivot[col] = pivot[col], pivot[p]
 			sign = -sign
 		}
-		nz := pivot[n:n]
+		lo, hi := col+1, n
 		if sparse {
-			for j := col + 1; j < n; j++ {
-				if rowC[j] != 0 {
-					nz = append(nz, j)
-				}
+			for lo < hi && rowC[lo] == 0 {
+				lo++
 			}
-		}
-		// A pivot row whose nonzeros fill at least half their span, as
-		// a band's do, is applied over the span in one contiguous loop.
-		var span []float64
-		lo := 0
-		if k := len(nz); k > 0 && 2*k >= nz[k-1]-nz[0]+1 {
-			lo = nz[0]
-			span = rowC[lo : nz[k-1]+1]
+			for hi > lo && rowC[hi-1] == 0 {
+				hi--
+			}
 		}
 		d := rowC[col]
 		for r := col + 1; r < n; r++ {
 			rowR := data[r*n : (r+1)*n]
 			m := rowR[col] / d
 			rowR[col] = m
-			switch {
-			case m == 0:
-			case sparse && !math.IsNaN(m):
-				if span != nil {
-					dst := rowR[lo : lo+len(span)]
-					for k, v := range span {
-						dst[k] -= m * v
-					}
-					break
-				}
-				for _, j := range nz {
-					rowR[j] -= m * rowC[j]
-				}
-			default:
-				for j := col + 1; j < n; j++ {
-					rowR[j] -= m * rowC[j]
-				}
+			if m == 0 {
+				continue
+			}
+			span, dst := rowC[lo:hi], rowR[lo:hi]
+			if math.IsNaN(m) {
+				span, dst = rowC[col+1:], rowR[col+1:]
+			}
+			dst = dst[:len(span)]
+			for k, v := range span {
+				dst[k] -= m * v
 			}
 		}
 	}

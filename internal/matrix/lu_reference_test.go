@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -330,23 +331,48 @@ func encodeSparse(a *Dense) []byte {
 	return out
 }
 
+// decodeSparse is encodeSparse's inverse: it builds the matrix of order
+// int(order)%64+1 that the fuzz target factors from its input, so the
+// seed for an n-by-n matrix has order n-1.
+func decodeSparse(order uint8, entries []byte) *Dense {
+	n := int(order)%64 + 1
+	a := NewDense(n, n)
+	for ; len(entries) >= 10; entries = entries[10:] {
+		i, j := int(entries[0])%n, int(entries[1])%n
+		a.Set(i, j, math.Float64frombits(binary.LittleEndian.Uint64(entries[2:10])))
+	}
+	return a
+}
+
 // FuzzRefactorMatchesReference decodes an order and a list of entries
 // into a matrix and requires factor to match the reference elimination
 // bit for bit. It is seeded with every reference case small enough to
-// encode.
+// encode, each checked to decode to that case.
 func FuzzRefactorMatchesReference(f *testing.F) {
-	for _, a := range referenceCases(f) {
-		if a.Rows <= 64 {
-			f.Add(uint8(a.Rows), encodeSparse(a))
+	cases := referenceCases(f)
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		a := cases[name]
+		if a.Rows > 64 {
+			continue
 		}
+		order, entries := uint8(a.Rows-1), encodeSparse(a)
+		got := decodeSparse(order, entries)
+		if got.Rows != a.Rows {
+			f.Fatalf("seed %s decodes to order %d, want %d", name, got.Rows, a.Rows)
+		}
+		for k, v := range got.Data {
+			if math.Float64bits(v) != math.Float64bits(a.Data[k]) {
+				f.Fatalf("seed %s decodes entry (%d, %d) to %x, want %x", name, k/a.Cols, k%a.Cols, v, a.Data[k])
+			}
+		}
+		f.Add(order, entries)
 	}
 	f.Fuzz(func(t *testing.T, order uint8, entries []byte) {
-		n := int(order)%64 + 1
-		a := NewDense(n, n)
-		for ; len(entries) >= 10; entries = entries[10:] {
-			i, j := int(entries[0])%n, int(entries[1])%n
-			a.Set(i, j, math.Float64frombits(binary.LittleEndian.Uint64(entries[2:10])))
-		}
-		checkLUAgainstReference(t, "fuzz", a)
+		checkLUAgainstReference(t, "fuzz", decodeSparse(order, entries))
 	})
 }
