@@ -119,7 +119,8 @@ paperrepro-check:
 # both backends (SteadyStateNCD), the TPC-W simulator on its own
 # (SimulateTPCW), and two layers of a what-if memo miss on their own:
 # the dense direct solve (SteadyStateDense) and the MAP(2) fit
-# (FitThreePoint) — and archives the numbers (ns/op, states, nnz,
+# (FitThreePoint), and the content hash the service takes of every
+# what-if query (HashJSON) — and archives the numbers (ns/op, states, nnz,
 # allocs, throughput) as JSON. BENCH_RUNS lists each benchmark function
 # as package:benchtime:name: -benchtime=1x for the seconds-scale solves
 # (a single iteration is already deterministic enough for a
@@ -140,10 +141,10 @@ BENCH_RUNS = .:1x:SolveThreeTier .:1x:SolverSweep .:1x:RunSuite .:1x:ServiceRepe
 	.:10x:SolveDecomp .:10x:SimulateTPCW .:1s:MulticlassMVA \
 	./internal/mapqn/:1s:GeneratorAssembly ./internal/mapqn/:1s:GeneratorBackends \
 	./internal/mapqn/:1s:SteadyStateNCD ./internal/ctmc/:1s:SteadyStateDense \
-	./internal/markov/:1s:FitThreePoint
+	./internal/markov/:1s:FitThreePoint ./internal/core/:1s:HashJSON
 
 define bench-run
-	$(GO) test -run=NONE -bench=NONE . ./internal/mapqn/ ./internal/ctmc/ ./internal/markov/ > /dev/null
+	$(GO) test -run=NONE -bench=NONE . ./internal/mapqn/ ./internal/ctmc/ ./internal/markov/ ./internal/core/ > /dev/null
 	for round in 1 2 3 4 5; do \
 		for run in $(BENCH_RUNS); do \
 			pkg=$${run%%:*}; rest=$${run#*:}; \

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -504,7 +505,8 @@ func ParseScenario(data []byte) (Scenario, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Scenario{}, fmt.Errorf("core: parse scenario: %w", err)
 	}
-	if dec.More() {
+	// More would miss a stray closing ] or }: require the end of input.
+	if _, err := dec.Token(); err != io.EOF {
 		return Scenario{}, errors.New("core: parse scenario: trailing data after the scenario object")
 	}
 	return s, nil

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -473,7 +474,8 @@ func ParseSuite(data []byte) (Suite, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Suite{}, fmt.Errorf("core: parse suite: %w", err)
 	}
-	if dec.More() {
+	// More would miss a stray closing ] or }: require the end of input.
+	if _, err := dec.Token(); err != io.EOF {
 		return Suite{}, errors.New("core: parse suite: trailing data after the suite object")
 	}
 	return s, nil

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/matrix"
 )
@@ -63,10 +64,13 @@ func (o Options) withDefaults() Options {
 		o.MaxIter = 100000
 	}
 	if o.DenseCutoff <= 0 {
-		o.DenseCutoff = 512
+		o.DenseCutoff = defaultDenseCutoff
 	}
 	return o
 }
+
+// defaultDenseCutoff is Options.DenseCutoff's default.
+const defaultDenseCutoff = 512
 
 // ErrNoConvergence is returned when the symmetric Gauss-Seidel stage
 // exhausts MaxIter without reaching the requested residual.
@@ -193,10 +197,11 @@ const (
 //
 //   - Chains at or below DenseCutoff (512 states by default) are solved
 //     directly by dense LU, the balance equations recovered through
-//     ScanBlocks. The system is factored in place, and each elimination
-//     step updates a row only over the span of the pivot row's nonzeros
-//     (matrix.FactorInPlace): on a banded network chain that is about a
-//     tenth of the dense arithmetic, with the same factors bit for bit.
+//     ScanBlocks into a reused workspace (see denseWorks). The system is
+//     factored in place, and each elimination step updates a row only
+//     over the span of the pivot row's nonzeros (matrix.LU.Refactor): on
+//     a banded network chain that is about a tenth of the dense
+//     arithmetic, with the same factors bit for bit.
 //   - Larger chains start with forward Gauss-Seidel sweeps over the
 //     transposed balance equations. On birth-death-like chains they
 //     converge within a few hundred sweeps.
@@ -241,30 +246,84 @@ func SteadyStateOperatorCtx(ctx context.Context, op Operator, opts Options) (Res
 	return st.symmetricGaussSeidel(ctx, pi, sweeps, opts.MaxIter, tol)
 }
 
+// denseWork is steadyStateDense's reusable workspace: the factorization
+// it assembles its system in and the right-hand side e_n.
+type denseWork struct {
+	lu  *matrix.LU
+	rhs []float64
+	a   *matrix.Dense   // the system being assembled, for fill
+	put func(*RowBlock) // w.fill, bound once so a scan allocates nothing
+}
+
+// denseWorks is the free list of idle dense workspaces. A solve takes
+// one, or makes one when none is idle, and returns it, so the list holds
+// at most as many as solves ever ran at once. Unlike a sync.Pool it
+// keeps them across garbage collections, which would otherwise make the
+// next solve allocate and zero a fresh n×n system; a workspace that
+// solved a chain beyond the default cutoff is not kept, so each one
+// kept holds at most 512² entries (2 MB).
+var denseWorks struct {
+	sync.Mutex
+	idle []*denseWork
+}
+
+func getDenseWork() *denseWork {
+	denseWorks.Lock()
+	defer denseWorks.Unlock()
+	if k := len(denseWorks.idle); k > 0 {
+		w := denseWorks.idle[k-1]
+		denseWorks.idle = denseWorks.idle[:k-1]
+		return w
+	}
+	w := &denseWork{lu: new(matrix.LU)}
+	w.put = w.fill
+	return w
+}
+
+// putDenseWork returns w, which just solved an order-n chain.
+func putDenseWork(w *denseWork, n int) {
+	if n > defaultDenseCutoff {
+		return
+	}
+	denseWorks.Lock()
+	denseWorks.idle = append(denseWorks.idle, w)
+	denseWorks.Unlock()
+}
+
+// fill copies a block of Q^T into the system being assembled.
+func (w *denseWork) fill(b *RowBlock) {
+	for r, d := range b.Diag {
+		i := b.Lo + r
+		w.a.Set(i, i, d)
+		for k := b.Ptr[r]; k < b.Ptr[r+1]; k++ {
+			w.a.Set(i, int(b.Cols[k]), b.Vals[k])
+		}
+	}
+}
+
 // steadyStateDense solves the balance equations directly, factoring the
-// system it builds in place.
+// system it builds in place in a reused workspace (see denseWorks):
+// beyond a workspace's growth it allocates only the returned vector.
 func steadyStateDense(op Operator) ([]float64, error) {
 	n := op.Dim()
-	a := matrix.NewDense(n, n)
+	w := getDenseWork()
+	defer putDenseWork(w, n)
 	// a = Q^T with the last equation replaced by normalization.
-	op.ScanBlocks(func(b *RowBlock) {
-		for r, d := range b.Diag {
-			i := b.Lo + r
-			a.Set(i, i, d)
-			for k := b.Ptr[r]; k < b.Ptr[r+1]; k++ {
-				a.Set(i, int(b.Cols[k]), b.Vals[k])
-			}
-		}
-	})
+	w.a = w.lu.Reset(n)
+	op.ScanBlocks(w.put)
 	for j := 0; j < n; j++ {
-		a.Set(n-1, j, 1)
+		w.a.Set(n-1, j, 1)
 	}
-	b := make([]float64, n)
-	b[n-1] = 1
-	lu, err := matrix.FactorInPlace(a)
-	var pi []float64
+	if cap(w.rhs) < n {
+		w.rhs = make([]float64, n)
+	}
+	w.rhs = w.rhs[:n]
+	clear(w.rhs)
+	w.rhs[n-1] = 1
+	pi := make([]float64, n)
+	err := w.lu.Refactor(w.a)
 	if err == nil {
-		pi, err = lu.Solve(b)
+		err = w.lu.SolveTo(pi, w.rhs)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("ctmc: dense solve failed (reducible chain?): %w", err)

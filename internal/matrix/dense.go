@@ -263,24 +263,11 @@ func Factor(a *Dense) (*LU, error) {
 	return f, nil
 }
 
-// FactorInPlace is Factor without the copy: it overwrites the square
-// matrix a with its factors, and the returned LU keeps a as its storage,
-// so a must not be used again except through the LU. The factors are
-// Factor's, bit for bit.
-func FactorInPlace(a *Dense) (*LU, error) {
-	a.mustSquare()
-	n := a.Rows
-	f := &LU{lu: a, pivot: make([]int, n), col: make([]float64, n)}
-	if err := f.factor(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // Refactor overwrites f with the LU factorization of a, which must have
 // f's order: it copies a into f and eliminates there, updating each row
 // only over the span of the pivot row's nonzeros (see factor), with the
-// factors of the full dense elimination bit for bit. It returns
+// factors of the full dense elimination bit for bit. When a is f's own
+// storage (the matrix Reset returns), the copy is skipped. It returns
 // ErrSingular for numerically singular input, and then leaves f unusable
 // until the next successful Refactor. It allocates nothing.
 func (f *LU) Refactor(a *Dense) error {
@@ -289,8 +276,33 @@ func (f *LU) Refactor(a *Dense) error {
 	if f.lu.Rows != n {
 		panic(fmt.Sprintf("matrix: Refactor of %dx%d into an order-%d LU", n, n, f.lu.Rows))
 	}
-	copy(f.lu.Data, a.Data)
+	if a != f.lu {
+		copy(f.lu.Data, a.Data)
+	}
 	return f.factor()
+}
+
+// Reset makes f an order-n workspace and returns its storage, zeroed: a
+// caller that assembles its matrix there factors it with Refactor and
+// no copy. The storage is reused while it holds n*n entries, so a
+// workspace serves solves of any order up to the largest it has seen
+// and allocates only to grow. A zero LU is an empty workspace.
+func (f *LU) Reset(n int) *Dense {
+	if f.lu == nil {
+		f.lu = new(Dense)
+	}
+	if cap(f.lu.Data) < n*n {
+		f.lu.Data = make([]float64, n*n)
+	} else {
+		f.lu.Data = f.lu.Data[:n*n]
+		clear(f.lu.Data)
+	}
+	f.lu.Rows, f.lu.Cols = n, n
+	if cap(f.pivot) < n {
+		f.pivot, f.col = make([]int, n), make([]float64, n)
+	}
+	f.pivot, f.col = f.pivot[:n], f.col[:n]
+	return f.lu
 }
 
 // factor runs Doolittle elimination with partial pivoting on f.lu in
@@ -503,49 +515,95 @@ func InverseTo(dst, a *Dense, f *LU) error {
 	return nil
 }
 
-// Expm returns the matrix exponential e^A computed with the
-// scaling-and-squaring method and a degree-6 Padé approximant. This is
-// accurate for the small generator matrices used in phase-type and MAP
-// calculations.
-func Expm(a *Dense) *Dense {
+// padeDegree is the degree of ExpmTo's Padé approximant, and padeCoeffs
+// its coefficients: N(A) = sum c_k A^k, D(A) = sum c_k (-A)^k.
+const padeDegree = 6
+
+var padeCoeffs = func() (c [padeDegree + 1]float64) {
+	c[0] = 1
+	for k := 1; k <= padeDegree; k++ {
+		c[k] = c[k-1] * float64(padeDegree-k+1) / float64(k*(2*padeDegree-k+1))
+	}
+	return c
+}()
+
+// ExpmWork is the scratch space of ExpmTo for one order.
+type ExpmWork struct {
+	scaled, num, den, pow, next, inv *Dense
+	lu                               *LU
+}
+
+// NewExpmWork returns an ExpmTo workspace for n-by-n matrices.
+func NewExpmWork(n int) *ExpmWork {
+	return &ExpmWork{
+		scaled: NewDense(n, n), num: NewDense(n, n), den: NewDense(n, n),
+		pow: NewDense(n, n), next: NewDense(n, n), inv: NewDense(n, n),
+		lu: NewLU(n),
+	}
+}
+
+// ExpmTo writes the matrix exponential e^A into dst, which must not
+// alias a, computed with the scaling-and-squaring method and a degree-6
+// Padé approximant. This is accurate for the small generator matrices
+// used in phase-type and MAP calculations. Every intermediate lives in
+// w, which must have a's order, so ExpmTo allocates nothing.
+func ExpmTo(dst, a *Dense, w *ExpmWork) {
 	a.mustSquare()
 	n := a.Rows
+	if w.lu.lu.Rows != n || dst.Rows != n || dst.Cols != n {
+		panic(fmt.Sprintf("matrix: ExpmTo of %dx%d into %dx%d with an order-%d workspace", n, n, dst.Rows, dst.Cols, w.lu.lu.Rows))
+	}
 	// Scale A down until its max-abs entry is below 0.5.
 	norm := a.MaxAbs()
 	squarings := 0
-	scaled := a.Clone()
+	scaled := w.scaled.Data
+	copy(scaled, a.Data)
 	if norm > 0.5 {
 		squarings = int(math.Ceil(math.Log2(norm / 0.5)))
-		scaled = a.Scale(1 / math.Pow(2, float64(squarings)))
-	}
-	// Padé(6,6): N(A) = sum c_k A^k, D(A) = sum c_k (-A)^k.
-	const degree = 6
-	c := make([]float64, degree+1)
-	c[0] = 1
-	for k := 1; k <= degree; k++ {
-		c[k] = c[k-1] * float64(degree-k+1) / float64(k*(2*degree-k+1))
-	}
-	num := Identity(n).Scale(c[0])
-	den := Identity(n).Scale(c[0])
-	pow := Identity(n)
-	for k := 1; k <= degree; k++ {
-		pow = pow.Mul(scaled)
-		num = num.Add(pow.Scale(c[k]))
-		if k%2 == 0 {
-			den = den.Add(pow.Scale(c[k]))
-		} else {
-			den = den.Sub(pow.Scale(c[k]))
+		s := 1 / math.Pow(2, float64(squarings))
+		for i, v := range a.Data {
+			scaled[i] = v * s
 		}
 	}
-	denInv, err := Inverse(den)
-	if err != nil {
+	c := &padeCoeffs
+	num, den, pow := w.num, w.den, w.pow
+	clear(num.Data)
+	clear(den.Data)
+	clear(pow.Data)
+	for i := 0; i < n; i++ {
+		num.Data[i*n+i] = c[0]
+		den.Data[i*n+i] = c[0]
+		pow.Data[i*n+i] = 1
+	}
+	next := w.next
+	for k := 1; k <= padeDegree; k++ {
+		pow.MulTo(next, w.scaled)
+		pow, next = next, pow
+		for i, p := range pow.Data {
+			// The conversion rounds the term before the sum, as the
+			// separate scale and add did, so no FMA can fuse the two.
+			t := float64(p * c[k])
+			num.Data[i] += t
+			if k%2 == 0 {
+				den.Data[i] += t
+			} else {
+				den.Data[i] -= t
+			}
+		}
+	}
+	if err := InverseTo(w.inv, den, w.lu); err != nil {
 		// The Padé denominator of a sufficiently scaled matrix is always
 		// well conditioned; reaching this indicates NaN/Inf input.
-		panic(fmt.Sprintf("matrix: Expm denominator singular: %v", err))
+		panic(fmt.Sprintf("matrix: ExpmTo denominator singular: %v", err))
 	}
-	res := denInv.Mul(num)
+	// Square into dst and a scratch in turn, ending in dst.
+	res, spare := dst, pow
+	if squarings%2 == 1 {
+		res, spare = spare, res
+	}
+	w.inv.MulTo(res, num)
 	for s := 0; s < squarings; s++ {
-		res = res.Mul(res)
+		res.MulTo(spare, res)
+		res, spare = spare, res
 	}
-	return res
 }

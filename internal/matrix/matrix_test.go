@@ -164,14 +164,14 @@ func TestPropSolveResidual(t *testing.T) {
 }
 
 func TestExpmZeroIsIdentity(t *testing.T) {
-	if !denseAlmostEqual(Expm(NewDense(3, 3)), Identity(3), 1e-14) {
+	if !denseAlmostEqual(expm(NewDense(3, 3)), Identity(3), 1e-14) {
 		t.Error("expm(0) != I")
 	}
 }
 
 func TestExpmDiagonal(t *testing.T) {
 	a := FromRows([][]float64{{1, 0}, {0, -2}})
-	e := Expm(a)
+	e := expm(a)
 	if math.Abs(e.At(0, 0)-math.E) > 1e-10 {
 		t.Errorf("expm diag (0,0) = %v, want e", e.At(0, 0))
 	}
@@ -187,15 +187,15 @@ func TestExpmNilpotent(t *testing.T) {
 	// A = [[0,1],[0,0]] -> e^A = [[1,1],[0,1]] exactly.
 	a := FromRows([][]float64{{0, 1}, {0, 0}})
 	want := FromRows([][]float64{{1, 1}, {0, 1}})
-	if !denseAlmostEqual(Expm(a), want, 1e-12) {
-		t.Errorf("expm nilpotent = \n%v", Expm(a))
+	if !denseAlmostEqual(expm(a), want, 1e-12) {
+		t.Errorf("expm nilpotent = \n%v", expm(a))
 	}
 }
 
 func TestExpmGeneratorRowSums(t *testing.T) {
 	// e^{Qt} of a CTMC generator is stochastic: rows sum to 1.
 	q := FromRows([][]float64{{-3, 2, 1}, {4, -5, 1}, {0.5, 0.5, -1}})
-	p := Expm(q.Scale(0.7))
+	p := expm(q.Scale(0.7))
 	for i, s := range p.RowSums() {
 		if math.Abs(s-1) > 1e-10 {
 			t.Errorf("row %d of e^Q sums to %v, want 1", i, s)
@@ -214,7 +214,7 @@ func TestPropExpmInverse(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(5)
 		a := randomDense(rng, n)
-		prod := Expm(a).Mul(Expm(a.Scale(-1)))
+		prod := expm(a).Mul(expm(a.Scale(-1)))
 		return denseAlmostEqual(prod, Identity(n), 1e-7)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/matrix"
 	"repro/internal/xrand"
@@ -157,10 +158,10 @@ func (d *Dist) CDF(x float64) float64 {
 	if x <= 0 {
 		return 0
 	}
-	p := matrix.Expm(d.T.Scale(x))
-	v := p.VecMul(d.Alpha)
+	w := d.survival(x)
+	defer putWork(w)
 	surv := 0.0
-	for _, s := range v {
+	for _, s := range w.v {
 		surv += s
 	}
 	if surv < 0 {
@@ -177,16 +178,58 @@ func (d *Dist) PDF(x float64) float64 {
 	if x < 0 {
 		return 0
 	}
-	p := matrix.Expm(d.T.Scale(x))
-	v := p.VecMul(d.Alpha)
+	w := d.survival(x)
+	defer putWork(w)
 	sum := 0.0
-	for i, s := range v {
+	for i, s := range w.v {
 		sum += s * d.exit[i]
 	}
 	if sum < 0 {
 		return 0
 	}
 	return sum
+}
+
+// work is the scratch of one CDF or PDF evaluation: Tx, e^{Tx}, the
+// exponential's workspace, and alpha*e^{Tx}.
+type work struct {
+	tx, exp *matrix.Dense
+	expm    *matrix.ExpmWork
+	v       []float64
+}
+
+// maxPooledOrder bounds the orders whose workspaces are pooled.
+const maxPooledOrder = 16
+
+// works recycles workspaces by order. Each evaluation holds its own, so
+// concurrent callers of one Dist never share one.
+var works [maxPooledOrder + 1]sync.Pool
+
+func getWork(n int) *work {
+	if n <= maxPooledOrder {
+		if w, ok := works[n].Get().(*work); ok {
+			return w
+		}
+	}
+	return &work{tx: matrix.NewDense(n, n), exp: matrix.NewDense(n, n), expm: matrix.NewExpmWork(n), v: make([]float64, n)}
+}
+
+func putWork(w *work) {
+	if n := len(w.v); n <= maxPooledOrder {
+		works[n].Put(w)
+	}
+}
+
+// survival returns a workspace holding alpha*e^{Tx}, the phase
+// probabilities at time x, in its v; the caller puts it back.
+func (d *Dist) survival(x float64) *work {
+	w := getWork(d.Order())
+	for i, v := range d.T.Data {
+		w.tx.Data[i] = v * x
+	}
+	matrix.ExpmTo(w.exp, w.tx, w.expm)
+	w.exp.VecMulTo(w.v, d.Alpha)
+	return w
 }
 
 // ErrQuantile is returned when quantile bisection cannot bracket the

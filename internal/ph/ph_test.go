@@ -2,6 +2,7 @@ package ph
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -211,4 +212,69 @@ func TestPropMeanMatchesSurvivalIntegral(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestCDFPDFWorkspaceMatchesExpm pins CDF and PDF, which evaluate e^{Tx}
+// in a pooled workspace, bit for bit against ExpmTo with fresh matrices
+// (itself pinned to the former allocating Expm in internal/matrix), and
+// checks that a warm evaluation allocates nothing (except under -race).
+func TestCDFPDFWorkspaceMatchesExpm(t *testing.T) {
+	dists := []*Dist{
+		Exponential(3),
+		Erlang(4, 0.02),
+		Hyper2(0.3, 50, 0.5),
+		MustNew([]float64{0.6, 0.4}, matrix.FromRows([][]float64{{-120, 20}, {3, -4}})),
+	}
+	for di, d := range dists {
+		for _, x := range []float64{0, 1e-4, 0.01, 0.3, 2, 40} {
+			p := matrix.NewDense(d.Order(), d.Order())
+			matrix.ExpmTo(p, d.T.Scale(x), matrix.NewExpmWork(d.Order()))
+			v := p.VecMul(d.Alpha)
+			surv, dens := 0.0, 0.0
+			for i, s := range v {
+				surv += s
+				dens += s * d.exit[i]
+			}
+			surv = math.Min(math.Max(surv, 0), 1)
+			dens = math.Max(dens, 0)
+			if x > 0 && math.Float64bits(d.CDF(x)) != math.Float64bits(1-surv) {
+				t.Errorf("dist %d: CDF(%v) = %v, Expm gives %v", di, x, d.CDF(x), 1-surv)
+			}
+			if math.Float64bits(d.PDF(x)) != math.Float64bits(dens) {
+				t.Errorf("dist %d: PDF(%v) = %v, Expm gives %v", di, x, d.PDF(x), dens)
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(20, func() { d.CDF(0.7); d.PDF(0.7) }); allocs != 0 {
+			t.Errorf("dist %d: warm CDF and PDF allocate %v times, want 0", di, allocs)
+		}
+	}
+}
+
+// TestCDFConcurrentCallers evaluates one Dist from several goroutines at
+// once: each evaluation must take its own pooled workspace.
+func TestCDFConcurrentCallers(t *testing.T) {
+	d := MustNew([]float64{0.6, 0.4}, matrix.FromRows([][]float64{{-120, 20}, {3, -4}}))
+	xs := []float64{0.001, 0.05, 0.4, 3}
+	want := make([]float64, len(xs))
+	for i, x := range xs {
+		want[i] = d.CDF(x)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				i := k % len(xs)
+				if got := d.CDF(xs[i]); math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Errorf("CDF(%v) = %v under concurrent callers, want %v", xs[i], got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -67,8 +67,11 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
-	case err != nil:
+	case errors.As(err, new(*SubmissionError)):
 		writeError(w, http.StatusBadRequest, err)
+		return
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	code := http.StatusOK

@@ -87,6 +87,9 @@ type job struct {
 	suite core.Suite
 	dir   string // spool directory
 	rows  string // rows.jsonl path
+	// expandErr is why a suite recovered from the spool no longer
+	// expands; Submit rejects the suite with it.
+	expandErr error
 
 	mu     sync.Mutex
 	status JobStatus

@@ -48,6 +48,14 @@ var (
 	ErrNotFound = errors.New("service: no such job")
 )
 
+// SubmissionError rejects a malformed submission: a body that is neither
+// a suite nor a scenario, or a suite that does not expand into valid
+// cells. The HTTP API answers it with 400 Bad Request.
+type SubmissionError struct{ Err error }
+
+func (e *SubmissionError) Error() string { return e.Err.Error() }
+func (e *SubmissionError) Unwrap() error { return e.Err }
+
 // Service is the capacity-planning daemon core: a content-addressed job
 // registry over a disk spool, a bounded admission queue feeding a small
 // pool of job workers, and one shared bounded Memo whose views give
@@ -148,6 +156,8 @@ func (s *Service) recover() ([]*job, error) {
 		j := newJob(id, suite, dir, filepath.Join(dir, "rows.jsonl"), suiteName(suite))
 		if cells, err := suite.Expand(); err == nil {
 			j.status.Cells = len(cells)
+		} else {
+			j.expandErr = err
 		}
 		if st, err := readStatusFile(dir); err == nil && st.State.Terminal() {
 			j.status = st
@@ -168,19 +178,30 @@ func (s *Service) recover() ([]*job, error) {
 // re-running unless rerun is set — then its spooled rows are discarded
 // and it re-executes (served largely from the shared memo when the
 // cache is warm). Returns the job's status and whether this call
-// started (or restarted) work.
+// started (or restarted) work. A malformed submission is rejected with
+// a *SubmissionError.
+//
+// Only a suite the service has not seen is expanded: a known ID's suite
+// expanded when it was admitted, or failed to when it was recovered from
+// the spool, and then its expansion error rejects it again.
 func (s *Service) Submit(data []byte, rerun bool) (JobStatus, bool, error) {
 	suite, err := parseSubmission(data)
 	if err != nil {
-		return JobStatus{}, false, err
-	}
-	cells, err := suite.Expand()
-	if err != nil {
-		return JobStatus{}, false, err
+		return JobStatus{}, false, &SubmissionError{err}
 	}
 	id, err := core.HashJSON(suite)
 	if err != nil {
 		return JobStatus{}, false, fmt.Errorf("service: hash suite: %w", err)
+	}
+	var cells int
+	if j, err := s.lookup(id); err != nil {
+		expanded, err := suite.Expand()
+		if err != nil {
+			return JobStatus{}, false, &SubmissionError{err}
+		}
+		cells = len(expanded)
+	} else if j.expandErr != nil {
+		return JobStatus{}, false, &SubmissionError{j.expandErr}
 	}
 
 	s.mu.Lock()
@@ -221,11 +242,11 @@ func (s *Service) Submit(data []byte, rerun bool) (JobStatus, bool, error) {
 		return JobStatus{}, false, fmt.Errorf("service: write suite spec: %w", err)
 	}
 	j := newJob(id, suite, dir, filepath.Join(dir, "rows.jsonl"), suiteName(suite))
-	j.status.Cells = len(cells)
+	j.status.Cells = cells
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.queue <- j
-	s.cfg.Logf("job %s (%s): queued, %d cells", shortID(id), j.status.Name, len(cells))
+	s.cfg.Logf("job %s (%s): queued, %d cells", shortID(id), j.status.Name, cells)
 	return j.Status(), true, nil
 }
 
