@@ -124,10 +124,10 @@ paperrepro-check:
 # allocs, throughput) as JSON. BENCH_RUNS lists each benchmark function
 # as package:benchtime:name: -benchtime=1x for the seconds-scale solves
 # (a single iteration is already deterministic enough for a
-# trajectory); the tens-of-milliseconds SolveDecomp benches and the
-# 0.1-second SimulateTPCW run 10 iterations, and the microsecond- and
-# millisecond-scale benches as many as fill one second, because their
-# short runs swing by 25% or more with scheduler noise.
+# trajectory); the 0.1-second SimulateTPCW runs 10 iterations, and the
+# microsecond- and millisecond-scale benches (SolveDecomp among them)
+# as many as fill one second, because their short runs swing by 25% or
+# more with scheduler noise.
 #
 # The host's speed drifts by 30-60% over minutes and by a third within
 # seconds, so each function runs in its own `go test` invocation, right
@@ -138,7 +138,7 @@ paperrepro-check:
 # times; cmd/benchgate compares ns/op at the baseline's host speed. The
 # test binaries are built first, so no compilation runs next to a probe.
 BENCH_RUNS = .:1x:SolveThreeTier .:1x:SolverSweep .:1x:RunSuite .:1x:ServiceRepeatQuery \
-	.:10x:SolveDecomp .:10x:SimulateTPCW .:1s:MulticlassMVA \
+	.:1s:SolveDecomp .:10x:SimulateTPCW .:1s:MulticlassMVA \
 	./internal/mapqn/:1s:GeneratorAssembly ./internal/mapqn/:1s:GeneratorBackends \
 	./internal/mapqn/:1s:SteadyStateNCD ./internal/ctmc/:1s:SteadyStateDense \
 	./internal/markov/:1s:FitThreePoint ./internal/core/:1s:HashJSON

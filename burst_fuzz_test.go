@@ -46,7 +46,7 @@ func FuzzParseScenario(f *testing.F) {
 }
 
 // maxFuzzCells caps the grids FuzzParseSuite expands, so a short input
-// cannot ask for millions of cells.
+// cannot make one fuzz run build tens of thousands of cells.
 const maxFuzzCells = 64
 
 // FuzzParseSuite checks the suite input boundary with the properties of
@@ -80,28 +80,8 @@ func FuzzParseSuite(f *testing.F) {
 		if got != want {
 			t.Fatalf("round trip changed the hash: %s != %s\n%s", got, want, out)
 		}
-		if gridCells(s.Grid) <= maxFuzzCells {
+		if s.Grid.Cells() <= maxFuzzCells {
 			_, _ = s.Expand() // only a panic fails: bad grids are rejected by error
 		}
 	})
-}
-
-// gridCells is the number of cells a grid expands to: the product of
-// its non-empty axis lengths.
-func gridCells(g Grid) int {
-	lens := []int{len(g.ThinkTimes), len(g.Mixes), len(g.ClassWeights),
-		len(g.ClassPopulations), len(g.Solvers), len(g.Replicas), len(g.Seeds), len(g.Populations)}
-	for _, ta := range g.TierAxes {
-		lens = append(lens, len(ta.Values))
-	}
-	cells := 1
-	for _, n := range lens {
-		if n > 0 {
-			cells *= n
-			if cells > maxFuzzCells {
-				return cells
-			}
-		}
-	}
-	return cells
 }

@@ -201,6 +201,9 @@ func (g Grid) axes(names []string) []axis {
 
 // validate checks the grid against its base scenario.
 func (g Grid) validate(base Scenario) error {
+	if g.Cells() > maxSuiteCells {
+		return fmt.Errorf("core: grid expands to more than %d cells", maxSuiteCells)
+	}
 	for i, ta := range g.TierAxes {
 		if ta.Tier < 0 || ta.Tier >= len(base.Tiers) {
 			return fmt.Errorf("core: grid tier axis %d: tier %d out of range (base has %d tiers)", i, ta.Tier, len(base.Tiers))
@@ -273,11 +276,21 @@ func (g Grid) validate(base Scenario) error {
 	return nil
 }
 
+// maxSuiteCells caps the cells one suite expands to. Expansion builds,
+// validates and hashes every cell before any runs, so without a cap a
+// body of about a kilobyte can ask for millions of cells.
+const maxSuiteCells = 65536
+
 // Cells returns the grid's cell count: the product of all non-empty axis
-// cardinalities (1 for an empty grid).
+// cardinalities (1 for an empty grid). A grid with more than
+// maxSuiteCells cells counts as maxSuiteCells+1, so the product never
+// overflows.
 func (g Grid) Cells() int {
 	n := 1
 	for _, ax := range g.axes(nil) {
+		if ax.size > 0 && n > maxSuiteCells/ax.size {
+			return maxSuiteCells + 1
+		}
 		n *= ax.size
 	}
 	return n

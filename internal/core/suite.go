@@ -164,7 +164,8 @@ func (s Scenario) clone() Scenario {
 
 // Expand crosses the grid's axes over the base scenario, producing the
 // suite's cells in deterministic row-major order (later axes fastest).
-// Every cell is patched, defaulted, validated and content-hashed.
+// Every cell is patched, defaulted, validated and content-hashed. A grid
+// of more than maxSuiteCells cells is rejected before any is built.
 func (s Suite) Expand() ([]SuiteCell, error) {
 	if err := s.Grid.validate(s.Base); err != nil {
 		return nil, err
@@ -180,10 +181,7 @@ func (s Suite) Expand() ([]SuiteCell, error) {
 		}
 	}
 	axes := s.Grid.axes(names)
-	total := 1
-	for _, ax := range axes {
-		total *= ax.size
-	}
+	total := s.Grid.Cells()
 	baseName := s.Name
 	if baseName == "" {
 		baseName = s.Base.Name

@@ -121,6 +121,11 @@ func TestSuiteExpandValidates(t *testing.T) {
 		}, "must be >= 1"},
 		{"empty solver set", func(s *Suite) { s.Grid.Solvers = [][]SolverKind{{SolverMVA}, {}} }, "solvers entry"},
 		{"invalid cell", func(s *Suite) { s.Grid.TierAxes[0].Values = []float64{-1} }, "index of dispersion"},
+		{"too many cells", func(s *Suite) {
+			s.Grid.TierAxes[0].Values = make([]float64, 257)
+			s.Grid.Populations = populationAxis(256)
+		}, "more than 65536 cells"},
+		{"overflowing cell count", func(s *Suite) { s.Grid.TierAxes = overflowingTierAxes() }, "more than 65536 cells"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,6 +136,42 @@ func TestSuiteExpandValidates(t *testing.T) {
 				t.Fatalf("error %v does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// populationAxis is a population axis of n single-population entries.
+func populationAxis(n int) [][]int {
+	out := make([][]int, n)
+	for i := range out {
+		out[i] = []int{i + 1}
+	}
+	return out
+}
+
+// overflowingTierAxes are eight axes of 300 values each: 300^8 cells,
+// past the range of int.
+func overflowingTierAxes() []TierAxis {
+	axes := make([]TierAxis, 8)
+	for i := range axes {
+		axes[i] = TierAxis{Tier: 1, Param: TierParamI, Values: make([]float64, 300)}
+	}
+	return axes
+}
+
+// TestGridCellsSaturates pins the cell count at the cap and past it: a
+// product that would overflow int counts as one past the cap.
+func TestGridCellsSaturates(t *testing.T) {
+	at := Grid{TierAxes: []TierAxis{{Tier: 1, Param: TierParamI, Values: make([]float64, 256)}}, Populations: populationAxis(256)}
+	if got := at.Cells(); got != maxSuiteCells {
+		t.Errorf("256x256 grid: Cells() = %d, want %d", got, maxSuiteCells)
+	}
+	for _, g := range []Grid{
+		{TierAxes: []TierAxis{{Tier: 1, Param: TierParamI, Values: make([]float64, 257)}}, Populations: populationAxis(256)},
+		{TierAxes: overflowingTierAxes()},
+	} {
+		if got := g.Cells(); got != maxSuiteCells+1 {
+			t.Errorf("grid of %d axes: Cells() = %d, want %d", len(g.TierAxes), got, maxSuiteCells+1)
+		}
 	}
 }
 

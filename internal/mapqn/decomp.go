@@ -6,7 +6,7 @@ package mapqn
 // decomposable — the slow MAP phase process modulates fast per-tier
 // queueing — so each station is analyzed in isolation against a
 // flow-equivalent aggregate of the rest of the network (Norton's
-// theorem), and the coupling is closed through a damped fixed point on
+// theorem), and the coupling is closed through a fixed point on
 // per-station effective demands.
 //
 // Per station i the solver builds a level chain over (n, j) — n jobs
@@ -18,28 +18,33 @@ package mapqn
 // blocks, so its stationary vector costs O(N*m^3) by backward block
 // elimination — no iteration, no product state space. Each outer
 // iteration then recalibrates station i's effective demand (Marie's
-// method): the demand an exponential station would need to reproduce the
-// MAP chain's residence time under identical arrivals, found by
-// inverting the monotone closed-form birth-death residence, then damped.
-// On product-form networks (exponential services) the MAP chain *is*
-// that exponential reference, the calibration returns the initial
-// demands unchanged, and the fixed point terminates immediately — by
-// Norton's theorem the result is then exact, which the property tests
-// pin against exact CTMC and MVA. For K=1 the level chain is the exact
-// CTMC (arrivals (N-n)/Z), so the solver is exact for any MAP.
+// method): the demand G_i(d) an exponential station would need to
+// reproduce the MAP chain's residence time under identical arrivals,
+// found by inverting the monotone closed-form birth-death residence.
+// The demand vector moves toward d = G(d) by a type-II Anderson step
+// over its last few iterates (see andersonMixer), which converges in
+// about a dozen iterations where the plain damped step d += beta*(G(d)-d)
+// contracts at a rate near 0.8 and needed 100-300. On product-form
+// networks (exponential services) the MAP chain *is* that exponential
+// reference, the calibration returns the initial demands unchanged, and
+// the fixed point terminates immediately — by Norton's theorem the
+// result is then exact, which the property tests pin against exact CTMC
+// and MVA. For K=1 the level chain is the exact CTMC (arrivals
+// (N-n)/Z), so the solver is exact for any MAP.
 //
-// Cost per outer iteration is O(K * (N*K + N*m^3)) plus the bisection
-// that calibrates each surrogate (O(N) per probe). Every buffer an
-// iteration touches lives in one workspace per solve — per station the
-// constant MAP blocks, all N level inverses in one flat slice, the LU
-// scratch and the stationary vector — and a population sweep shares one
+// Cost per outer iteration is O(K * (N*K + N*m^3)) plus the root search
+// that calibrates each surrogate (O(N) per probe; Illinois regula falsi
+// needs about 11 probes where bisection needed about 48). Every buffer an iteration touches lives in
+// one workspace per solve — per station the constant MAP blocks, all N
+// level inverses in one flat slice, the LU scratch and the stationary
+// vector, and the Anderson history — and a population sweep shares one
 // workspace sized at its largest population, so the fixed-point
 // iterations allocate nothing (TestDecompIterationsAllocateNothing pins
 // this). Measured with BenchmarkSolveDecomp on a 2-vCPU x86-64 Xeon VM,
-// the MAP(2) networks at N=200 take about 27 ms for K=4 (114
-// iterations) and 70 ms for K=6 (200 iterations), with under 200
-// allocations per solve; the exact product-space chain of either is far
-// too large to build.
+// the MAP(2) networks at N=200 take about 2 ms for K=4 (12 iterations)
+// and 5 ms for K=6 (17 iterations), with under 150 allocations per
+// solve; the exact product-space chain of either is far too large to
+// build.
 
 import (
 	"context"
@@ -58,17 +63,19 @@ import (
 // by direct block elimination, so there are no inner-solver knobs: the
 // options govern only the outer demand fixed point.
 type DecompOptions struct {
-	// Tol is the outer convergence tolerance on the maximum relative
-	// change of any station's effective demand (default 1e-9).
+	// Tol is the outer convergence tolerance on the largest relative gap
+	// |G(d) - d| / d between a station's effective demand and its
+	// recalibrated target (default 1e-9).
 	Tol float64 `json:"tol,omitempty"`
 	// MaxIter caps the outer fixed-point iterations (default 200). On
 	// exhaustion the solve fails with an error wrapping
 	// ctmc.ErrNoConvergence so callers degrade the same way they do for
 	// the exact solver.
 	MaxIter int `json:"max_iter,omitempty"`
-	// Damping is the update step in (0, 1]: the effective demand moves
-	// this fraction of the way toward its fixed-point target each
-	// iteration (default 0.5).
+	// Damping is the mixing step beta in (0, 1] of the Anderson demand
+	// update: the share of the newest residual G(d) - d each step adds,
+	// and the plain damped step d += beta*(G(d) - d) the update falls
+	// back to when its least squares is singular (default 0.5).
 	Damping float64 `json:"damping,omitempty"`
 }
 
@@ -169,10 +176,10 @@ type stationSolution struct {
 }
 
 // decompWorkspace holds every buffer the fixed point reuses: one level
-// chain per station, the complement MVA's scratch, the arrival rates and
-// the demand targets. It is sized for populations up to capN, so a sweep
-// builds one at its largest population and no fixed-point iteration
-// allocates.
+// chain per station, the complement MVA's scratch, the arrival rates,
+// the demand targets and the Anderson history. It is sized for
+// populations up to capN, so a sweep builds one at its largest
+// population and no fixed-point iteration allocates.
 type decompWorkspace struct {
 	capN     int
 	chains   []stationChain
@@ -181,6 +188,7 @@ type decompWorkspace struct {
 	lam      []float64         // arrival rate per station level
 	demands  []float64         // the complement network's demands
 	q, resid []float64         // complement MVA queue lengths and residences
+	mix      andersonMixer
 }
 
 func newDecompWorkspace(k, capN int) *decompWorkspace {
@@ -193,6 +201,7 @@ func newDecompWorkspace(k, capN int) *decompWorkspace {
 		demands: make([]float64, 0, k),
 		q:       make([]float64, k),
 		resid:   make([]float64, k),
+		mix:     newAndersonMixer(k),
 	}
 }
 
@@ -203,39 +212,53 @@ func newDecompWorkspace(k, capN int) *decompWorkspace {
 // neighbor); nil starts from the MAP mean demands. It returns the
 // metrics and the converged effective demands for warm-starting.
 func solveDecomp(ctx context.Context, m NetworkModel, opts DecompOptions, warm []float64, ws *decompWorkspace) (NetworkMetrics, []float64, error) {
-	if err := m.Validate(); err != nil {
-		return NetworkMetrics{}, nil, err
-	}
-	opts, err := opts.withDefaults()
+	opts, maps, d, ws, err := prepareDecomp(m, opts, warm, ws)
 	if err != nil {
 		return NetworkMetrics{}, nil, err
 	}
+	iterations, residual, err := ws.fixedPoint(ctx, m, opts, d)
+	if err != nil {
+		return NetworkMetrics{}, nil, err
+	}
+	met, err := collectDecompMetrics(m, maps, ws.sols, iterations, residual)
+	if err != nil {
+		return NetworkMetrics{}, nil, err
+	}
+	return met, d, nil
+}
+
+// prepareDecomp validates m and opts, binds every station chain of ws
+// (allocated when nil) and returns the effective MAP per station and
+// the starting demands: warm where it holds a usable value, else the
+// MAP mean demands (the product-form fixed point).
+func prepareDecomp(m NetworkModel, opts DecompOptions, warm []float64, ws *decompWorkspace) (DecompOptions, []*markov.MAP, []float64, *decompWorkspace, error) {
+	if err := m.Validate(); err != nil {
+		return opts, nil, nil, nil, err
+	}
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return opts, nil, nil, nil, err
+	}
 	k := len(m.Stations)
-	n := m.Customers
 	maps := make([]*markov.MAP, k)
-	base := make([]float64, k) // mean demand per station (visits folded)
+	d := make([]float64, k) // mean demand per station (visits folded)
 	for i, st := range m.Stations {
 		em, mapErr := st.effectiveMAP()
 		if mapErr != nil {
-			return NetworkMetrics{}, nil, fmt.Errorf("mapqn: station %d (%s): %w", i, st.Name, mapErr)
+			return opts, nil, nil, nil, fmt.Errorf("mapqn: station %d (%s): %w", i, st.Name, mapErr)
 		}
 		maps[i] = em
-		base[i] = em.Mean()
-		if !(base[i] > 0) {
-			return NetworkMetrics{}, nil, fmt.Errorf("mapqn: station %d (%s) has non-positive mean demand", i, st.Name)
+		d[i] = em.Mean()
+		if !(d[i] > 0) {
+			return opts, nil, nil, nil, fmt.Errorf("mapqn: station %d (%s) has non-positive mean demand", i, st.Name)
 		}
 	}
 	if ws == nil {
-		ws = newDecompWorkspace(k, n)
+		ws = newDecompWorkspace(k, m.Customers)
 	}
 	for i, mp := range maps {
 		ws.chains[i].bind(mp, ws.capN, m.PhasesRunWhileIdle)
 	}
-
-	// Effective demands: the exponential surrogate each station presents
-	// to the others' complement networks. Start from the MAP means (the
-	// product-form fixed point) unless a sweep neighbor seeds us.
-	d := append([]float64(nil), base...)
 	if len(warm) == k {
 		for i, w := range warm {
 			if w > 0 && !math.IsNaN(w) && !math.IsInf(w, 0) {
@@ -243,60 +266,234 @@ func solveDecomp(ctx context.Context, m NetworkModel, opts DecompOptions, warm [
 			}
 		}
 	}
+	return opts, maps, d, ws, nil
+}
 
-	// Every iteration below runs inside ws and allocates nothing.
-	sols, targets, lam := ws.sols, ws.targets, ws.lam[:n]
-	iterations := 0
+// fixedPoint iterates the effective demands d in place until the
+// largest relative gap |G(d) - d| / d falls below opts.Tol, and returns
+// the iterations taken and that residual. On return ws.sols hold the
+// chain solutions at the final d, the iterate the residual was measured
+// at. Exhausting opts.MaxIter returns an error wrapping
+// ctmc.ErrNoConvergence. Every iteration runs inside ws and allocates
+// nothing.
+func (ws *decompWorkspace) fixedPoint(ctx context.Context, m NetworkModel, opts DecompOptions, d []float64) (int, float64, error) {
+	ws.mix.reset(d)
 	residual := math.Inf(1)
-	converged := false
-	for iter := 0; iter < opts.MaxIter && !converged; iter++ {
+	for iter := 1; iter <= opts.MaxIter; iter++ {
 		if err := ctx.Err(); err != nil {
-			return NetworkMetrics{}, nil, err
+			return iter, residual, err
 		}
-		iterations = iter + 1
-		residual = 0
-		for i := 0; i < k; i++ {
-			if err := ws.complementRates(m, d, i); err != nil {
-				return NetworkMetrics{}, nil, err
-			}
-			sol, chainErr := ws.chains[i].solve(lam, n)
-			if chainErr != nil {
-				return NetworkMetrics{}, nil, fmt.Errorf("mapqn: station %d (%s): %w", i, m.Stations[i].Name, chainErr)
-			}
-			sols[i] = sol
-
-			// Fixed-point target (Marie's method): calibrate the
-			// exponential surrogate so it reproduces the MAP chain's
-			// residence time under the same arrivals. R_exp(lam, d) is
-			// monotone increasing in d, so the target is found directly by
-			// bisection instead of iterating the (potentially unstable)
-			// ratio map.
-			targets[i] = invertResidence(lam, n, sol.resMAP, d[i])
-			if rel := math.Abs(targets[i]-d[i]) / d[i]; rel > residual {
-				residual = rel
-			}
+		var err error
+		if residual, err = ws.evaluate(m, d); err != nil {
+			return iter, residual, err
 		}
-		if residual < opts.Tol || k == 1 {
+		if residual < opts.Tol || len(d) == 1 {
 			// K=1 has no coupling: the single chain is already the exact
 			// CTMC, so one pass is the answer.
-			converged = true
-			break
+			return iter, residual, nil
 		}
-		for i := range d {
-			d[i] += opts.Damping * (targets[i] - d[i])
-		}
+		ws.mix.step(d, ws.targets, opts.Damping)
 	}
-	if !converged {
-		return NetworkMetrics{}, nil, fmt.Errorf(
-			"mapqn: decomposition fixed point residual %.3g after %d iterations (tol %.3g): %w",
-			residual, iterations, opts.Tol, ctmc.ErrNoConvergence)
-	}
-	met, err := collectDecompMetrics(m, maps, sols, iterations, residual)
-	if err != nil {
-		return NetworkMetrics{}, nil, err
-	}
-	return met, d, nil
+	return opts.MaxIter, residual, fmt.Errorf(
+		"mapqn: decomposition fixed point residual %.3g after %d iterations (tol %.3g): %w",
+		residual, opts.MaxIter, opts.Tol, ctmc.ErrNoConvergence)
 }
+
+// evaluate applies the fixed-point map once: it solves every station's
+// chain against its complement network at demands d, stores the
+// solutions in ws.sols and the target demands G(d) in ws.targets, and
+// returns the largest relative gap |G(d) - d| / d.
+func (ws *decompWorkspace) evaluate(m NetworkModel, d []float64) (float64, error) {
+	n := m.Customers
+	lam := ws.lam[:n]
+	residual := 0.0
+	for i := range d {
+		if err := ws.complementRates(m, d, i); err != nil {
+			return residual, err
+		}
+		sol, err := ws.chains[i].solve(lam, n)
+		if err != nil {
+			return residual, fmt.Errorf("mapqn: station %d (%s): %w", i, m.Stations[i].Name, err)
+		}
+		ws.sols[i] = sol
+
+		// Fixed-point target (Marie's method): calibrate the exponential
+		// surrogate so it reproduces the MAP chain's residence time under
+		// the same arrivals. R_exp(lam, d) is monotone increasing in d, so
+		// the target is found directly by a bracketed root search instead
+		// of iterating the (potentially unstable) ratio map.
+		ws.targets[i] = invertResidence(lam, n, sol.resMAP, d[i])
+		if rel := math.Abs(ws.targets[i]-d[i]) / d[i]; rel > residual {
+			residual = rel
+		}
+	}
+	return residual, nil
+}
+
+// andersonDepth caps how many past iterates the demand update mixes. It
+// is fixed: the demand vector has one entry per station, so a handful of
+// differences already spans most of it.
+const andersonDepth = 4
+
+// andersonMinRank is the smallest share of a residual difference's norm
+// that must remain once the older differences are projected out of it;
+// below it the least-squares system counts as singular.
+const andersonMinRank = 1e-10
+
+// andersonMixer is the type-II Anderson update of the demand fixed point
+// d = G(d), with every buffer sized once per workspace. It works on the
+// demands scaled by the solve's starting demands, x = d / d0, so every
+// station weighs alike in the least squares: with residuals
+// f = (G(d) - d) / d0 and the last m differences dX, dF of iterates and
+// residuals, the step is
+//
+//	x' = x + beta*f - (dX + beta*dF)*gamma,  gamma = argmin |f - dF*gamma|,
+//
+// where beta is DecompOptions.Damping. With no history it is the plain
+// damped step d' = d + beta*(G(d) - d), which is also the fallback, with
+// the history cleared, when the least squares is singular or a proposed
+// demand is not finite and positive.
+type andersonMixer struct {
+	k, depth     int
+	scale        []float64 // starting demands d0
+	x, f         []float64 // scaled iterate and residual; x then holds the proposal
+	prevX, prevF []float64 // the previous step's x and f
+	havePrev     bool
+	dx, df       []float64 // ring of depth difference columns, column c at [c*k, (c+1)*k)
+	next, count  int       // ring slot written next, columns held
+	q            []float64 // count orthonormalized dF columns (modified Gram-Schmidt)
+	r            []float64 // depth-by-depth upper triangle, row-major
+	gamma        []float64
+}
+
+// newAndersonMixer carves every buffer of a k-station mixer out of one
+// allocation.
+func newAndersonMixer(k int) andersonMixer {
+	depth := min(k, andersonDepth)
+	buf := make([]float64, 5*k+3*depth*k+depth*depth+depth)
+	take := func(n int) []float64 {
+		s := buf[:n:n]
+		buf = buf[n:]
+		return s
+	}
+	return andersonMixer{
+		k: k, depth: depth,
+		scale: take(k), x: take(k), f: take(k), prevX: take(k), prevF: take(k),
+		dx: take(depth * k), df: take(depth * k), q: take(depth * k),
+		r: take(depth * depth), gamma: take(depth),
+	}
+}
+
+// reset starts a solve from demands d0, dropping any history.
+func (a *andersonMixer) reset(d0 []float64) {
+	copy(a.scale, d0)
+	a.havePrev, a.next, a.count = false, 0, 0
+}
+
+// step moves d, whose fixed-point targets are g, to the next iterate.
+func (a *andersonMixer) step(d, g []float64, beta float64) {
+	k := a.k
+	for i := range d {
+		a.x[i] = d[i] / a.scale[i]
+		a.f[i] = (g[i] - d[i]) / a.scale[i]
+	}
+	if a.havePrev {
+		c := a.next * k
+		for i := 0; i < k; i++ {
+			a.dx[c+i] = a.x[i] - a.prevX[i]
+			a.df[c+i] = a.f[i] - a.prevF[i]
+		}
+		a.next = (a.next + 1) % a.depth
+		a.count = min(a.count+1, a.depth)
+	}
+	copy(a.prevX, a.x)
+	copy(a.prevF, a.f)
+	a.havePrev = true
+	if a.count > 0 && a.leastSquares() && a.propose(beta) {
+		copy(d, a.x)
+		return
+	}
+	a.count = 0
+	for i := range d {
+		d[i] += beta * (g[i] - d[i])
+	}
+}
+
+// column returns the ring slot of the j-th history column, oldest first.
+func (a *andersonMixer) column(j int) int {
+	return (a.next - a.count + j + a.depth) % a.depth
+}
+
+// leastSquares solves min |f - dF*gamma| into a.gamma by a modified
+// Gram-Schmidt QR of the history columns, and reports false when a
+// column is (numerically) in the span of the others or gamma is not
+// finite.
+func (a *andersonMixer) leastSquares() bool {
+	k, cnt := a.k, a.count
+	for j := 0; j < cnt; j++ {
+		c := a.column(j) * k
+		qj := a.q[j*k : (j+1)*k]
+		copy(qj, a.df[c:c+k])
+		norm0 := norm2(qj)
+		for i := 0; i < j; i++ {
+			qi := a.q[i*k : (i+1)*k]
+			rij := dot(qi, qj)
+			a.r[i*a.depth+j] = rij
+			for p := range qj {
+				qj[p] -= rij * qi[p]
+			}
+		}
+		rjj := norm2(qj)
+		if !(rjj > andersonMinRank*norm0) {
+			return false
+		}
+		a.r[j*a.depth+j] = rjj
+		for p := range qj {
+			qj[p] /= rjj
+		}
+	}
+	for j := cnt - 1; j >= 0; j-- {
+		v := dot(a.q[j*k:(j+1)*k], a.f)
+		for i := j + 1; i < cnt; i++ {
+			v -= a.r[j*a.depth+i] * a.gamma[i]
+		}
+		v /= a.r[j*a.depth+j]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+		a.gamma[j] = v
+	}
+	return true
+}
+
+// propose writes the Anderson step's demands into a.x and reports
+// whether every one is finite and positive.
+func (a *andersonMixer) propose(beta float64) bool {
+	k := a.k
+	for i := 0; i < k; i++ {
+		v := a.x[i] + beta*a.f[i]
+		for j := 0; j < a.count; j++ {
+			c := a.column(j) * k
+			v -= a.gamma[j] * (a.dx[c+i] + beta*a.df[c+i])
+		}
+		v *= a.scale[i]
+		if !(v > 0) || math.IsInf(v, 0) {
+			return false
+		}
+		a.x[i] = v
+	}
+	return true
+}
+
+func dot(a, b []float64) float64 {
+	var s float64
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
+func norm2(v []float64) float64 { return math.Sqrt(dot(v, v)) }
 
 // complementRates fills ws.lam[j] with the arrival rate a station sees
 // when it holds j of the N customers: the throughput of the
@@ -344,14 +541,14 @@ func (ws *decompWorkspace) complementRates(m NetworkModel, d []float64, station 
 // reuses: the constant blocks, one flat slice holding all level inverses,
 // the LU workspace and the stationary vector.
 type stationChain struct {
-	m       int            // phases
-	d0, d1  *matrix.Dense  // the station's MAP, read only
-	aZero   *matrix.Dense  // level-0 diagonal block
-	exit    []float64      // completion rate per phase (D1 row sums)
-	inv     []matrix.Dense // level inverses U_j^{-1}, views of one flat slice
-	u, next *matrix.Dense  // U_j and U_j^{-1}*D1 of the backward pass
-	t       *matrix.Dense  // boundary system: U_0 transposed, last row ones
-	rhs     []float64      // boundary right-hand side e_{m-1}
+	m       int           // phases
+	d0, d1  *matrix.Dense // the station's MAP, read only
+	aZero   *matrix.Dense // level-0 diagonal block
+	exit    []float64     // completion rate per phase (D1 row sums)
+	inv     []float64     // level inverses U_j^{-1}, level j at [j*m*m, (j+1)*m*m)
+	u, next *matrix.Dense // U_j and U_j^{-1}*D1 of the backward pass
+	t       *matrix.Dense // boundary system: U_0 transposed, last row ones
+	rhs     []float64     // boundary right-hand side e_{m-1}
 	lu      *matrix.LU
 	pi      []float64
 }
@@ -364,17 +561,13 @@ func (c *stationChain) bind(mp *markov.MAP, capN int, idleRun bool) {
 	if c.m != m {
 		*c = stationChain{
 			m:    m,
-			inv:  make([]matrix.Dense, capN+1),
+			inv:  make([]float64, (capN+1)*m*m),
 			u:    matrix.NewDense(m, m),
 			next: matrix.NewDense(m, m),
 			t:    matrix.NewDense(m, m),
 			rhs:  make([]float64, m),
 			lu:   matrix.NewLU(m),
 			pi:   make([]float64, (capN+1)*m),
-		}
-		flat := make([]float64, (capN+1)*m*m)
-		for j := range c.inv {
-			c.inv[j] = matrix.Dense{Rows: m, Cols: m, Data: flat[j*m*m : (j+1)*m*m]}
 		}
 		c.rhs[m-1] = 1
 	}
@@ -403,6 +596,12 @@ func (c *stationChain) bind(mp *markov.MAP, capN int, idleRun bool) {
 	}
 }
 
+// level returns a view of level j's inverse in c.inv.
+func (c *stationChain) level(j int) matrix.Dense {
+	mm := c.m * c.m
+	return matrix.Dense{Rows: c.m, Cols: c.m, Data: c.inv[j*mm : (j+1)*mm]}
+}
+
 // solve computes the chain's stationary distribution at population n
 // under arrivals lam. The chain is block tridiagonal with m-by-m blocks,
 // solved by backward block elimination (censoring levels top-down) in
@@ -420,10 +619,11 @@ func (c *stationChain) solve(lam []float64, n int) (stationSolution, error) {
 	u, next := c.u, c.next
 	copy(u.Data, c.d0.Data)
 	for j := n; j >= 1; j-- {
-		if err := matrix.InverseTo(&c.inv[j], u, c.lu); err != nil {
+		inv := c.level(j)
+		if err := matrix.InverseTo(&inv, u, c.lu); err != nil {
 			return stationSolution{}, fmt.Errorf("mapqn: station chain level %d is singular: %w", j, err)
 		}
-		c.inv[j].MulTo(next, c.d1)
+		inv.MulTo(next, c.d1)
 		a := c.d0
 		if j-1 == 0 {
 			a = c.aZero
@@ -469,7 +669,8 @@ func (c *stationChain) solve(lam []float64, n int) (stationSolution, error) {
 	for j := 1; j <= n; j++ {
 		prev := pi[(j-1)*m : j*m]
 		level := pi[j*m : (j+1)*m]
-		c.inv[j].VecMulTo(level, prev)
+		inv := c.level(j)
+		inv.VecMulTo(level, prev)
 		maxAbs := 0.0
 		for p, v := range level {
 			v *= -lam[j-1]
@@ -554,11 +755,15 @@ func exponentialResidence(lam []float64, d float64, n int) float64 {
 
 // invertResidence finds the exponential demand d whose birth-death
 // residence time under arrivals lam equals rTarget: the unique root of
-// the monotone-increasing R_exp(lam, d) - rTarget, located by bracket
-// expansion around the current demand and bisection. The surrogate
-// calibrated this way reproduces the MAP chain's congestion exactly, so
-// the outer fixed point only has to reconcile the (mild) cross-station
-// coupling through the complement networks.
+// the monotone-increasing h(d) = R_exp(lam, d) - rTarget, located by
+// bracket expansion around the current demand and then Illinois regula
+// falsi inside the bracket. Each probe is the secant through the
+// bracket's ends; when the same end survives twice in a row its h is
+// halved, so both ends close in superlinearly, and a probe that would
+// not fall strictly inside the bracket is replaced by its midpoint. The
+// surrogate calibrated this way reproduces the MAP chain's congestion
+// exactly, so the outer fixed point only has to reconcile the (mild)
+// cross-station coupling through the complement networks.
 func invertResidence(lam []float64, n int, rTarget, guess float64) float64 {
 	if !(rTarget > 0) || !(guess > 0) {
 		return guess
@@ -577,12 +782,29 @@ func invertResidence(lam []float64, n int, rTarget, guess float64) float64 {
 	if rLo > rTarget || rHi < rTarget {
 		return guess // no bracket (degenerate arrivals); keep the demand
 	}
+	hLo, hHi := rLo-rTarget, rHi-rTarget
+	side := 0 // the end the last probe replaced: -1 lo, +1 hi
 	for i := 0; i < 80 && hi-lo > 1e-14*hi; i++ {
-		mid := (lo + hi) / 2
-		if exponentialResidence(lam, mid, n) < rTarget {
-			lo = mid
-		} else {
-			hi = mid
+		x := (lo*hHi - hi*hLo) / (hHi - hLo)
+		if !(x > lo && x < hi) {
+			x = (lo + hi) / 2
+		}
+		h := exponentialResidence(lam, x, n) - rTarget
+		switch {
+		case h == 0:
+			return x
+		case h < 0:
+			lo, hLo = x, h
+			if side == -1 {
+				hHi /= 2
+			}
+			side = -1
+		default:
+			hi, hHi = x, h
+			if side == 1 {
+				hLo /= 2
+			}
+			side = 1
 		}
 	}
 	return (lo + hi) / 2

@@ -54,8 +54,10 @@ func writeDecompMetrics(b *bytes.Buffer, met NetworkMetrics) {
 
 // decompGoldenCases produces the pinned text of every decomp golden:
 // the exact K=1 chain, K=2 with free-running idle phases, the two
-// BenchmarkSolveDecomp networks, a warm-started sweep, and the exact
-// wording of the two ways the fixed point fails to converge.
+// BenchmarkSolveDecomp networks, two warm-started sweeps (the second the
+// K=6, db I=400 network the former damped update could not converge at
+// N=200), and the exact wording of the two ways the fixed point fails
+// to converge: too few iterations, and a tolerance below round-off.
 func decompGoldenCases(t *testing.T) map[string][]byte {
 	out := make(map[string][]byte)
 	solve := func(name string, m NetworkModel, opts DecompOptions) {
@@ -97,18 +99,22 @@ func decompGoldenCases(t *testing.T) map[string][]byte {
 	}
 
 	populations := []int{50, 100, 150, 200}
-	sweep, err := SolveNetworkDecompSweep(decompBenchStations(t, 4, 25, 120), 0.5, populations, DecompOptions{})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
+	sweep := func(name string, stations []Station) {
+		mets, err := SolveNetworkDecompSweep(stations, 0.5, populations, DecompOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var b bytes.Buffer
+		for i, met := range mets {
+			fmt.Fprintf(&b, "population %d\n", populations[i])
+			writeDecompMetrics(&b, met)
+		}
+		out[name] = b.Bytes()
 	}
-	var b bytes.Buffer
-	for i, met := range sweep {
-		fmt.Fprintf(&b, "population %d\n", populations[i])
-		writeDecompMetrics(&b, met)
-	}
-	out["sweep_k4"] = b.Bytes()
+	sweep("sweep_k4", decompBenchStations(t, 4, 25, 120))
+	sweep("sweep_k6_db400", decompBenchStations(t, 6, 400, 120))
 
-	_, err = SolveNetworkDecompSweep(decompBenchStations(t, 6, 400, 120), 0.5, populations, DecompOptions{})
+	_, err := SolveNetworkDecompSweep(decompBenchStations(t, 6, 400, 120), 0.5, populations, DecompOptions{MaxIter: 5})
 	failure("no_convergence_k6", err)
 	_, err = SolveNetworkDecomp(NetworkModel{
 		Stations:  decompBenchStations(t, 4, 25, 120),
