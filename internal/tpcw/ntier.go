@@ -365,20 +365,22 @@ type engineN struct {
 
 	measureStart, measureEnd float64
 	res                      *ResultN
-	responses                []float64
+	responses                responseLog
 	respSumByType            [NumTransactions]float64
 
 	// Per-class accounting. classOf maps each transaction type to its
 	// class index; classConsumed[i][c] is the cumulative nominal demand
 	// class c's passes consumed at tier i; classTxnCompl[i][c] counts
 	// class c's transaction-level completions at tier i (last pass closes
-	// the phase, matching the tier monitors); classResponses[c] collects
-	// in-window end-to-end responses. The sampler snapshots the cumulative
-	// counters every monitor period (see sampleClasses).
+	// the phase, matching the tier monitors); classRespCount[c] and
+	// classRespSum[c] count and sum class c's in-window end-to-end
+	// responses. The sampler snapshots the cumulative counters every
+	// monitor period (see sampleClasses).
 	classOf        [NumTransactions]int
 	classConsumed  [][]float64
 	classTxnCompl  [][]int64
-	classResponses [][]float64
+	classRespCount []int64
+	classRespSum   []float64
 
 	lastTierBusy      []float64
 	classDeltas       []float64 // sampleClasses scratch, one per class
@@ -452,9 +454,10 @@ func (e *engineN) onComplete(tier int, j *des.Job) {
 		e.res.Completed++
 		e.res.CompletedByType[st.txType]++
 		resp := e.sim.Now() - st.submittedAt
-		e.responses = append(e.responses, resp)
+		e.responses.add(resp)
 		e.respSumByType[st.txType] += resp
-		e.classResponses[class] = append(e.classResponses[class], resp)
+		e.classRespCount[class]++
+		e.classRespSum[class] += resp
 	}
 	eb := st.eb
 	eb.think = e.sim.Reschedule(eb.think, e.thinkSrc.Exp(e.cfg.ThinkTime), eb.submitFn)
@@ -563,7 +566,8 @@ func RunNCtx(ctx context.Context, cfg ConfigN) (*ResultN, error) {
 		e.classUtilSeries[i] = make([][]float64, nc)
 		e.classComplSeries[i] = make([][]float64, nc)
 	}
-	e.classResponses = make([][]float64, nc)
+	e.classRespCount = make([]int64, nc)
+	e.classRespSum = make([]float64, nc)
 	e.classDeltas = make([]float64, nc)
 
 	e.stations = make([]*des.PSStation, k)
@@ -636,9 +640,9 @@ func RunNCtx(ctx context.Context, cfg ConfigN) (*ResultN, error) {
 	res := e.res
 	window := e.measureEnd - e.measureStart
 	res.Throughput = float64(res.Completed) / window
-	if len(e.responses) > 0 {
-		res.MeanResponse = stats.Mean(e.responses)
-		p95, err := stats.Percentile(e.responses, 95)
+	if e.responses.n > 0 {
+		res.MeanResponse = e.responses.mean()
+		p95, err := e.responses.percentile(95)
 		if err != nil {
 			return nil, err
 		}
@@ -670,9 +674,9 @@ func RunNCtx(ctx context.Context, cfg ConfigN) (*ResultN, error) {
 	res.ClassTierSamples = make([][]trace.UtilizationSamples, nc)
 	for c := 0; c < nc; c++ {
 		res.ClassNames[c] = cfg.Classes[c].Name
-		res.ClassThroughput[c] = float64(len(e.classResponses[c])) / window
-		if len(e.classResponses[c]) > 0 {
-			res.ClassMeanResponse[c] = stats.Mean(e.classResponses[c])
+		res.ClassThroughput[c] = float64(e.classRespCount[c]) / window
+		if n := e.classRespCount[c]; n > 0 {
+			res.ClassMeanResponse[c] = e.classRespSum[c] / float64(n)
 		}
 		res.ClassTierSamples[c] = make([]trace.UtilizationSamples, k)
 		for i := 0; i < k; i++ {
