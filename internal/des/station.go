@@ -14,7 +14,6 @@ type Job struct {
 	Demand  float64
 	Arrived float64 // time the job entered the current station
 
-	remaining float64
 	// Ctx carries caller-defined state (e.g., the client session driving
 	// this job) through station callbacks.
 	Ctx any
@@ -38,13 +37,23 @@ const completionEpsilon = 1e-12
 // present each receives speed/n of the server. Speed can be changed at
 // runtime (SetSpeed), which is how the TPC-W simulator injects
 // Markov-modulated contention slowdowns at the database tier.
+//
+// The station keeps virtual time rather than each job's remaining work:
+// v is the service every job present has received since the busy period
+// began, and it advances by dt*speed/n. A job arriving at virtual time v
+// with demand d finishes when v reaches its finish tag v+d, so the jobs
+// sit in a min-heap of tags and one event costs O(log n) however many
+// jobs share the server. v restarts at zero whenever the station empties,
+// so its rounding error is bounded by the busy period, not the run.
 type PSStation struct {
 	Name string
 
 	sim        *Sim
-	jobs       []*Job
+	jobs       psHeap
 	done       []*Job // complete's scratch list, reused
 	speed      float64
+	v          float64 // virtual time of the current busy period
+	seq        int64   // arrival sequence, the heap's tie-break
 	lastUpdate float64
 	// pending is the one completion event, moved by Reschedule; it is
 	// canceled (not dropped) while the station is empty or stopped.
@@ -54,6 +63,62 @@ type PSStation struct {
 
 	busyTime    float64
 	completions int64
+}
+
+// psEntry is one job at a PS station: its finish tag and its arrival
+// sequence number, which orders jobs with equal tags first come first.
+type psEntry struct {
+	tag float64
+	seq int64
+	job *Job
+}
+
+// psHeap is a binary min-heap of jobs ordered by (tag, seq).
+type psHeap []psEntry
+
+func (h psHeap) less(i, j int) bool {
+	if h[i].tag != h[j].tag {
+		return h[i].tag < h[j].tag
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h *psHeap) push(e psEntry) {
+	*h = append(*h, e)
+	a := *h
+	for j := len(a) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !a.less(j, i) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
+}
+
+func (h *psHeap) pop() *Job {
+	a := *h
+	n := len(a) - 1
+	j := a[0].job
+	a[0] = a[n]
+	a[n] = psEntry{}
+	a = a[:n]
+	for i := 0; ; {
+		c := 2*i + 1 // left child
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && a.less(r, c) {
+			c = r
+		}
+		if !a.less(c, i) {
+			break
+		}
+		a[i], a[c] = a[c], a[i]
+		i = c
+	}
+	*h = a
+	return j
 }
 
 // NewPSStation builds a processor-sharing station; onComplete is invoked
@@ -67,7 +132,7 @@ func NewPSStation(sim *Sim, name string, onComplete func(*Job)) *PSStation {
 	return st
 }
 
-// advance progresses attained service to the current instant.
+// advance progresses virtual time to the current instant.
 func (st *PSStation) advance() {
 	now := st.sim.Now()
 	dt := now - st.lastUpdate
@@ -76,24 +141,17 @@ func (st *PSStation) advance() {
 		return
 	}
 	st.busyTime += dt
-	each := dt * st.speed / float64(len(st.jobs))
-	for _, j := range st.jobs {
-		j.remaining -= each
-	}
+	st.v += dt * st.speed / float64(len(st.jobs))
 }
 
-// reschedule plans the next completion event.
+// reschedule plans the next completion event: the job with the least
+// finish tag, at the current rate of virtual time.
 func (st *PSStation) reschedule() {
 	if len(st.jobs) == 0 || st.speed <= 0 {
 		st.pending.Cancel()
 		return
 	}
-	minRem := math.Inf(1)
-	for _, j := range st.jobs {
-		if j.remaining < minRem {
-			minRem = j.remaining
-		}
-	}
+	minRem := st.jobs[0].tag - st.v
 	if minRem < 0 {
 		minRem = 0
 	}
@@ -101,44 +159,34 @@ func (st *PSStation) reschedule() {
 	st.pending = st.sim.Reschedule(st.pending, delay, st.completeFn)
 }
 
-// Arrive submits a job; its remaining work is initialized from Demand.
+// Arrive submits a job; its finish tag is the current virtual time plus
+// its Demand.
 func (st *PSStation) Arrive(j *Job) {
 	if j.Demand <= 0 || math.IsNaN(j.Demand) {
 		panic(fmt.Sprintf("des: job %d has invalid demand %v", j.ID, j.Demand))
 	}
 	st.advance()
-	j.remaining = j.Demand
 	j.Arrived = st.sim.Now()
-	st.jobs = append(st.jobs, j)
+	st.seq++
+	st.jobs.push(psEntry{tag: st.v + j.Demand, seq: st.seq, job: j})
 	st.reschedule()
 }
 
-// complete fires when the job with least remaining work finishes.
+// complete fires when the job with the least finish tag finishes.
 func (st *PSStation) complete() {
 	st.advance()
-	// Pop every job whose remaining work is (numerically) exhausted;
+	// Pop every job whose tag virtual time has (numerically) reached;
 	// simultaneous completions are possible after speed changes.
 	done := st.done[:0]
-	kept := st.jobs[:0]
-	for _, j := range st.jobs {
-		if j.remaining <= completionEpsilon {
-			done = append(done, j)
-		} else {
-			kept = append(kept, j)
-		}
+	for len(st.jobs) > 0 && st.jobs[0].tag-st.v <= completionEpsilon {
+		done = append(done, st.jobs.pop())
 	}
-	st.jobs = kept
 	if len(done) == 0 {
-		// Numerical drift: force the minimum-remaining job out.
-		minIdx := 0
-		for i, j := range st.jobs {
-			if j.remaining < st.jobs[minIdx].remaining {
-				minIdx = i
-			}
-		}
-		j := st.jobs[minIdx]
-		st.jobs = append(st.jobs[:minIdx], st.jobs[minIdx+1:]...)
-		done = append(done, j)
+		// Numerical drift: force the least-tag job out.
+		done = append(done, st.jobs.pop())
+	}
+	if len(st.jobs) == 0 {
+		st.v = 0
 	}
 	st.reschedule()
 	for i, j := range done {
@@ -149,8 +197,8 @@ func (st *PSStation) complete() {
 	st.done = done[:0]
 }
 
-// SetSpeed changes the service speed multiplier (1 = nominal). Attained
-// service is advanced under the old speed first.
+// SetSpeed changes the service speed multiplier (1 = nominal). Virtual
+// time is advanced under the old speed first; the finish tags stand.
 func (st *PSStation) SetSpeed(f float64) {
 	if f < 0 || math.IsNaN(f) {
 		panic(fmt.Sprintf("des: invalid speed %v", f))

@@ -20,11 +20,16 @@ func twoTier(t *testing.T, cfg ConfigN) ConfigN {
 	return cfg
 }
 
-// Golden values captured from the dedicated two-tier engine at commit
-// f0e5945, immediately before it was replaced by the N-tier engine.
-// Exact float equality (hex literals carry the full bit pattern) proves
-// the generalized path on DefaultTiers(mix, 2) reproduces the seed
-// engine draw-for-draw.
+// Golden values pinned bit for bit (hex literals carry the full bit
+// pattern). They were captured from the dedicated two-tier engine at
+// commit f0e5945, immediately before it was replaced by the N-tier
+// engine, and proved the generalized path on DefaultTiers(mix, 2)
+// reproduced it draw for draw. The virtual-time PS station rounds
+// completion instants differently, so a near-tie between two events can
+// now fall the other way: shopping30 and browsing100-series are pinned
+// from the N-tier engine with that station, and ordering50-z2, whose
+// light load never meets such a tie, still carries the seed engine's
+// bits.
 func TestRunBitIdenticalToSeedEngine(t *testing.T) {
 	type series struct {
 		nfu                  int
@@ -46,26 +51,26 @@ func TestRunBitIdenticalToSeedEngine(t *testing.T) {
 		{
 			name:      "shopping30",
 			cfg:       ConfigN{Mix: ShoppingMix(), EBs: 30, Seed: 77, Duration: 900, Warmup: 60, Cooldown: 30},
-			x:         0x1.cc1e573ac901ep+05,
-			completed: 46587,
-			mean:      0x1.642fae2affb9dp-06, p95: 0x1.da287442e9b2ep-05,
-			uf: 0x1.47e7b6d037e48p-02, ud: 0x1.a111ef547e786p-03,
-			cf: 0, cd: 0x1.dfdc93562c10ap-05,
+			x:         0x1.ce0b60b60b60bp+05,
+			completed: 46782,
+			mean:      0x1.434927eec8fdcp-06, p95: 0x1.caf9a8da464c8p-05,
+			uf: 0x1.4a9968d24546cp-02, ud: 0x1.976f8ab92d35fp-03,
+			cf: 0, cd: 0x1.cddc365eb144p-05,
 			nfs: 162,
-			fs0: 0x1.33d16ffd0dc8p-02, fsL: 0x1.18d7715d8cb33p-02,
-			ds0: 0x1.495125de80cp-03, dsc0: 0x1.35p+08,
+			fs0: 0x1.62e2345641a8p-02, fsL: 0x1.31398218ec19ap-02,
+			ds0: 0x1.751817aa4e7p-03, dsc0: 0x1.34p+08,
 		},
 		{
 			name:      "browsing100-series",
 			cfg:       ConfigN{Mix: BrowsingMix(), EBs: 100, Seed: 9, Duration: 900, Warmup: 60, Cooldown: 30, TrackSeries: true},
-			x:         0x1.93c9a3b6ad31fp+06,
-			completed: 81767,
-			mean:      0x1.f6dcbc9cc48acp-02, p95: 0x1.282e8b4b82253p+01,
-			uf: 0x1.ac667c9fd8b44p-01, ud: 0x1.2e56d7b1a684dp-01,
-			cf: 0x1.077a4837c2572p-02, cd: 0x1.0bb399820ddb3p-02,
+			x:         0x1.9666666666666p+06,
+			completed: 82296,
+			mean:      0x1.f17ca4b0f2807p-02, p95: 0x1.24b373a26563p+01,
+			uf: 0x1.b80a8a5781f68p-01, ud: 0x1.2c74ff0eebf6fp-01,
+			cf: 0x1.2e22395b412e6p-02, cd: 0x1.10dce2456e607p-02,
 			nfs: 162,
-			fs0: 0x1p+00, fsL: 0x1.cc864f3a844p-01,
-			ds0: 0x1.4ff7049f1864dp-01, dsc0: 0x1.908p+09,
+			fs0: 0x1p+00, fsL: 0x1p+00,
+			ds0: 0x1.1317565eb264dp-01, dsc0: 0x1.8b8p+09,
 			series: &series{
 				nfu:  900,
 				fu10: 0x1.cf3d3ceaf6dcp-03, du10: 0x1p+00,
@@ -193,19 +198,19 @@ func TestRunNThreeTierClassesBitIdentical(t *testing.T) {
 			t.Errorf("%s = %x, want %x", field, got, want)
 		}
 	}
-	if res.Completed != 45442 {
-		t.Errorf("Completed = %d, want %d", res.Completed, 45442)
+	if res.Completed != 44102 {
+		t.Errorf("Completed = %d, want %d", res.Completed, 44102)
 	}
-	check("Throughput", res.Throughput, 0x1.6468686868687p+06)
-	check("MeanResponse", res.MeanResponse, 0x1.5d49163ac1c24p-03)
-	check("P95Response", res.P95Response, 0x1.ac941f3d80b6fp-01)
-	check("AvgUtil[app]", res.AvgUtil[1], 0x1.56e0ed58646fp-02)
-	check("AvgUtil[db]", res.AvgUtil[2], 0x1.eade6e2488488p-02)
-	check("ContentionFraction[db]", res.ContentionFraction[2], 0x1.978fddab63c8cp-03)
-	check("ClassMeanResponse[1]", res.ClassMeanResponse[1], 0x1.1f9fcad72ed17p-03)
-	check("ClassTierSamples[1][db].Utilization[0]", res.ClassTierSamples[1][2].Utilization[0], 0x1.71c1de667f031p-06)
-	check("TierQueueLen1s[db][101]", res.TierQueueLen1s[2][101], 0x1p+00)
-	if got, want := resultDigest(res), uint64(0x780d5bfde48ae85c); got != want {
+	check("Throughput", res.Throughput, 0x1.59e5e5e5e5e5ep+06)
+	check("MeanResponse", res.MeanResponse, 0x1.894d3e1909f44p-03)
+	check("P95Response", res.P95Response, 0x1.eb909355e3899p-01)
+	check("AvgUtil[app]", res.AvgUtil[1], 0x1.4b62ede0a1a62p-02)
+	check("AvgUtil[db]", res.AvgUtil[2], 0x1.03ba7692e9fffp-01)
+	check("ContentionFraction[db]", res.ContentionFraction[2], 0x1.d795bfa258cb8p-03)
+	check("ClassMeanResponse[1]", res.ClassMeanResponse[1], 0x1.503af90d392afp-03)
+	check("ClassTierSamples[1][db].Utilization[0]", res.ClassTierSamples[1][2].Utilization[0], 0x1.7cbd11769da7ap-06)
+	check("TierQueueLen1s[db][101]", res.TierQueueLen1s[2][101], 0x1.1p+05)
+	if got, want := resultDigest(res), uint64(0xc2e4d11d8f604ccf); got != want {
 		t.Errorf("result digest = %#x, want %#x", got, want)
 	}
 }
