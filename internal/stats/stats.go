@@ -135,20 +135,28 @@ func RawMoment(xs []float64, k int) float64 {
 // NaNs (payloads), whose order among themselves only the sort fixes, so
 // when a selected rank holds either, Percentile sorts a fresh copy.
 func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
+	if len(xs) == 1 && p > 0 && p <= 100 {
+		return xs[0], nil
+	}
+	return PercentileOf(len(xs), func(dst []float64) { copy(dst, xs) }, p)
+}
+
+// PercentileOf is Percentile of n values that are not held in one
+// slice: fill writes them, in order, into the one scratch slice the
+// selection permutes. It calls fill once, and again when a selected rank
+// holds ±0 or NaN and the sort needs the original order.
+func PercentileOf(n int, fill func(dst []float64), p float64) (float64, error) {
+	if n == 0 {
 		return 0, ErrEmpty
 	}
 	if p <= 0 || p > 100 {
 		return 0, fmt.Errorf("stats: percentile %v out of range (0,100]", p)
 	}
-	if len(xs) == 1 {
-		return xs[0], nil
-	}
-	h := (p / 100) * float64(len(xs)-1)
+	h := (p / 100) * float64(n-1)
 	lo := int(math.Floor(h))
 	hi := int(math.Ceil(h))
-	buf := make([]float64, len(xs))
-	copy(buf, xs)
+	buf := make([]float64, n)
+	fill(buf)
 	selectRank(buf, lo)
 	a, b := buf[lo], buf[lo]
 	if hi != lo {
@@ -160,7 +168,7 @@ func Percentile(xs []float64, p float64) (float64, error) {
 		}
 	}
 	if a == 0 || b == 0 || a != a || b != b {
-		copy(buf, xs)
+		fill(buf)
 		sort.Float64s(buf)
 		a, b = buf[lo], buf[hi]
 	}

@@ -40,11 +40,14 @@ func (l *responseLog) mean() float64 {
 }
 
 // percentile is stats.Percentile of the recorded responses in recording
-// order, computed on one flat copy of the chunks.
+// order; the chunks are copied once, into the selection's scratch slice.
 func (l *responseLog) percentile(p float64) (float64, error) {
-	flat := make([]float64, 0, l.n)
-	for _, c := range l.chunks {
-		flat = append(flat, c[:min(len(c), l.n-len(flat))]...)
+	return stats.PercentileOf(l.n, l.copyTo, p)
+}
+
+// copyTo writes the recorded responses, in order, into dst.
+func (l *responseLog) copyTo(dst []float64) {
+	for i, c := range l.chunks {
+		copy(dst[i*responseChunk:], c[:min(responseChunk, l.n-i*responseChunk)])
 	}
-	return stats.Percentile(flat, p)
 }
