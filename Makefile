@@ -117,9 +117,10 @@ paperrepro-check:
 # the generator microbenches (assembly strategies, CSR vs matrix-free
 # backends), the exact solve of a nearly-decomposable grid cell on
 # both backends (SteadyStateNCD), the TPC-W simulator on its own
-# (SimulateTPCW), and two layers of a what-if memo miss on their own:
-# the dense direct solve (SteadyStateDense) and the MAP(2) fit
-# (FitThreePoint), and the content hash the service takes of every
+# (SimulateTPCW) and one event of its processor-sharing station at 4,
+# 64 and 1024 jobs (PSStation), and two layers of a what-if memo miss on
+# their own: the dense direct solve (SteadyStateDense) and the MAP(2)
+# fit (FitThreePoint), and the content hash the service takes of every
 # what-if query (HashJSON) — and archives the numbers (ns/op, states, nnz,
 # allocs, throughput) as JSON. BENCH_RUNS lists each benchmark function
 # as package:benchtime:name: -benchtime=1x for the seconds-scale solves
@@ -141,10 +142,11 @@ BENCH_RUNS = .:1x:SolveThreeTier .:1x:SolverSweep .:1x:RunSuite .:1x:ServiceRepe
 	.:1s:SolveDecomp .:10x:SimulateTPCW .:1s:MulticlassMVA \
 	./internal/mapqn/:1s:GeneratorAssembly ./internal/mapqn/:1s:GeneratorBackends \
 	./internal/mapqn/:1s:SteadyStateNCD ./internal/ctmc/:1s:SteadyStateDense \
-	./internal/markov/:1s:FitThreePoint ./internal/core/:1s:HashJSON
+	./internal/markov/:1s:FitThreePoint ./internal/core/:1s:HashJSON \
+	./internal/des/:1s:PSStation
 
 define bench-run
-	$(GO) test -run=NONE -bench=NONE . ./internal/mapqn/ ./internal/ctmc/ ./internal/markov/ ./internal/core/ > /dev/null
+	$(GO) test -run=NONE -bench=NONE . ./internal/mapqn/ ./internal/ctmc/ ./internal/markov/ ./internal/core/ ./internal/des/ > /dev/null
 	for round in 1 2 3 4 5; do \
 		for run in $(BENCH_RUNS); do \
 			pkg=$${run%%:*}; rest=$${run#*:}; \

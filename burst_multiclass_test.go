@@ -15,8 +15,10 @@ import (
 // scenario file written before workload classes existed must parse to the
 // same canonical bytes, the same content hash, and a byte-identical
 // report. The goldens under testdata/ were generated by the pre-class
-// code; any diff here means the single-class path is no longer the
-// degenerate case of the multiclass pipeline.
+// code, and the report once more when the virtual-time PS station
+// changed the simulator's rounding; any other diff here means the
+// single-class path is no longer the degenerate case of the multiclass
+// pipeline.
 func TestPreMulticlassEquivalenceGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full scenario")

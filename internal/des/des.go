@@ -15,6 +15,15 @@
 // completion event each, so their completions allocate nothing in
 // steady state. Pending counts the events in the heap: live ones plus
 // canceled ones not yet dropped, with a rescheduled event counted once.
+//
+// The processor-sharing station keeps virtual time instead of each job's
+// remaining work: one clock v, the service a job present since the busy
+// period began has received, advances by dt*speed/n, and each job waits
+// in a min-heap under its finish tag v(arrival)+demand, ties broken
+// first come first. An arrival pushes, a completion pops every job whose
+// tag v has reached, and a speed change only changes the rate of v, so
+// one event costs O(log n) in the number of jobs present. v restarts at
+// zero whenever the station empties.
 package des
 
 import (

@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/xrand"
@@ -164,7 +165,6 @@ func runPSScript(script []psOp, newStation func(*Sim, func(*Job)) psStation) psR
 	})
 	var busyStart float64
 	for _, op := range script {
-		op := op
 		if op.count == 0 {
 			s.ScheduleAt(op.at, func() { st.SetSpeed(op.speed) })
 			continue
@@ -307,18 +307,8 @@ func seededPSScript(seed int64) []psOp {
 			psOp{at: t, count: 1, demand: 1e-3 * h2.Sample(src)})
 	}
 	script = append(script, psOp{at: t + 1, speed: 1})
-	sortPSScript(script)
+	sort.SliceStable(script, func(i, j int) bool { return script[i].at < script[j].at })
 	return script
-}
-
-// sortPSScript orders a script by time, keeping the order of ops at the
-// same instant (insertion sort: scripts arrive nearly sorted).
-func sortPSScript(script []psOp) {
-	for i := 1; i < len(script); i++ {
-		for j := i; j > 0 && script[j].at < script[j-1].at; j-- {
-			script[j], script[j-1] = script[j-1], script[j]
-		}
-	}
 }
 
 // TestPSMatchesReferenceStation holds the virtual-time PS station to the

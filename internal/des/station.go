@@ -39,12 +39,13 @@ const completionEpsilon = 1e-12
 // Markov-modulated contention slowdowns at the database tier.
 //
 // The station keeps virtual time rather than each job's remaining work:
-// v is the service every job present has received since the busy period
-// began, and it advances by dt*speed/n. A job arriving at virtual time v
-// with demand d finishes when v reaches its finish tag v+d, so the jobs
-// sit in a min-heap of tags and one event costs O(log n) however many
-// jobs share the server. v restarts at zero whenever the station empties,
-// so its rounding error is bounded by the busy period, not the run.
+// v is the service a job present since the busy period began has
+// received, and it advances by dt*speed/n. A job arriving at virtual
+// time v with demand d finishes when v reaches its finish tag v+d, so
+// the jobs sit in a min-heap of tags and one event costs O(log n)
+// however many jobs share the server. v restarts at zero whenever the
+// station empties, so its rounding error is bounded by the busy period,
+// not the run.
 type PSStation struct {
 	Name string
 

@@ -502,8 +502,8 @@ func (e *engineN) sampleClasses() {
 	}
 }
 
-// RunN executes one N-tier testbed experiment. On DefaultTiers(mix, 2)
-// it reproduces the original dedicated two-tier engine bit for bit on
+// RunN executes one N-tier testbed experiment. DefaultTiers(mix, 2) is
+// the paper's two-tier testbed; runs are reproducible bit for bit on
 // fixed seeds.
 func RunN(cfg ConfigN) (*ResultN, error) {
 	return RunNCtx(context.Background(), cfg)
