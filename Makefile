@@ -35,9 +35,10 @@ perfbench-check:
 # Short-guarded heavy tests (K=3 cross-validation, large solver cases)
 # whose numeric kernels are 10-20x slower under instrumentation — the
 # race-relevant parallelism is covered by the replica and SpMV tests.
-# The explicit -timeout gives internal/mapqn headroom: its matrix-free
-# equivalence tests alone run ~10x slower under the race detector and
-# can brush Go's default 10m per-package limit on slower machines.
+# The explicit -timeout keeps headroom over Go's default 10m
+# per-package limit on slower machines; the slowest packages,
+# internal/mapqn and internal/experiments, take about 1.5 min each on
+# a 2-vCPU x86-64 VM.
 race:
 	$(GO) test -race -short -timeout 30m ./...
 
@@ -114,9 +115,9 @@ paperrepro-check:
 # bench runs the solver benchmarks — the end-to-end K=2/K=3/K=4 CTMC
 # solves, the warm/cold population sweep, the suite-engine batch run,
 # the multiclass MVA solvers (exact lattice and Schweitzer/Bard), and
-# the generator microbenches (assembly strategies, CSR vs matrix-free
-# backends), the exact solve of a nearly-decomposable grid cell on
-# both backends (SteadyStateNCD), the TPC-W simulator on its own
+# the generator microbenches (assembly strategies, and the stored Q^T
+# of a K=4 chain in GeneratorBackends), the exact solve of a
+# nearly-decomposable grid cell (SteadyStateNCD), the TPC-W simulator on its own
 # (SimulateTPCW) and one event of its processor-sharing station at 4,
 # 64 and 1024 jobs (PSStation), and two layers of a what-if memo miss on
 # their own: the dense direct solve (SteadyStateDense) and the MAP(2)

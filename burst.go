@@ -121,8 +121,6 @@ type (
 	MAPNetworkBoundsN = mapqn.NetworkBoundsResult
 	// SolverOptions tunes the CTMC steady-state solver.
 	SolverOptions = ctmc.Options
-	// SolverBackend selects the CTMC generator representation.
-	SolverBackend = ctmc.Backend
 	// DecompOptions tunes the approximate decomposition solver's fixed
 	// point (SolverDecomp / SolveNetworkDecomp).
 	DecompOptions = mapqn.DecompOptions
@@ -169,17 +167,6 @@ type (
 
 	// Source is a seeded random stream.
 	Source = xrand.Source
-)
-
-// CTMC generator backends for SolverOptions.Backend.
-const (
-	// BackendAuto picks csr below ~1M states and matrix-free above.
-	BackendAuto = ctmc.BackendAuto
-	// BackendCSR assembles the generator as an explicit sparse matrix.
-	BackendCSR = ctmc.BackendCSR
-	// BackendMatrixFree regenerates rows on the fly, cutting memory from
-	// O(nnz) to O(states) so much larger networks fit in RAM.
-	BackendMatrixFree = ctmc.BackendMatrixFree
 )
 
 // Burstiness profiles of Figure 1.

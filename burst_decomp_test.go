@@ -131,9 +131,9 @@ func TestDecompPerformanceGap(t *testing.T) {
 
 // TestScenarioStateLimitFallsBackToDecomp drives the degradation chain
 // through its first hop: a four-tier N=200 scenario whose exact product
-// space (~1e9 states) is over every backend limit must degrade to the
-// decomposition approximation — not all the way to bounds — with the
-// hop recorded in the fallback reason.
+// space (~1e9 states) is over the exact solver's limit must degrade to
+// the decomposition approximation — not all the way to bounds — with
+// the hop recorded in the fallback reason.
 func TestScenarioStateLimitFallsBackToDecomp(t *testing.T) {
 	sc := Scenario{
 		Name:        "decomp-fallback",

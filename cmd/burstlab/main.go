@@ -142,7 +142,6 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "with -suite: cap concurrently running cells (0 = GOMAXPROCS)")
 	quiet := fs.Bool("quiet", false, "suppress the human-readable summary and progress")
 	timeout := fs.Duration("timeout", 0, "cancel the run after this duration (0 = no limit)")
-	backend := fs.String("backend", "", "CTMC generator backend: csr or matrix-free (empty = auto-select by state count); overrides the scenario's solver options")
 	onError := fs.String("on-error", "", "with -suite: failure policy, fail-fast or continue (empty = the suite file's setting)")
 	retries := fs.Int("retries", -1, "with -suite: max retries of transient cell errors (-1 = the suite file's setting)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell (or per-scenario) deadline; expiry during the exact MAP solve degrades to the decomp approximation, then NetworkBounds (0 = no limit)")
@@ -161,11 +160,6 @@ func run(args []string) error {
 		}
 	}
 
-	switch burst.SolverBackend(*backend) {
-	case burst.BackendAuto, burst.BackendCSR, burst.BackendMatrixFree:
-	default:
-		return fmt.Errorf("unknown -backend %q (want csr or matrix-free)", *backend)
-	}
 	if !burst.FailurePolicy(*onError).Valid() {
 		return fmt.Errorf("unknown -on-error %q (want fail-fast or continue)", *onError)
 	}
@@ -184,7 +178,7 @@ func run(args []string) error {
 		return runRemote(ctx, *remote, *rerun, remoteOptions{
 			scenarioPath: *scenarioPath,
 			suite: suiteOptions{
-				path: *suitePath, outPath: *outPath, backend: *backend,
+				path: *suitePath, outPath: *outPath,
 				workers: *workers, quiet: *quiet,
 				onError: *onError, retries: *retries, cellTimeout: *cellTimeout,
 				classes: classSpecs,
@@ -194,7 +188,7 @@ func run(args []string) error {
 
 	if *suitePath != "" {
 		return runSuite(ctx, suiteOptions{
-			path: *suitePath, outPath: *outPath, backend: *backend,
+			path: *suitePath, outPath: *outPath,
 			resume: *resume, workers: *workers, quiet: *quiet,
 			onError: *onError, retries: *retries, cellTimeout: *cellTimeout,
 			classes: classSpecs,
@@ -205,7 +199,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	applyBackend(&sc, *backend)
 	if len(classSpecs) > 0 {
 		sc.Classes = classSpecs
 	}
@@ -257,26 +250,14 @@ func runLocal(ctx context.Context, sc burst.Scenario, quiet bool, outPath string
 	return rep, nil
 }
 
-// applyBackend forces the CTMC generator backend on a scenario's solver
-// options; an empty selection leaves the scenario untouched.
-func applyBackend(sc *burst.Scenario, backend string) {
-	if backend == "" {
-		return
-	}
-	if sc.Planner == nil {
-		sc.Planner = &burst.PlannerOptions{}
-	}
-	sc.Planner.Solver.Backend = burst.SolverBackend(backend)
-}
-
 // suiteOptions carries burstlab's suite-mode flags.
 type suiteOptions struct {
-	path, outPath, backend string
-	resume, quiet          bool
-	workers, retries       int
-	onError                string
-	cellTimeout            time.Duration
-	classes                []burst.ClassSpec
+	path, outPath    string
+	resume, quiet    bool
+	workers, retries int
+	onError          string
+	cellTimeout      time.Duration
+	classes          []burst.ClassSpec
 }
 
 // runSuite executes a suite file: expand the grid, skip cells already
@@ -289,7 +270,6 @@ func runSuite(ctx context.Context, o suiteOptions) error {
 	if err != nil {
 		return err
 	}
-	applyBackend(&suite.Base, o.backend)
 	if len(o.classes) > 0 {
 		suite.Base.Classes = o.classes
 	}

@@ -109,7 +109,6 @@ func buildRemoteSuite(o remoteOptions) (burst.Suite, error) {
 		}
 		suite = burst.Suite{Name: sc.Name, Base: sc}
 	}
-	applyBackend(&suite.Base, o.suite.backend)
 	if len(o.suite.classes) > 0 {
 		suite.Base.Classes = o.suite.classes
 	}

@@ -29,6 +29,7 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"zero replicas", []string{"tpcwsim", "-replicas", "0"}, "replicas 0 must be >= 1"},
 		{"missing tiers", []string{"capplan"}, "capplan: -tiers is required"},
 		{"legacy front/db pair", []string{"capplan", "-front", "f.csv", "-db", "d.csv"}, "flag provided but not defined: -front"},
+		{"removed -backend flag", []string{"-backend", "csr", "-scenario", "s.json"}, "flag provided but not defined: -backend"},
 		{"names count mismatch", []string{"capplan", "-tiers", "a.csv,b.csv", "-names", "web"}, "-names lists 1 names for 2 tiers"},
 		{"bad population list", []string{"capplan", "-tiers", "a.csv", "-ebs", "10,nope"}, `-ebs: core: bad count "nope"`},
 		{"bad class list", []string{"capplan", "-tiers", "a.csv", "-classes", "gold=0"}, `-classes: core: class "gold": weight 0 must be > 0`},

@@ -121,13 +121,13 @@ var solverLadder = []solverTier{
 //     to disable) is the fault hook, called with StageSolve before the
 //     first exact or decomp solve.
 //   - When the exact MAP solve fails for a reason a cheaper tier can
-//     still answer — non-convergence, a state space over the backend
-//     limit, or ctx's deadline expiring while parent is alive — the
-//     report degrades: rep.Degraded is set, the fallback chain solves
-//     under parent until a tier answers (a requested decomp already
-//     filled stands in), and rep.FallbackReason records the cause and
-//     each hop. A fallback canceled because parent is done aborts the
-//     run with parent's error.
+//     still answer — non-convergence, a state space over the exact
+//     solver's limit, or ctx's deadline expiring while parent is
+//     alive — the report degrades: rep.Degraded is set, the fallback
+//     chain solves under parent until a tier answers (a requested
+//     decomp already filled stands in), and rep.FallbackReason records
+//     the cause and each hop. A fallback canceled because parent is
+//     done aborts the run with parent's error.
 //   - Any other failure, including every failure of a requested decomp,
 //     fails the run, tagged with the tier's stage.
 //

@@ -150,8 +150,9 @@ type ValidationPoint struct {
 	MAPWithinCI bool `json:"map_within_ci"`
 	// States is the size of the CTMC the MAP model solved.
 	States int `json:"states"`
-	// SolverBackend names the generator representation the MAP solve
-	// used ("csr" or "matrix-free").
+	// SolverBackend is "csr" when the MAP solve ran (the exact solver
+	// stores its generator as a compact Q^T); kept so report bytes do
+	// not change.
 	SolverBackend string `json:"solver_backend,omitempty"`
 	// Tiers holds the per-tier utilization comparison.
 	Tiers []TierValidation `json:"tiers"`
@@ -221,10 +222,10 @@ type Report struct {
 	Tiers []TierReport `json:"tiers,omitempty"`
 	// Results holds one entry per population, in scenario order.
 	Results []PopulationReport `json:"results"`
-	// SolverBackend names the CTMC generator representation the exact
-	// MAP solves used ("csr" or "matrix-free"); empty when no exact
-	// solve ran. Suite JSONL rows inherit it, so grid output shows which
-	// cells ran matrix-free.
+	// SolverBackend is "csr" when an exact MAP solve ran (the exact
+	// solver stores its generator as a compact Q^T) and empty otherwise.
+	// Suite JSONL rows inherit it; the column is kept so that reports
+	// and rows keep their bytes.
 	SolverBackend string `json:"solver_backend,omitempty"`
 	// PeakStates is the largest CTMC solved across the report's
 	// populations (MAP sweep and cross-validation solves).

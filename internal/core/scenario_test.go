@@ -120,12 +120,27 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseScenarioRejectsUnknownFields feeds ParseScenario and
+// ParseSuite misspelled, trailing and removed inputs. The removed
+// solver option "backend" must fail as an unknown field, not be
+// dropped silently.
 func TestParseScenarioRejectsUnknownFields(t *testing.T) {
-	if _, err := ParseScenario([]byte(`{"think_time": 0.5, "thik_time": 1}`)); err == nil {
-		t.Fatal("expected unknown-field error")
-	}
-	if _, err := ParseScenario([]byte(`{"think_time": 0.5} {"x":1}`)); err == nil {
-		t.Fatal("expected trailing-data error")
+	parseScenario := func(data []byte) error { _, err := ParseScenario(data); return err }
+	parseSuite := func(data []byte) error { _, err := ParseSuite(data); return err }
+	for _, tc := range []struct {
+		name  string
+		parse func([]byte) error
+		in    string
+		want  string
+	}{
+		{"misspelled field", parseScenario, `{"think_time": 0.5, "thik_time": 1}`, `unknown field "thik_time"`},
+		{"trailing data", parseScenario, `{"think_time": 0.5} {"x":1}`, "trailing data"},
+		{"scenario backend", parseScenario, `{"think_time": 0.5, "planner": {"solver": {"backend": "csr"}}}`, `unknown field "backend"`},
+		{"suite backend", parseSuite, `{"base": {"think_time": 0.5, "planner": {"solver": {"backend": "csr"}}}}`, `unknown field "backend"`},
+	} {
+		if err := tc.parse([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

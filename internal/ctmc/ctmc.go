@@ -6,13 +6,12 @@
 // (forward-then-backward) Gauss-Seidel once the forward residual
 // plateaus, as it does on MAP-modulated networks.
 //
-// The solvers read only Q^T, through an Operator that hands them row
-// blocks (RowBlock): int32 source indices and values per row, with each
-// row's diagonal q_ii held apart in its own array. A stored generator
-// is one block over every row; a matrix-free one regenerates blocks of
-// rows on each scan. Both feed the same Gauss-Seidel loops, which
-// accumulate each row's terms in stored order, so a given generator
-// yields the same iterates bit for bit on either backend.
+// The solvers read only Q^T, stored once as a RowBlock: int32 source
+// indices and values per row, with each row's diagonal q_ii held apart
+// in its own array. The Gauss-Seidel loops accumulate each row's terms
+// in stored order, so a given generator yields the same iterates bit for
+// bit however its RowBlock was built (CompactTranspose from a CSR Q, or
+// a model builder streaming rows of Q^T directly, as mapqn does).
 package ctmc
 
 import (
@@ -44,15 +43,9 @@ type Options struct {
 	// zero. A mismatched length or non-positive total mass falls back to
 	// the uniform start. The dense direct solve ignores it.
 	Initial []float64 `json:"initial,omitempty"`
-	// Backend selects the generator representation used by model builders
-	// that construct the chain (BackendAuto picks CSR below a state-count
-	// threshold and matrix-free above it). The solver itself is
-	// representation-agnostic — it consumes whichever Operator the
-	// builder hands it.
-	Backend Backend `json:"backend,omitempty"`
 	// MaxStates caps how many states a model builder may enumerate before
 	// erroring out cleanly instead of exhausting memory. Zero means the
-	// builder's per-backend default.
+	// builder's default, 2,000,000 states for mapqn.
 	MaxStates int `json:"max_states,omitempty"`
 }
 
@@ -111,22 +104,21 @@ func ValidateGenerator(q *matrix.CSR) error {
 }
 
 // iterState is the shared workspace of the iterative solvers: the
-// generator viewed as an Operator (both Gauss-Seidel stages consume Q^T
-// through its block scans) and a scratch vector reused across residual
-// checks.
+// stored Q^T both Gauss-Seidel stages sweep and a scratch vector reused
+// across residual checks.
 type iterState struct {
-	op      Operator
+	qt      *RowBlock
 	scratch []float64
 }
 
-func newIterState(op Operator) *iterState {
-	return &iterState{op: op, scratch: make([]float64, op.Dim())}
+func newIterState(qt *RowBlock) *iterState {
+	return &iterState{qt: qt, scratch: make([]float64, qt.Dim())}
 }
 
-// residual returns ||pi*Q||_inf, computed through the operator's
-// transpose product into the reused scratch buffer.
+// residual returns ||pi*Q||_inf, computed through the transpose product
+// into the reused scratch buffer.
 func (s *iterState) residual(pi []float64) float64 {
-	s.op.VecMulTo(s.scratch, pi)
+	s.qt.VecMulTo(s.scratch, pi)
 	max := 0.0
 	for _, x := range s.scratch {
 		if a := math.Abs(x); a > max {
@@ -162,8 +154,8 @@ func initialVector(n int, opts Options) []float64 {
 }
 
 // SteadyState solves pi*Q = 0, pi*1 = 1 for the generator q; see
-// SteadyStateOperatorCtx for the solver ladder. q is converted once into
-// the stored compact Q^T (CompactTranspose).
+// SteadyStateTransposeCtx for the solver ladder. q is converted once
+// into the stored compact Q^T (CompactTranspose).
 func SteadyState(q *matrix.CSR, opts Options) (Result, error) {
 	return SteadyStateCtx(context.Background(), q, opts)
 }
@@ -178,7 +170,7 @@ func SteadyStateCtx(ctx context.Context, q *matrix.CSR, opts Options) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	return SteadyStateOperatorCtx(ctx, qt, opts)
+	return SteadyStateTransposeCtx(ctx, qt, opts)
 }
 
 // Iterative-stage limits: the forward Gauss-Seidel stage runs at most
@@ -192,15 +184,15 @@ const (
 	plateauSweeps = 64
 )
 
-// SteadyStateOperatorCtx solves pi*Q = 0, pi*1 = 1 for a generator
-// presented as an Operator — materialized or matrix-free. The ladder:
+// SteadyStateTransposeCtx solves pi*Q = 0, pi*1 = 1 for a generator
+// given as its stored transpose qt. The ladder:
 //
 //   - Chains at or below DenseCutoff (512 states by default) are solved
-//     directly by dense LU, the balance equations recovered through
-//     ScanBlocks into a reused workspace (see denseWorks). The system is
-//     factored in place, and each elimination step updates a row only
-//     over the span of the pivot row's nonzeros (matrix.LU.Refactor): on
-//     a banded network chain that is about a tenth of the dense
+//     directly by dense LU, the balance equations copied from qt into
+//     a reused workspace (see denseWorks). The system is factored in
+//     place, and each elimination step updates a row only over the
+//     span of the pivot row's nonzeros (matrix.LU.Refactor): on a
+//     banded network chain that is about a tenth of the dense
 //     arithmetic, with the same factors bit for bit.
 //   - Larger chains start with forward Gauss-Seidel sweeps over the
 //     transposed balance equations. On birth-death-like chains they
@@ -210,32 +202,32 @@ const (
 //     forward stage therefore exits on a plateau: when its best residual
 //     has not halved within 64 sweeps (or after 1500 sweeps).
 //   - Symmetric Gauss-Seidel takes over from the forward iterate: each
-//     iteration is a forward sweep followed by a backward sweep
-//     (ScanBlocksReverse), which damps the oscillation. It runs under
-//     the same residual test, residual <= Tol*max|q_ii|, for up to
-//     MaxIter iterations and otherwise returns ErrNoConvergence, which
-//     model builders degrade on (exact -> decomp -> bounds).
+//     iteration is a forward sweep followed by a backward sweep, which
+//     damps the oscillation. It runs under the same residual test,
+//     residual <= Tol*max|q_ii|, for up to MaxIter iterations and
+//     otherwise returns ErrNoConvergence, which model builders degrade
+//     on (exact -> decomp -> bounds).
 //
 // Krylov and extrapolation schemes were measured and rejected:
 // SGS-preconditioned GMRES(10) solved the MAP networks faster but
 // stalled at residuals of 1e-8 to 1e-4 on M/M/1/K birth-death chains,
 // and Anderson mixing made those chains 2.4x slower.
-func SteadyStateOperatorCtx(ctx context.Context, op Operator, opts Options) (Result, error) {
+func SteadyStateTransposeCtx(ctx context.Context, qt *RowBlock, opts Options) (Result, error) {
 	opts = opts.withDefaults()
-	st := newIterState(op)
-	if op.Dim() <= opts.DenseCutoff {
-		pi, err := steadyStateDense(op)
+	st := newIterState(qt)
+	if qt.Dim() <= opts.DenseCutoff {
+		pi, err := steadyStateDense(qt)
 		if err != nil {
 			return Result{}, err
 		}
 		return Result{Pi: pi, Iterations: 0, Residual: st.residual(pi), Method: "dense-lu"}, nil
 	}
-	scale := op.MaxAbsDiag()
+	scale := qt.MaxAbsDiag()
 	if scale == 0 {
 		return Result{}, errors.New("ctmc: zero generator")
 	}
 	tol := opts.Tol * scale
-	pi := initialVector(op.Dim(), opts)
+	pi := initialVector(qt.Dim(), opts)
 	sweeps, r, err := st.gaussSeidel(ctx, pi, min(opts.MaxIter, gsMaxSweeps), tol)
 	if err != nil {
 		return Result{}, err
@@ -251,8 +243,6 @@ func SteadyStateOperatorCtx(ctx context.Context, op Operator, opts Options) (Res
 type denseWork struct {
 	lu  *matrix.LU
 	rhs []float64
-	a   *matrix.Dense   // the system being assembled, for fill
-	put func(*RowBlock) // w.fill, bound once so a scan allocates nothing
 }
 
 // denseWorks is the free list of idle dense workspaces. A solve takes
@@ -275,9 +265,7 @@ func getDenseWork() *denseWork {
 		denseWorks.idle = denseWorks.idle[:k-1]
 		return w
 	}
-	w := &denseWork{lu: new(matrix.LU)}
-	w.put = w.fill
-	return w
+	return &denseWork{lu: new(matrix.LU)}
 }
 
 // putDenseWork returns w, which just solved an order-n chain.
@@ -290,29 +278,23 @@ func putDenseWork(w *denseWork, n int) {
 	denseWorks.Unlock()
 }
 
-// fill copies a block of Q^T into the system being assembled.
-func (w *denseWork) fill(b *RowBlock) {
-	for r, d := range b.Diag {
-		i := b.Lo + r
-		w.a.Set(i, i, d)
-		for k := b.Ptr[r]; k < b.Ptr[r+1]; k++ {
-			w.a.Set(i, int(b.Cols[k]), b.Vals[k])
-		}
-	}
-}
-
 // steadyStateDense solves the balance equations directly, factoring the
 // system it builds in place in a reused workspace (see denseWorks):
 // beyond a workspace's growth it allocates only the returned vector.
-func steadyStateDense(op Operator) ([]float64, error) {
-	n := op.Dim()
+func steadyStateDense(qt *RowBlock) ([]float64, error) {
+	n := qt.Dim()
 	w := getDenseWork()
 	defer putDenseWork(w, n)
 	// a = Q^T with the last equation replaced by normalization.
-	w.a = w.lu.Reset(n)
-	op.ScanBlocks(w.put)
+	a := w.lu.Reset(n)
+	for i, d := range qt.Diag {
+		a.Set(i, i, d)
+		for k := qt.Ptr[i]; k < qt.Ptr[i+1]; k++ {
+			a.Set(i, int(qt.Cols[k]), qt.Vals[k])
+		}
+	}
 	for j := 0; j < n; j++ {
-		w.a.Set(n-1, j, 1)
+		a.Set(n-1, j, 1)
 	}
 	if cap(w.rhs) < n {
 		w.rhs = make([]float64, n)
@@ -321,7 +303,7 @@ func steadyStateDense(op Operator) ([]float64, error) {
 	clear(w.rhs)
 	w.rhs[n-1] = 1
 	pi := make([]float64, n)
-	err := w.lu.Refactor(w.a)
+	err := w.lu.Refactor(a)
 	if err == nil {
 		err = w.lu.SolveTo(pi, w.rhs)
 	}
@@ -342,9 +324,9 @@ func steadyStateDense(op Operator) ([]float64, error) {
 // in direction and in whether they track the largest change.
 
 // rowSum returns sum_k Vals[k]*pi[Cols[k]] over the off-diagonal
-// entries of the block's r-th row, in stored order.
-func (b *RowBlock) rowSum(r int, pi []float64) float64 {
-	lo, hi := b.Ptr[r], b.Ptr[r+1]
+// entries of row i, in stored order.
+func (b *RowBlock) rowSum(i int, pi []float64) float64 {
+	lo, hi := b.Ptr[i], b.Ptr[i+1]
 	cols := b.Cols[lo:hi]
 	vals := b.Vals[lo:hi]
 	vals = vals[:len(cols)]
@@ -355,15 +337,15 @@ func (b *RowBlock) rowSum(r int, pi []float64) float64 {
 	return sum
 }
 
-// sweepTracked relaxes the block's rows in ascending order and returns
-// the largest change, raised from maxDelta.
-func (b *RowBlock) sweepTracked(pi []float64, maxDelta float64) float64 {
-	for r, d := range b.Diag {
+// sweepTracked relaxes the rows in ascending order and returns the
+// largest change.
+func (b *RowBlock) sweepTracked(pi []float64) float64 {
+	maxDelta := 0.0
+	for i, d := range b.Diag {
 		if d >= 0 {
 			continue
 		}
-		i := b.Lo + r
-		next := b.rowSum(r, pi) / (-d)
+		next := b.rowSum(i, pi) / (-d)
 		if delta := math.Abs(next - pi[i]); delta > maxDelta {
 			maxDelta = delta
 		}
@@ -372,24 +354,24 @@ func (b *RowBlock) sweepTracked(pi []float64, maxDelta float64) float64 {
 	return maxDelta
 }
 
-// sweepForward relaxes the block's rows in ascending order.
+// sweepForward relaxes the rows in ascending order.
 func (b *RowBlock) sweepForward(pi []float64) {
-	for r, d := range b.Diag {
+	for i, d := range b.Diag {
 		if d >= 0 {
 			continue
 		}
-		pi[b.Lo+r] = b.rowSum(r, pi) / (-d)
+		pi[i] = b.rowSum(i, pi) / (-d)
 	}
 }
 
-// sweepBackward relaxes the block's rows in descending order.
+// sweepBackward relaxes the rows in descending order.
 func (b *RowBlock) sweepBackward(pi []float64) {
-	for r := len(b.Diag) - 1; r >= 0; r-- {
-		d := b.Diag[r]
+	for i := len(b.Diag) - 1; i >= 0; i-- {
+		d := b.Diag[i]
 		if d >= 0 {
 			continue
 		}
-		pi[b.Lo+r] = b.rowSum(r, pi) / (-d)
+		pi[i] = b.rowSum(i, pi) / (-d)
 	}
 }
 
@@ -399,15 +381,12 @@ func (b *RowBlock) sweepBackward(pi []float64) {
 // out. It returns the sweeps run and the last residual checked; the
 // caller tells convergence from a handover by comparing it with tol.
 func (s *iterState) gaussSeidel(ctx context.Context, pi []float64, maxSweeps int, tol float64) (int, float64, error) {
-	var maxDelta float64
-	sweep := func(b *RowBlock) { maxDelta = b.sweepTracked(pi, maxDelta) }
 	r, best, bestAt := math.Inf(1), math.Inf(1), 0
 	for it := 1; it <= maxSweeps; it++ {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, err
 		}
-		maxDelta = 0
-		s.op.ScanBlocks(sweep)
+		maxDelta := s.qt.sweepTracked(pi)
 		normalize(pi)
 		if it%residualEvery == 0 || maxDelta == 0 {
 			r = s.residual(pi)
@@ -431,15 +410,13 @@ func (s *iterState) gaussSeidel(ctx context.Context, pi []float64, maxSweeps int
 // two sweeps). This stage checks the residual on a fixed cadence, so it
 // tracks no per-row change.
 func (s *iterState) symmetricGaussSeidel(ctx context.Context, pi []float64, sweeps, maxIter int, tol float64) (Result, error) {
-	forward := func(b *RowBlock) { b.sweepForward(pi) }
-	backward := func(b *RowBlock) { b.sweepBackward(pi) }
 	r := math.Inf(1)
 	for it := 1; it <= maxIter; it++ {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		s.op.ScanBlocks(forward)
-		s.op.ScanBlocksReverse(backward)
+		s.qt.sweepForward(pi)
+		s.qt.sweepBackward(pi)
 		normalize(pi)
 		if it%(residualEvery/2) == 0 || it == maxIter {
 			if r = s.residual(pi); r <= tol {

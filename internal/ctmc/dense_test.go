@@ -10,18 +10,15 @@ import (
 
 // steadyStateDenseFresh is the dense solve without a reused workspace:
 // a fresh n×n system per solve, factored by matrix.Factor.
-func steadyStateDenseFresh(op Operator) ([]float64, error) {
-	n := op.Dim()
+func steadyStateDenseFresh(qt *RowBlock) ([]float64, error) {
+	n := qt.Dim()
 	a := matrix.NewDense(n, n)
-	op.ScanBlocks(func(b *RowBlock) {
-		for r, d := range b.Diag {
-			i := b.Lo + r
-			a.Set(i, i, d)
-			for k := b.Ptr[r]; k < b.Ptr[r+1]; k++ {
-				a.Set(i, int(b.Cols[k]), b.Vals[k])
-			}
+	for i, d := range qt.Diag {
+		a.Set(i, i, d)
+		for k := qt.Ptr[i]; k < qt.Ptr[i+1]; k++ {
+			a.Set(i, int(qt.Cols[k]), qt.Vals[k])
 		}
-	})
+	}
 	for j := 0; j < n; j++ {
 		a.Set(n-1, j, 1)
 	}
@@ -99,7 +96,7 @@ func TestSteadyStateDenseRepeatAllocatesOnlyResult(t *testing.T) {
 // orders from several goroutines at once: each must take its own idle
 // workspace and return the fresh system's vector bit for bit.
 func TestSteadyStateDenseConcurrentSolves(t *testing.T) {
-	ops := make([]Operator, len(denseFixtures))
+	ops := make([]*RowBlock, len(denseFixtures))
 	wants := make([][]float64, len(denseFixtures))
 	for i, name := range denseFixtures {
 		qt, err := CompactTranspose(loadGenerator(t, name))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -25,8 +26,8 @@ func buildGeneratorN(ctx context.Context, m NetworkModel, maps []*markov.MAP) (*
 	if err != nil {
 		return nil, nil, errStateOverflow(len(maps), m.Customers)
 	}
-	if g.size > csrDefaultMaxStates {
-		return nil, nil, errStateLimit(g.k, g.n, g.size, csrDefaultMaxStates, ctmc.BackendCSR)
+	if g.size > defaultMaxStates {
+		return nil, nil, errStateLimit(g.k, g.n, g.size, defaultMaxStates)
 	}
 	gen, err := g.assembleCSR(ctx)
 	if err != nil {
@@ -73,8 +74,8 @@ func buildGeneratorNTriplet(m NetworkModel, maps []*markov.MAP) (*matrix.CSR, *s
 	if err != nil {
 		return nil, nil, err
 	}
-	if size > csrDefaultMaxStates {
-		return nil, nil, fmt.Errorf("mapqn: reference builder: %d states exceed limit %d", size, csrDefaultMaxStates)
+	if size > defaultMaxStates {
+		return nil, nil, fmt.Errorf("mapqn: reference builder: %d states exceed limit %d", size, defaultMaxStates)
 	}
 	thinkRate := 0.0
 	if m.ThinkTime > 0 {
@@ -206,19 +207,49 @@ func TestDirectAssemblyMatchesTriplet(t *testing.T) {
 	}
 }
 
+// randomMAP draws a service MAP of order 1, 2, or 3 with randomized
+// rates so the property tests cover mixed phase counts.
+func randomMAP(t *testing.T, rng *rand.Rand) *markov.MAP {
+	t.Helper()
+	switch rng.Intn(3) {
+	case 0:
+		return markov.Poisson(0.5 + 2*rng.Float64())
+	case 1:
+		m, err := markov.MMPP2(0.2+2*rng.Float64(), 3+4*rng.Float64(),
+			0.05+rng.Float64(), 0.05+rng.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	default:
+		m, err := markov.ErlangRenewal(3, 0.2+rng.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+}
+
 // TestTransposeAssemblyMatchesTransposedGenerator checks the stored
-// backend's generator: Q^T assembled row by row from the transpose
-// emitter must equal the assembled Q transposed and split by
-// ctmc.CompactTranspose, entry for entry, under both idle-phase
-// semantics and with zero think time — with entry arrays sized exactly.
+// generator: Q^T assembled row by row from the transpose emitter must
+// equal the assembled Q transposed and split by ctmc.CompactTranspose,
+// entry for entry and with entry arrays sized exactly, and its VecMulTo
+// must reproduce CSR.VecMulTo bit for bit. It runs on the K=3 fixture
+// (both idle-phase semantics, zero think time) and on randomized
+// networks: K in 1..4, N in 0..12, mixed phase counts, both idle
+// semantics, think time zero and positive. Some randomized cases cross
+// the parallel-kernel threshold, so both the sequential and the
+// fanned-out diagonal pass and product run.
 func TestTransposeAssemblyMatchesTransposedGenerator(t *testing.T) {
-	for _, tc := range []struct {
-		idle bool
-		z    float64
-	}{{false, 0.5}, {true, 0.5}, {false, 0}} {
-		m, maps := threeTierModel(t, 7, tc.idle)
-		m.ThinkTime = tc.z
-		gen, _, err := buildGeneratorN(context.Background(), m, maps)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(7))
+	parallelCases := 0
+	check := func(name string, m NetworkModel, maps []*markov.MAP) {
+		g, err := newGenParams(m, maps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := g.assembleCSR(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,44 +257,83 @@ func TestTransposeAssemblyMatchesTransposedGenerator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := newGenParams(m, maps)
+		got, err := assembleTranspose(ctx, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mf, err := newMatrixFreeGen(context.Background(), g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := mf.assembleTranspose(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := fmt.Sprintf("idle=%v z=%v", tc.idle, tc.z)
-		if got.Lo != 0 || got.Hi != gen.N || cap(got.Vals) != len(want.Vals) || cap(got.Cols) != len(want.Cols) || cap(got.Ptr) != gen.N+1 {
-			t.Fatalf("%s: rows [%d,%d) of %d, caps %d/%d/%d for %d entries", name, got.Lo, got.Hi, gen.N,
+		if got.Dim() != gen.N || cap(got.Vals) != len(want.Vals) || cap(got.Cols) != len(want.Cols) || cap(got.Ptr) != gen.N+1 {
+			t.Fatalf("%s: %d rows of %d, caps %d/%d/%d for %d entries", name, got.Dim(), gen.N,
 				cap(got.Ptr), cap(got.Cols), cap(got.Vals), len(want.Vals))
 		}
 		if got.MaxAbsDiag() != gen.MaxAbsDiag() {
 			t.Fatalf("%s: MaxAbsDiag %v, want %v", name, got.MaxAbsDiag(), gen.MaxAbsDiag())
 		}
 		sameRows(t, name, got, want)
+		if gen.NNZ() >= 1<<15 {
+			parallelCases++
+		}
+		x := make([]float64, g.size)
+		for i := range x {
+			x[i] = rng.Float64()
+		}
+		yc := make([]float64, g.size)
+		ys := make([]float64, g.size)
+		gen.VecMulTo(yc, x)
+		got.VecMulTo(ys, x)
+		for i := range yc {
+			if yc[i] != ys[i] {
+				t.Fatalf("%s: VecMulTo[%d] = %v, CSR %v", name, i, ys[i], yc[i])
+			}
+		}
+	}
+	for _, tc := range []struct {
+		idle bool
+		z    float64
+	}{{false, 0.5}, {true, 0.5}, {false, 0}} {
+		m, maps := threeTierModel(t, 7, tc.idle)
+		m.ThinkTime = tc.z
+		check(fmt.Sprintf("K=3 fixture idle=%v z=%v", tc.idle, tc.z), m, maps)
+	}
+	for k := 1; k <= 4; k++ {
+		for _, n := range []int{0, 1, 4, 12} {
+			if k == 4 && n == 12 && testing.Short() {
+				continue
+			}
+			for _, idle := range []bool{false, true} {
+				maps := make([]*markov.MAP, k)
+				stations := make([]Station, k)
+				for i := range maps {
+					maps[i] = randomMAP(t, rng)
+					stations[i] = Station{MAP: maps[i]}
+				}
+				z := 0.0
+				if rng.Intn(2) == 1 {
+					z = 0.5 + rng.Float64()
+				}
+				check(fmt.Sprintf("K=%d N=%d idle=%v", k, n, idle),
+					NetworkModel{Stations: stations, ThinkTime: z, Customers: n, PhasesRunWhileIdle: idle}, maps)
+			}
+		}
+	}
+	if !testing.Short() && parallelCases == 0 {
+		t.Fatal("no randomized case crossed the parallel SpMV threshold; enlarge the grid")
 	}
 }
 
-// sameRows fails unless block b holds rows [b.Lo, b.Hi) of the stored
-// block want (spanning every row) entry for entry: the same diagonal,
-// the same off-diagonal columns and values in the same order.
+// sameRows fails unless the stored Q^T b equals want entry for entry:
+// the same diagonal, the same off-diagonal columns and values in the
+// same order.
 func sameRows(t *testing.T, name string, b, want *ctmc.RowBlock) {
 	t.Helper()
-	if len(b.Diag) != b.Hi-b.Lo || len(b.Ptr) != b.Hi-b.Lo+1 {
-		t.Fatalf("%s: block [%d,%d) has %d diagonals and %d row pointers", name, b.Lo, b.Hi, len(b.Diag), len(b.Ptr))
+	if len(b.Diag) != len(want.Diag) || len(b.Ptr) != len(want.Ptr) {
+		t.Fatalf("%s: %d diagonals and %d row pointers, want %d and %d", name,
+			len(b.Diag), len(b.Ptr), len(want.Diag), len(want.Ptr))
 	}
-	for r := range b.Diag {
-		i := b.Lo + r
-		if b.Diag[r] != want.Diag[i] {
-			t.Fatalf("%s: row %d diagonal %v, want %v", name, i, b.Diag[r], want.Diag[i])
+	for i := range b.Diag {
+		if b.Diag[i] != want.Diag[i] {
+			t.Fatalf("%s: row %d diagonal %v, want %v", name, i, b.Diag[i], want.Diag[i])
 		}
-		lo, hi := b.Ptr[r], b.Ptr[r+1]
+		lo, hi := b.Ptr[i], b.Ptr[i+1]
 		wlo, whi := want.Ptr[i], want.Ptr[i+1]
 		if hi-lo != whi-wlo {
 			t.Fatalf("%s: row %d has %d off-diagonals, want %d", name, i, hi-lo, whi-wlo)
@@ -273,6 +343,43 @@ func sameRows(t *testing.T, name string, b, want *ctmc.RowBlock) {
 				t.Fatalf("%s: row %d entry %d = (%d,%v), want (%d,%v)", name, i, a,
 					b.Cols[lo+a], b.Vals[lo+a], want.Cols[wlo+a], want.Vals[wlo+a])
 			}
+		}
+	}
+}
+
+// TestRowEmitterSeekMatchesWalk checks the parallel-partitioning
+// primitive: an emitter seeked into the middle of the enumeration must
+// produce exactly the rows a from-the-start walk produces.
+func TestRowEmitterSeekMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	maps := []*markov.MAP{randomMAP(t, rng), randomMAP(t, rng), randomMAP(t, rng)}
+	m := NetworkModel{
+		Stations:  []Station{{MAP: maps[0]}, {MAP: maps[1]}, {MAP: maps[2]}},
+		ThinkTime: 0.7, Customers: 6,
+	}
+	g, err := newGenParams(m, maps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := newRowEmitter(g)
+	var wCols, sCols []int
+	var wVals, sVals []float64
+	for row := 0; row < g.size; row++ {
+		wCols, wVals = walk.emitRow(wCols[:0], wVals[:0])
+		seeked := newRowEmitter(g)
+		seeked.seek(row)
+		sCols, sVals = seeked.emitRow(sCols[:0], sVals[:0])
+		if len(wCols) != len(sCols) {
+			t.Fatalf("row %d: walked %d entries, seeked %d", row, len(wCols), len(sCols))
+		}
+		for a := range wCols {
+			if wCols[a] != sCols[a] || wVals[a] != sVals[a] {
+				t.Fatalf("row %d entry %d: walked (%d,%v), seeked (%d,%v)",
+					row, a, wCols[a], wVals[a], sCols[a], sVals[a])
+			}
+		}
+		if walk.diag != seeked.diag {
+			t.Fatalf("row %d: walked diag %v, seeked %v", row, walk.diag, seeked.diag)
 		}
 	}
 }

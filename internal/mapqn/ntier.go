@@ -149,9 +149,9 @@ type NetworkMetrics struct {
 	// SolverIterations and SolverMethod report how the chain was solved.
 	SolverIterations int    `json:"solver_iterations"`
 	SolverMethod     string `json:"solver_method"`
-	// SolverBackend names the generator representation the solve used:
-	// "csr" (materialized) or "matrix-free" (rows regenerated per
-	// product).
+	// SolverBackend is "csr" for every exact solve (the generator is
+	// stored as a compact Q^T) and empty otherwise. The field is kept so
+	// that reports and suite rows keep their bytes.
 	SolverBackend string `json:"solver_backend,omitempty"`
 	// FixedPointResidual is the final outer residual of the decomposition
 	// fixed point (SolverMethod "decomp"): the maximum relative change of
@@ -324,66 +324,30 @@ func (s *stateSpaceN) decode(idx int, pop, phase []int) {
 	}
 }
 
-// Per-backend state-count ceilings and the auto-selection threshold.
-// The stored ("csr") backend keeps Q^T, ~10 entries of 12 bytes plus an
-// 8-byte diagonal per state, so a few million states already costs
-// gigabytes (and its int32 indices stay far from overflow); the
-// matrix-free backend keeps one float64 per state and regenerates rows
-// on the fly, so its ceiling is set by the solver vectors alone.
-// ctmc.Options.MaxStates overrides the per-backend default.
-const (
-	csrDefaultMaxStates        = 2_000_000
-	matrixFreeDefaultMaxStates = 50_000_000
-	autoMatrixFreeThreshold    = 1_000_000
-)
-
-// resolveBackend maps the requested backend (auto picks CSR below the
-// threshold, matrix-free above) to a concrete one plus its state limit.
-func resolveBackend(opts ctmc.Options, size int) (ctmc.Backend, int, error) {
-	backend := opts.Backend
-	switch backend {
-	case ctmc.BackendAuto:
-		if size > autoMatrixFreeThreshold {
-			backend = ctmc.BackendMatrixFree
-		} else {
-			backend = ctmc.BackendCSR
-		}
-	case ctmc.BackendCSR, ctmc.BackendMatrixFree:
-	default:
-		return "", 0, fmt.Errorf("mapqn: unknown solver backend %q (want %q or %q)",
-			backend, ctmc.BackendCSR, ctmc.BackendMatrixFree)
-	}
-	limit := opts.MaxStates
-	if limit <= 0 {
-		if backend == ctmc.BackendMatrixFree {
-			limit = matrixFreeDefaultMaxStates
-		} else {
-			limit = csrDefaultMaxStates
-		}
-	}
-	return backend, limit, nil
-}
+// defaultMaxStates is the state-count ceiling when ctmc.Options.MaxStates
+// is zero. The stored Q^T costs about 100 bytes per state (~8
+// off-diagonals of 12 bytes, an 8-byte diagonal and a row pointer), so
+// ~200 MB at the ceiling, before the solver's vectors; its int32
+// indices stay far from overflow. Larger models belong to the
+// decomposition tier (SolveNetworkDecomp).
+const defaultMaxStates = 2_000_000
 
 // ErrStateLimit marks solves refused because the model's state space
-// exceeds the backend's budget (or overflows int). Callers can detect it
-// with errors.Is and degrade to NetworkBounds, which costs O(N*K)
-// regardless of the state count.
+// exceeds the state limit (or overflows int). Callers can detect it
+// with errors.Is and degrade to SolveNetworkDecomp, or to
+// NetworkBounds, which costs O(N*K) regardless of the state count.
 var ErrStateLimit = errors.New("state space over solver limit")
 
 // errStateOverflow reports a state count that does not fit in an int.
 func errStateOverflow(k, n int) error {
-	return fmt.Errorf("mapqn: state space of %d stations at N=%d overflows int; use NetworkBounds: %w", k, n, ErrStateLimit)
+	return fmt.Errorf("mapqn: state space of %d stations at N=%d overflows int; use the decomp tier (SolveNetworkDecomp) or NetworkBounds: %w", k, n, ErrStateLimit)
 }
 
-// errStateLimit reports a state count over the backend's budget, naming
-// the count and the cheaper alternatives.
-func errStateLimit(k, n, size, limit int, backend ctmc.Backend) error {
-	hint := "set ctmc.Options.Backend to matrix-free (or raise ctmc.Options.MaxStates), or fall back to NetworkBounds"
-	if backend == ctmc.BackendMatrixFree {
-		hint = "raise ctmc.Options.MaxStates or fall back to NetworkBounds"
-	}
-	return fmt.Errorf("mapqn: state space of %d stations at N=%d has %d states, over the %s backend limit %d; %s: %w",
-		k, n, size, backend, limit, hint, ErrStateLimit)
+// errStateLimit reports a state count over the limit, naming the count
+// and the cheaper alternatives.
+func errStateLimit(k, n, size, limit int) error {
+	return fmt.Errorf("mapqn: state space of %d stations at N=%d has %d states, over the exact solver's limit of %d; use the decomp tier (SolveNetworkDecomp) or NetworkBounds, or raise ctmc.Options.MaxStates: %w",
+		k, n, size, limit, ErrStateLimit)
 }
 
 // SolveNetwork builds and solves the K-station CTMC exactly, returning
@@ -426,31 +390,23 @@ func solveNetwork(ctx context.Context, m NetworkModel, opts ctmc.Options, warm *
 	if err != nil {
 		return NetworkMetrics{}, nil, errStateOverflow(len(maps), m.Customers)
 	}
-	backend, limit, err := resolveBackend(opts, g.size)
-	if err != nil {
-		return NetworkMetrics{}, nil, err
+	limit := opts.MaxStates
+	if limit <= 0 {
+		limit = defaultMaxStates
 	}
 	if g.size > limit {
-		return NetworkMetrics{}, nil, errStateLimit(g.k, g.n, g.size, limit, backend)
+		return NetworkMetrics{}, nil, errStateLimit(g.k, g.n, g.size, limit)
 	}
 	if warm != nil && warm.space != nil {
 		if init := embedPi(warm.space, g.space, warm.pi); init != nil {
 			opts.Initial = init
 		}
 	}
-	mf, err := newMatrixFreeGen(ctx, g)
+	qt, err := assembleTranspose(ctx, g)
 	if err != nil {
 		return NetworkMetrics{}, nil, err
 	}
-	var op ctmc.Operator = mf
-	if backend == ctmc.BackendCSR {
-		qt, err := mf.assembleTranspose(ctx)
-		if err != nil {
-			return NetworkMetrics{}, nil, err
-		}
-		op = qt
-	}
-	res, err := ctmc.SteadyStateOperatorCtx(ctx, op, opts)
+	res, err := ctmc.SteadyStateTransposeCtx(ctx, qt, opts)
 	if err != nil {
 		if ctx.Err() != nil {
 			return NetworkMetrics{}, nil, ctx.Err()
@@ -461,7 +417,7 @@ func solveNetwork(ctx context.Context, m NetworkModel, opts ctmc.Options, warm *
 	if err != nil {
 		return NetworkMetrics{}, nil, err
 	}
-	met.SolverBackend = string(backend)
+	met.SolverBackend = "csr"
 	return met, &networkSolution{space: g.space, pi: res.Pi}, nil
 }
 

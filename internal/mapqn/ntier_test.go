@@ -2,7 +2,9 @@ package mapqn
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ctmc"
@@ -377,5 +379,93 @@ func TestSingleStationNetwork(t *testing.T) {
 	want := 1 / (0.8 + 0.2)
 	if math.Abs(got.Throughput-want) > 1e-9 {
 		t.Errorf("X = %v, want %v", got.Throughput, want)
+	}
+}
+
+// stalledGridCell is a cell of the examples/suite burstiness grid (db
+// I=400): a MAP-modulated chain on which forward Gauss-Seidel stalls, so
+// the solve ends in the symmetric stage.
+func stalledGridCell(t testing.TB, customers int) NetworkModel {
+	return twoTier(fitMAP(t, 0.0068, 4, 0.021), fitMAP(t, 0.0046, 400, 0.019), 0.5, customers)
+}
+
+// TestStalledChainEndsInSymmetricGaussSeidel pins the solver ladder on a
+// chain whose forward sweep stalls: the solve converges in the symmetric
+// stage, and its throughput agrees with a Tol=1e-12 solve to 1e-5.
+func TestStalledChainEndsInSymmetricGaussSeidel(t *testing.T) {
+	m := stalledGridCell(t, 50)
+	got, err := SolveNetwork(m, ctmc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.States != 5304 {
+		t.Fatalf("states = %d, want 5304", got.States)
+	}
+	if got.SolverMethod != "symmetric-gauss-seidel" {
+		t.Fatalf("method = %q after %d sweeps, want symmetric-gauss-seidel", got.SolverMethod, got.SolverIterations)
+	}
+	ref, err := SolveNetwork(m, ctmc.Options{Tol: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel := math.Abs(got.Throughput-ref.Throughput) / ref.Throughput; rel > 1e-5 {
+		t.Fatalf("X = %v, Tol=1e-12 solve %v (rel %.2e)", got.Throughput, ref.Throughput, rel)
+	}
+}
+
+// TestK4ExactInsideBounds solves a four-tier network exactly and checks
+// that its throughput lies inside the NetworkBounds bracket, at N=8 and
+// (non-short) at N=12, a chain of 29,120 states.
+func TestK4ExactInsideBounds(t *testing.T) {
+	stations := []Station{
+		{Name: "lb", MAP: fitMAP(t, 0.002, 4, 0.008)},
+		{Name: "web", MAP: fitMAP(t, 0.004, 10, 0.015)},
+		{Name: "app", MAP: fitMAP(t, 0.005, 8, 0.02)},
+		{Name: "db", MAP: fitMAP(t, 0.003, 25, 0.01)},
+	}
+	populations := []int{8, 12}
+	if testing.Short() {
+		populations = populations[:1]
+	}
+	for _, n := range populations {
+		m := NetworkModel{Stations: stations, ThinkTime: 0.5, Customers: n}
+		// Tol 1e-8 keeps the bursty chain's solve time test-friendly.
+		met, err := SolveNetwork(m, ctmc.Options{Tol: 1e-8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 12 && met.States != 29120 {
+			t.Fatalf("K=4 N=12 has %d states, expected 29120", met.States)
+		}
+		b, err := NetworkBounds(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slack := 1e-9 * b.UpperX
+		if met.Throughput < b.LowerX-slack || met.Throughput > b.UpperX+slack {
+			t.Fatalf("N=%d: X = %v outside bounds [%v, %v]", n, met.Throughput, b.LowerX, b.UpperX)
+		}
+	}
+}
+
+// TestStateLimitError pins the pre-OOM failure mode: a state space over
+// MaxStates must fail fast with ErrStateLimit and an error naming the
+// state count and the limit and pointing at the decomp tier and
+// NetworkBounds — not exhaust memory, and not wait for int overflow.
+func TestStateLimitError(t *testing.T) {
+	front := fitMAP(t, 0.004, 40, 0.02)
+	db := fitMAP(t, 0.003, 25, 0.01)
+	model := NetworkModel{
+		Stations:  []Station{{Name: "front", MAP: front}, {Name: "db", MAP: db}},
+		ThinkTime: 0.5, Customers: 50, // 1326 compositions x 4 phases = 5304 states
+	}
+	_, err := SolveNetwork(model, ctmc.Options{MaxStates: 1000})
+	if !errors.Is(err, ErrStateLimit) {
+		t.Fatalf("err = %v, want ErrStateLimit", err)
+	}
+	for _, want := range []string{"5304 states", "limit of 1000", "decomp tier", "NetworkBounds", "MaxStates"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("limit error %q does not mention %q", err, want)
+		}
 	}
 }

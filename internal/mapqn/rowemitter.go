@@ -9,31 +9,26 @@ import (
 	"repro/internal/matrix"
 )
 
-// Row synthesis for the K-station network CTMC, shared by the two
-// solver backends. The solver reads only Q^T, as ctmc.RowBlocks (int32
-// sources and values per row, the diagonal held apart), so both are
-// built on the transpose emitter:
-//
-//   - the stored ("csr") path streams every row of Q^T into one
-//     RowBlock over all rows, once — Q itself is never stored;
-//   - the matrix-free path regenerates blocks of rows on each product
-//     and scan, storing only the per-row diagonal — O(states) for solver
-//     vectors instead of O(nnz) for the generator, which lifts the
-//     state-space ceiling from what stored arrays fit in memory to
-//     millions of states.
+// Row synthesis for the K-station network CTMC. The solver reads only
+// Q^T, as one ctmc.RowBlock (int32 sources and values per row, the
+// diagonal held apart), so assembleTranspose stores the generator in
+// that form alone, streaming every row of Q^T from the transpose
+// emitter once; Q itself is never stored.
 //
 // The forward emitter yields rows of Q: one pass over it records the
-// diagonal and the nonzero count both backends need (the tests also
-// assemble Q from it as a reference).
+// diagonal every transpose row carries and the off-diagonal count the
+// stored arrays are sized by (the tests also assemble Q from it as a
+// reference).
 //
 // Both emitters walk states in row order (population vectors in compRank
-// order via nextComposition, phases as a mixed-radix odometer) and can
-// seek to an arbitrary row via compUnrank, so parallel kernels partition
-// the walk into contiguous row blocks exactly like the internal/matrix
-// CSR kernels. Rows come out entry-for-entry identical to the
-// materialized generator (same emission order, same insertion sort, same
-// floating-point diagonal accumulation), which keeps every product and
-// Gauss-Seidel sweep bit-identical across backends.
+// order via nextComposition, phases as a mixed-radix odometer). The
+// forward emitter can also seek to an arbitrary row via compUnrank, so
+// the diagonal pass partitions the walk into contiguous row blocks
+// exactly like the internal/matrix CSR kernels. Transpose rows come out
+// entry-for-entry identical to the materialized generator transposed
+// (same emission order, same insertion sort, same floating-point
+// diagonal accumulation), which keeps every product and Gauss-Seidel
+// sweep bit-identical to a solve of the stored Q.
 
 // genParams bundles the model-derived constants row synthesis needs:
 // the state space, the effective service MAPs, and the precomputed
@@ -59,7 +54,7 @@ type genParams struct {
 }
 
 // newGenParams derives the synthesis parameters, erroring only when the
-// state count overflows int; callers enforce their backend's MaxStates.
+// state count overflows int; callers enforce MaxStates.
 func newGenParams(m NetworkModel, maps []*markov.MAP) (*genParams, error) {
 	k := len(maps)
 	phases := make([]int, k)
@@ -94,7 +89,7 @@ func newGenParams(m NetworkModel, maps []*markov.MAP) (*genParams, error) {
 
 // rowWalker tracks a position in the state enumeration: the population
 // vector, the mixed-radix phase digits, and the flat row/phase indices.
-// It is embedded by both emitters so they advance and seek identically.
+// It is embedded by both emitters so they advance identically.
 type rowWalker struct {
 	g     *genParams
 	pop   []int
@@ -278,30 +273,22 @@ func (e *rowEmitter) emitRow(cols []int, vals []float64) ([]int, []float64) {
 // transEmitter synthesizes rows of Q^T — row s lists the predecessors of
 // state s with their inbound rates, sources ascending. The ordering
 // matches matrix.CSR.Transpose output (which scans forward rows in
-// order), each value is a single model rate, and the diagonal is the
-// precomputed forward one, so the rows are bit-identical to the
+// order) and each value is a single model rate, so with the diagonal
+// the forward pass accumulates, the rows are bit-identical to the
 // materialized transpose: the gather VecMulTo and the Gauss-Seidel
-// sweeps consuming them reproduce the stored backend's arithmetic
-// exactly.
+// sweeps consuming them reproduce a CSR solve's arithmetic exactly.
 type transEmitter struct {
 	rowWalker
-	diag         []float64 // forward-accumulated diagonal per row (read-only)
-	complSrcBase []int     // source block of a completion at station i, -1 when infeasible
-	thinkSrcBase int       // source block with one more thinker, -1 when pop[0] == 0
+	complSrcBase []int // source block of a completion at station i, -1 when infeasible
+	thinkSrcBase int   // source block with one more thinker, -1 when pop[0] == 0
 	thinking     int
 }
 
-// newTransEmitter returns a transpose emitter positioned at row 0. diag
-// must hold the forward diagonal of every row (see matrixFreeGen).
-func newTransEmitter(g *genParams, diag []float64) *transEmitter {
-	e := &transEmitter{rowWalker: newRowWalker(g), diag: diag, complSrcBase: make([]int, g.k)}
+// newTransEmitter returns a transpose emitter positioned at row 0.
+func newTransEmitter(g *genParams) *transEmitter {
+	e := &transEmitter{rowWalker: newRowWalker(g), complSrcBase: make([]int, g.k)}
 	e.setupBlock()
 	return e
-}
-
-func (e *transEmitter) seek(row int) {
-	e.seekTo(row)
-	e.setupBlock()
 }
 
 // setupBlock ranks the phase-independent source compositions: the think
@@ -344,7 +331,7 @@ func (e *transEmitter) setupBlock() {
 
 // emitRow appends the off-diagonal entries of row e.row of Q^T (sources
 // ascending) to cols/vals, advances, and returns the grown slices. The
-// row's diagonal is e.diag[row], which blocks reference in place.
+// row's diagonal comes from the forward pass (forwardDiagonal).
 func (e *transEmitter) emitRow(cols []int32, vals []float64) ([]int32, []float64) {
 	g := e.g
 	start := len(cols)
@@ -406,68 +393,12 @@ func (e *transEmitter) emitRow(cols []int32, vals []float64) ([]int32, []float64
 	return cols, vals
 }
 
-// startBlock empties b at row lo, keeping its arrays' capacity, and
-// positions the emitter at lo — a seek only when it is not already
-// there.
-func (e *transEmitter) startBlock(b *ctmc.RowBlock, lo int) {
-	if e.row != lo {
-		e.seek(lo)
-	}
-	b.Lo, b.Hi = lo, lo
-	b.Ptr = append(b.Ptr[:0], 0)
-	b.Cols, b.Vals = b.Cols[:0], b.Vals[:0]
-}
-
-// extendBlock emits rows [b.Hi, hi) onto b; the emitter must stand at
-// row b.Hi.
-func (e *transEmitter) extendBlock(b *ctmc.RowBlock, hi int) {
-	for e.row < hi {
-		b.Cols, b.Vals = e.emitRow(b.Cols, b.Vals)
-		b.Ptr = append(b.Ptr, int32(len(b.Cols)))
-	}
-	b.Hi = hi
-	b.Diag = e.diag[b.Lo:hi]
-}
-
-// fillBlock regenerates rows [lo, hi) of Q^T into b, reusing its arrays.
-func (e *transEmitter) fillBlock(b *ctmc.RowBlock, lo, hi int) {
-	e.startBlock(b, lo)
-	e.extendBlock(b, hi)
-}
-
-// matrixFreeGen is the matrix-free generator backend: a ctmc.Operator
-// whose products regenerate rows per call instead of reading stored
-// nonzeros. Persistent state is one float64 per row (the diagonal,
-// which the transpose rows and MaxAbsDiag need) plus, per product
-// worker, an emitter and a one-chunk block reused across calls. Like
-// the solver that drives it, an operator runs one scan or product at a
-// time.
-type matrixFreeGen struct {
-	g       *genParams
-	diag    []float64
-	nnz     int
-	maxDiag float64
-	workers int
-	scratch []*chunkScratch // per worker, built on first use
-}
-
-// chunkScratch is one worker's reusable row-regeneration state.
-type chunkScratch struct {
-	e *transEmitter
-	b *ctmc.RowBlock
-}
-
-// newMatrixFreeGen builds the operator: one forward pass (parallel over
-// row blocks) records each row's diagonal in CSR emission order — the
-// identical float the materialized path stores — and counts the stored
-// entries the product kernels size their fan-out by and assembleTranspose
-// sizes its arrays by. Both backends' blocks index states with int32, so
-// a state count beyond that range fails here with ErrStateLimit.
-func newMatrixFreeGen(ctx context.Context, g *genParams) (*matrixFreeGen, error) {
-	if err := ctmc.CheckCompactSize(g.size, 0); err != nil {
-		return nil, fmt.Errorf("mapqn: %w: %w", err, ErrStateLimit)
-	}
-	q := &matrixFreeGen{g: g, diag: make([]float64, g.size)}
+// forwardDiagonal runs the forward emitter over every row, in parallel
+// over contiguous row ranges, and returns each row's diagonal — the
+// identical float, accumulated in CSR emission order, that a stored Q
+// holds — and the number of off-diagonal entries.
+func forwardDiagonal(ctx context.Context, g *genParams) ([]float64, int, error) {
+	diag := make([]float64, g.size)
 	workers := matrix.SpMVWorkers(g.size * g.est)
 	counts := make([]int, workers)
 	matrix.ForRowBlocks(g.size, workers, func(w, lo, hi int) {
@@ -477,136 +408,61 @@ func newMatrixFreeGen(ctx context.Context, g *genParams) (*matrixFreeGen, error)
 		}
 		cols := make([]int, 0, g.est)
 		vals := make([]float64, 0, g.est)
-		nnz := 0
+		off := 0
 		for r := lo; r < hi; r++ {
 			if r&0xFFF == 0 && ctx.Err() != nil {
 				return
 			}
 			cols, vals = e.emitRow(cols[:0], vals[:0])
-			q.diag[r] = e.diag
-			nnz += len(cols)
+			diag[r] = e.diag
+			off += len(cols)
+			if e.diag != 0 {
+				off--
+			}
 		}
-		counts[w] = nnz
+		counts[w] = off
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	off := 0
 	for _, c := range counts {
-		q.nnz += c
+		off += c
 	}
-	q.workers = matrix.SpMVWorkers(q.nnz)
-	q.scratch = make([]*chunkScratch, q.workers)
-	for _, d := range q.diag {
-		if d < 0 {
-			d = -d
-		}
-		if d > q.maxDiag {
-			q.maxDiag = d
-		}
-	}
-	return q, nil
+	return diag, off, nil
 }
 
-// Dim returns the number of states.
-func (q *matrixFreeGen) Dim() int { return q.g.size }
-
-// NNZ returns the number of entries a materialized generator would store.
-func (q *matrixFreeGen) NNZ() int { return q.nnz }
-
-// MaxAbsDiag returns max_i |q_ii|.
-func (q *matrixFreeGen) MaxAbsDiag() float64 { return q.maxDiag }
-
-// VecMulTo computes y = x*Q as a gather over regenerated transpose rows:
-// each worker regenerates its row range chunk by chunk and runs the
-// stored backend's kernel (ctmc.RowBlock.MulRows) on each chunk, so the
-// result is bit-identical to the stored product.
-func (q *matrixFreeGen) VecMulTo(y, x []float64) {
-	n := q.g.size
-	if len(x) != n || len(y) != n {
-		panic(fmt.Sprintf("mapqn: VecMul length %d/%d, want %d", len(x), len(y), n))
+// assembleTranspose stores Q^T — the only form the solver reads — as one
+// ctmc.RowBlock: forwardDiagonal records the diagonal, then the
+// transpose emitter streams every row's off-diagonals into entry arrays
+// sized exactly by their count. The block indexes states with int32,
+// so a state count beyond that range fails first, with ErrStateLimit.
+func assembleTranspose(ctx context.Context, g *genParams) (*ctmc.RowBlock, error) {
+	if err := ctmc.CheckCompactSize(g.size, 0); err != nil {
+		return nil, fmt.Errorf("mapqn: %w: %w", err, ErrStateLimit)
 	}
-	matrix.ForRowBlocks(n, q.workers, func(w, lo, hi int) {
-		sc := q.chunkScratch(w)
-		for clo := lo; clo < hi; clo += blockChunk {
-			chi := min(clo+blockChunk, hi)
-			sc.e.fillBlock(sc.b, clo, chi)
-			sc.b.MulRows(y, x, clo, chi)
-		}
-	})
-}
-
-// blockChunk is how many rows the matrix-free scans regenerate per
-// block: enough to amortize a seek's composition unranking and the
-// per-block call, few enough that the block stays a small scratch.
-const blockChunk = 256
-
-// chunkScratch returns worker w's emitter and one-chunk block.
-func (q *matrixFreeGen) chunkScratch(w int) *chunkScratch {
-	if q.scratch[w] == nil {
-		chunk := min(blockChunk, q.g.size)
-		q.scratch[w] = &chunkScratch{
-			e: newTransEmitter(q.g, q.diag),
-			b: &ctmc.RowBlock{
-				Ptr:  make([]int32, 0, chunk+1),
-				Cols: make([]int32, 0, chunk*q.g.est),
-				Vals: make([]float64, 0, chunk*q.g.est),
-			},
-		}
-	}
-	return q.scratch[w]
-}
-
-// ScanBlocks regenerates Q^T chunk by chunk in ascending row order into
-// one reused block — the access pattern Gauss-Seidel sweeps need. The
-// emitter walks on from one chunk to the next without seeking.
-func (q *matrixFreeGen) ScanBlocks(fn func(b *ctmc.RowBlock)) {
-	sc := q.chunkScratch(0)
-	for lo := 0; lo < q.g.size; lo += blockChunk {
-		sc.e.fillBlock(sc.b, lo, min(lo+blockChunk, q.g.size))
-		fn(sc.b)
-	}
-}
-
-// ScanBlocksReverse hands the chunks to fn in descending order. The
-// emitter only walks forward, so it seeks to the start of each chunk
-// and regenerates the chunk's rows forward — the same rows ScanBlocks
-// yields, entry for entry.
-func (q *matrixFreeGen) ScanBlocksReverse(fn func(b *ctmc.RowBlock)) {
-	n := q.g.size
-	sc := q.chunkScratch(0)
-	for lo := (n - 1) / blockChunk * blockChunk; lo >= 0; lo -= blockChunk {
-		sc.e.fillBlock(sc.b, lo, min(lo+blockChunk, n))
-		fn(sc.b)
-	}
-}
-
-// assembleTranspose stores Q^T — the only form the solver reads — by
-// streaming the transpose emitter's rows into one ctmc.RowBlock over
-// all rows. The entry arrays are sized exactly by the off-diagonal
-// count, and the block's diagonal is the operator's own, not a copy.
-func (q *matrixFreeGen) assembleTranspose(ctx context.Context) (*ctmc.RowBlock, error) {
-	g := q.g
-	off := q.nnz
-	for _, d := range q.diag {
-		if d != 0 {
-			off--
-		}
+	diag, off, err := forwardDiagonal(ctx, g)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctmc.CheckCompactSize(g.size, off); err != nil {
 		return nil, err
 	}
 	b := &ctmc.RowBlock{
-		Ptr:  make([]int32, 0, g.size+1),
+		Diag: diag,
+		Ptr:  make([]int32, 1, g.size+1),
 		Cols: make([]int32, 0, off),
 		Vals: make([]float64, 0, off),
 	}
-	e := newTransEmitter(g, q.diag)
-	e.startBlock(b, 0)
-	for lo := 0; lo < g.size; lo += 0x1000 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	e := newTransEmitter(g)
+	for row := 0; row < g.size; row++ {
+		if row&0xFFF == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 		}
-		e.extendBlock(b, min(lo+0x1000, g.size))
+		b.Cols, b.Vals = e.emitRow(b.Cols, b.Vals)
+		b.Ptr = append(b.Ptr, int32(len(b.Cols)))
 	}
 	return b, nil
 }

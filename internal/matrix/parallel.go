@@ -30,19 +30,18 @@ var parallelMinNNZ = 1 << 15
 const maxSpmvWorkers = 16
 
 // SpMVWorkers returns how many workers a sparse product touching nnz
-// entries should use; 1 means run sequentially. It is exported so
-// matrix-free operators built outside this package (which synthesize
-// rows instead of storing them) partition work exactly like the CSR
-// kernels and stay bit-identical to them.
+// entries should use; 1 means run sequentially. It is exported so the
+// kernels built outside this package — the compact Q^T product of
+// ctmc.RowBlock and mapqn's diagonal pass over synthesized generator
+// rows — fan out exactly like the CSR kernels.
 func SpMVWorkers(nnz int) int { return spmvWorkers(nnz) }
 
 // ForRowBlocks splits the rows [0, n) into workers nearly equal
 // contiguous blocks and runs fn(w, lo, hi) on block w, returning once
 // every block is done. Block 0 runs on the calling goroutine and each
 // other block on its own, so one worker runs fn inline. It is the
-// fan-out of the CSR kernels, exported so operators built outside this
-// package (which synthesize rows instead of storing them) partition
-// work the same way.
+// fan-out of the CSR kernels, exported so the kernels built outside
+// this package (see SpMVWorkers) partition work the same way.
 func ForRowBlocks(n, workers int, fn func(w, lo, hi int)) {
 	bounds := rowBlocks(n, workers)
 	var wg sync.WaitGroup

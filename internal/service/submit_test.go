@@ -18,10 +18,11 @@ import (
 
 // submitFixtures are the invalid submissions under testdata/submit,
 // each a corruption of valid.json, with a piece of the error message
-// they must be rejected with. The first three fail to parse, so they
-// never reach an ID; the last three parse and fail expansion, so their
-// ID can be known to the service only as a job recovered from the spool.
-// The last asks for 10^6 cells in about 1.5 KB.
+// they must be rejected with. The first four fail to parse, so they
+// never reach an ID (backend_field.json sets the removed solver option
+// "backend"); the last three parse and fail expansion, so their ID can
+// be known to the service only as a job recovered from the spool. The
+// last asks for 10^6 cells in about 1.5 KB.
 var submitFixtures = []struct {
 	file   string
 	parses bool
@@ -30,6 +31,7 @@ var submitFixtures = []struct {
 	{"not_json.txt", false, "neither a suite"},
 	{"unknown_field.json", false, `unknown field "populatoins"`},
 	{"trailing_data.json", false, "trailing data after the suite object"},
+	{"backend_field.json", false, `unknown field "backend"`},
 	{"invalid_scenario.json", true, "think time -0.5 must be > 0"},
 	{"grid_base_mismatch.json", true, "grid varies the workload"},
 	{"million_cells.json", true, "grid expands to more than 65536 cells"},
