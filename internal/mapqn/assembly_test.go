@@ -231,69 +231,36 @@ func randomMAP(t *testing.T, rng *rand.Rand) *markov.MAP {
 }
 
 // TestTransposeAssemblyMatchesTransposedGenerator checks the stored
-// generator: Q^T assembled row by row from the transpose emitter must
-// equal the assembled Q transposed and split by ctmc.CompactTranspose,
-// entry for entry and with entry arrays sized exactly, and its VecMulTo
-// must reproduce CSR.VecMulTo bit for bit. It runs on the K=3 fixture
-// (both idle-phase semantics, zero think time) and on randomized
-// networks: K in 1..4, N in 0..12, mixed phase counts, both idle
-// semantics, think time zero and positive. Some randomized cases cross
-// the parallel-kernel threshold, so both the sequential and the
-// fanned-out diagonal pass and product run.
+// generator on the K=3 fixture: Q^T assembled row by row from the
+// transpose emitter must equal the assembled Q transposed and split by
+// ctmc.CompactTranspose, entry for entry and with entry arrays sized
+// exactly, under both idle-phase semantics and with zero think time, and
+// its VecMulTo must reproduce CSR.VecMulTo bit for bit.
 func TestTransposeAssemblyMatchesTransposedGenerator(t *testing.T) {
-	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
-	parallelCases := 0
-	check := func(name string, m NetworkModel, maps []*markov.MAP) {
-		g, err := newGenParams(m, maps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen, err := g.assembleCSR(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ctmc.CompactTranspose(gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := assembleTranspose(ctx, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Dim() != gen.N || cap(got.Vals) != len(want.Vals) || cap(got.Cols) != len(want.Cols) || cap(got.Ptr) != gen.N+1 {
-			t.Fatalf("%s: %d rows of %d, caps %d/%d/%d for %d entries", name, got.Dim(), gen.N,
-				cap(got.Ptr), cap(got.Cols), cap(got.Vals), len(want.Vals))
-		}
-		if got.MaxAbsDiag() != gen.MaxAbsDiag() {
-			t.Fatalf("%s: MaxAbsDiag %v, want %v", name, got.MaxAbsDiag(), gen.MaxAbsDiag())
-		}
-		sameRows(t, name, got, want)
-		if gen.NNZ() >= 1<<15 {
-			parallelCases++
-		}
-		x := make([]float64, g.size)
-		for i := range x {
-			x[i] = rng.Float64()
-		}
-		yc := make([]float64, g.size)
-		ys := make([]float64, g.size)
-		gen.VecMulTo(yc, x)
-		got.VecMulTo(ys, x)
-		for i := range yc {
-			if yc[i] != ys[i] {
-				t.Fatalf("%s: VecMulTo[%d] = %v, CSR %v", name, i, ys[i], yc[i])
-			}
-		}
-	}
 	for _, tc := range []struct {
 		idle bool
 		z    float64
 	}{{false, 0.5}, {true, 0.5}, {false, 0}} {
 		m, maps := threeTierModel(t, 7, tc.idle)
 		m.ThinkTime = tc.z
-		check(fmt.Sprintf("K=3 fixture idle=%v z=%v", tc.idle, tc.z), m, maps)
+		checkStoredTranspose(t, rng, fmt.Sprintf("idle=%v z=%v", tc.idle, tc.z), m, maps)
 	}
+}
+
+// TestMatrixFreeProductsBitIdentical is the property test of the Q^T
+// that assembleTranspose builds straight from the model, without ever
+// materializing Q: over randomized networks (K in 1..4, N in 0..12,
+// mixed phase counts, both idle semantics, think time zero and
+// positive) and single-station chains of 256 to 602 states, it must
+// equal ctmc.CompactTranspose of the materialized CSR Q entry for entry,
+// with entry arrays sized exactly, and its VecMulTo must reproduce
+// CSR.VecMulTo bit for bit. Some randomized cases cross the
+// parallel-kernel threshold, so both the sequential and the fanned-out
+// diagonal pass and product run.
+func TestMatrixFreeProductsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	parallelCases := 0
 	for k := 1; k <= 4; k++ {
 		for _, n := range []int{0, 1, 4, 12} {
 			if k == 4 && n == 12 && testing.Short() {
@@ -310,14 +277,81 @@ func TestTransposeAssemblyMatchesTransposedGenerator(t *testing.T) {
 				if rng.Intn(2) == 1 {
 					z = 0.5 + rng.Float64()
 				}
-				check(fmt.Sprintf("K=%d N=%d idle=%v", k, n, idle),
-					NetworkModel{Stations: stations, ThinkTime: z, Customers: n, PhasesRunWhileIdle: idle}, maps)
+				if checkStoredTranspose(t, rng, fmt.Sprintf("K=%d N=%d idle=%v", k, n, idle),
+					NetworkModel{Stations: stations, ThinkTime: z, Customers: n, PhasesRunWhileIdle: idle}, maps) {
+					parallelCases++
+				}
 			}
 		}
+	}
+	mmpp, err := markov.MMPP2(0.5, 4, 0.2, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		mp *markov.MAP
+		n  int
+	}{
+		{markov.Poisson(1.5), 255}, // 256 states
+		{mmpp, 255},                // 512 states
+		{markov.Poisson(1.5), 300}, // 301 states
+		{mmpp, 300},                // 602 states
+	} {
+		checkStoredTranspose(t, rng, fmt.Sprintf("K=1 order %d N=%d", c.mp.Order(), c.n),
+			NetworkModel{Stations: []Station{{MAP: c.mp}}, ThinkTime: 0.7, Customers: c.n}, []*markov.MAP{c.mp})
 	}
 	if !testing.Short() && parallelCases == 0 {
 		t.Fatal("no randomized case crossed the parallel SpMV threshold; enlarge the grid")
 	}
+}
+
+// checkStoredTranspose fails unless the Q^T that assembleTranspose
+// builds for m equals ctmc.CompactTranspose of the assembled CSR Q entry
+// for entry, with entry arrays sized exactly and the same MaxAbsDiag,
+// and its VecMulTo of a random vector drawn from rng equals CSR.VecMulTo
+// bit for bit. It reports whether the generator is large enough for the
+// parallel kernels.
+func checkStoredTranspose(t *testing.T, rng *rand.Rand, name string, m NetworkModel, maps []*markov.MAP) bool {
+	t.Helper()
+	ctx := context.Background()
+	g, err := newGenParams(m, maps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := g.assembleCSR(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ctmc.CompactTranspose(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := assembleTranspose(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Dim() != gen.N || cap(got.Vals) != len(want.Vals) || cap(got.Cols) != len(want.Cols) || cap(got.Ptr) != gen.N+1 {
+		t.Fatalf("%s: %d rows of %d, caps %d/%d/%d for %d entries", name, got.Dim(), gen.N,
+			cap(got.Ptr), cap(got.Cols), cap(got.Vals), len(want.Vals))
+	}
+	if got.MaxAbsDiag() != gen.MaxAbsDiag() {
+		t.Fatalf("%s: MaxAbsDiag %v, want %v", name, got.MaxAbsDiag(), gen.MaxAbsDiag())
+	}
+	sameRows(t, name, got, want)
+	x := make([]float64, g.size)
+	for i := range x {
+		x[i] = rng.Float64()
+	}
+	yc := make([]float64, g.size)
+	ys := make([]float64, g.size)
+	gen.VecMulTo(yc, x)
+	got.VecMulTo(ys, x)
+	for i := range yc {
+		if yc[i] != ys[i] {
+			t.Fatalf("%s: VecMulTo[%d] = %v, CSR %v", name, i, ys[i], yc[i])
+		}
+	}
+	return gen.NNZ() >= 1<<15
 }
 
 // sameRows fails unless the stored Q^T b equals want entry for entry:
