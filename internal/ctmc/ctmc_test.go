@@ -81,9 +81,9 @@ func TestSteadyStateIterativeMM1K(t *testing.T) {
 }
 
 // TestSymmetricStageExhaustsMaxIter pins the end of the ladder: with
-// too small a budget the forward stage hands over, the symmetric stage
-// runs out, and the solve fails with ErrNoConvergence for callers to
-// degrade on — there is no further fallback.
+// too small a budget symmetric Gauss-Seidel runs out, and the solve
+// fails with ErrNoConvergence for callers to degrade on — there is no
+// further fallback.
 func TestSymmetricStageExhaustsMaxIter(t *testing.T) {
 	q := mm1kGenerator(3, 4, 2000)
 	_, err := SteadyState(q, Options{MaxIter: 4})

@@ -3,6 +3,7 @@ package ctmc
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/matrix"
 )
@@ -91,21 +92,49 @@ func (b *RowBlock) VecMulTo(y, x []float64) {
 	matrix.ForRowBlocks(n, workers, func(_, lo, hi int) { b.mulRows(y, x, lo, hi) })
 }
 
-// mulRows sets y[i] = sum_j q_ji x[j] for the rows i in [lo, hi). The
-// diagonal term enters at row i's sorted position, before the first
-// source above i, so each sum runs over the row's entries in ascending
-// column order — the order of the full, unsplit row.
+// mulRows sets y[i] = rowProduct(i, x) for the rows i in [lo, hi).
 func (b *RowBlock) mulRows(y, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		k, end := b.Ptr[i], b.Ptr[i+1]
-		sum := 0.0
-		for ; k < end && int(b.Cols[k]) < i; k++ {
-			sum += b.Vals[k] * x[b.Cols[k]]
-		}
-		sum += b.Diag[i] * x[i]
-		for ; k < end; k++ {
-			sum += b.Vals[k] * x[b.Cols[k]]
-		}
-		y[i] = sum
+		y[i] = b.rowProduct(i, x)
 	}
+}
+
+// rowProduct returns (x*Q)_i = sum_j q_ji x[j]. The diagonal term enters
+// at row i's sorted position, before the first source above i, so the
+// sum runs over the row's entries in ascending column order — the order
+// of the full, unsplit row.
+func (b *RowBlock) rowProduct(i int, x []float64) float64 {
+	k, end := b.Ptr[i], b.Ptr[i+1]
+	sum := 0.0
+	for ; k < end && int(b.Cols[k]) < i; k++ {
+		sum += b.Vals[k] * x[b.Cols[k]]
+	}
+	sum += b.Diag[i] * x[i]
+	for ; k < end; k++ {
+		sum += b.Vals[k] * x[b.Cols[k]]
+	}
+	return sum
+}
+
+// residual returns ||x*Q||_inf, each entry of x*Q the sum VecMulTo
+// stores, without storing the product. Large blocks run in parallel
+// over contiguous row ranges.
+func (b *RowBlock) residual(x []float64) float64 {
+	n := b.Dim()
+	maxAbs := func(lo, hi int) float64 {
+		m := 0.0
+		for i := lo; i < hi; i++ {
+			if a := math.Abs(b.rowProduct(i, x)); a > m {
+				m = a
+			}
+		}
+		return m
+	}
+	workers := matrix.SpMVWorkers(len(b.Vals) + len(b.Diag))
+	if workers == 1 {
+		return maxAbs(0, n)
+	}
+	part := make([]float64, workers)
+	matrix.ForRowBlocks(n, workers, func(w, lo, hi int) { part[w] = maxAbs(lo, hi) })
+	return slices.Max(part)
 }

@@ -546,14 +546,19 @@ func TestBuildGeneratorOverflowReturnsBoundsError(t *testing.T) {
 // solution error sits well below the 1e-9 bar (at the 1e-10 default the
 // agreement is ~1e-7, exactly tracking the tolerance).
 func TestWarmSweepMatchesColdSolves(t *testing.T) {
-	front := fitMAP(t, 0.004, 40, 0.02)
-	db := fitMAP(t, 0.003, 25, 0.01)
-	stations := []Station{
-		{Name: "front", MAP: front},
-		{Name: "db", MAP: db},
+	for _, stations := range [][]Station{
+		frontDB(fitMAP(t, 0.004, 40, 0.02), fitMAP(t, 0.003, 25, 0.01)),
+		frontDB(fitMAP(t, 0.0068, 4, 0.021), fitMAP(t, 0.0046, 400, 0.019)),
+	} {
+		checkWarmSweep(t, stations, []int{2, 6, 12, 20, 35, 30, 9})
 	}
+}
+
+// checkWarmSweep compares a warm-started sweep over populations with
+// cold solves of each population.
+func checkWarmSweep(t *testing.T, stations []Station, populations []int) {
+	t.Helper()
 	opts := ctmc.Options{Tol: 1e-12}
-	populations := []int{2, 6, 12, 20, 35, 30, 9}
 	warm, err := SolveNetworkSweep(stations, 0.5, populations, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -88,11 +88,12 @@ func BenchmarkGeneratorBackends(b *testing.B) {
 }
 
 // BenchmarkSteadyStateNCD times the exact solve of the stalled grid
-// cell (stalledGridCell) — a nearly-decomposable MAP network whose
-// solve runs forward Gauss-Seidel into its plateau and finishes in the
-// symmetric stage. Generator construction is included, as in a suite
-// cell. Its one sub-benchmark keeps the "csr" name of the recorded
-// baseline rows.
+// cell (stalledGridCell) — a nearly-decomposable MAP network on which
+// plain sweeps stall, solved by symmetric Gauss-Seidel with a coarse
+// step over one station's (queue length, phase vector) blocks per
+// iteration. Generator construction is included, as in a suite cell.
+// Its one sub-benchmark keeps the "csr" name of the recorded baseline
+// rows.
 func BenchmarkSteadyStateNCD(b *testing.B) {
 	m := stalledGridCell(b, 50)
 	b.Run("csr", func(b *testing.B) {

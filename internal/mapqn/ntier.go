@@ -406,7 +406,7 @@ func solveNetwork(ctx context.Context, m NetworkModel, opts ctmc.Options, warm *
 	if err != nil {
 		return NetworkMetrics{}, nil, err
 	}
-	res, err := ctmc.SteadyStateTransposeCtx(ctx, qt, opts)
+	res, err := ctmc.SteadyStateTransposeCtx(ctx, qt, opts, newNetworkLumping(g))
 	if err != nil {
 		if ctx.Err() != nil {
 			return NetworkMetrics{}, nil, ctx.Err()

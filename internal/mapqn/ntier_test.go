@@ -383,15 +383,16 @@ func TestSingleStationNetwork(t *testing.T) {
 }
 
 // stalledGridCell is a cell of the examples/suite burstiness grid (db
-// I=400): a MAP-modulated chain on which forward Gauss-Seidel stalls, so
-// the solve ends in the symmetric stage.
+// I=400): a nearly decomposable MAP-modulated chain on which plain
+// Gauss-Seidel sweeps stall, so the solve needs the coarse step.
 func stalledGridCell(t testing.TB, customers int) NetworkModel {
 	return twoTier(fitMAP(t, 0.0068, 4, 0.021), fitMAP(t, 0.0046, 400, 0.019), 0.5, customers)
 }
 
 // TestStalledChainEndsInSymmetricGaussSeidel pins the solver ladder on a
-// chain whose forward sweep stalls: the solve converges in the symmetric
-// stage, and its throughput agrees with a Tol=1e-12 solve to 1e-5.
+// chain whose plain sweeps stall: the solve converges in symmetric
+// Gauss-Seidel with the coarse step, and its throughput agrees with a
+// Tol=1e-12 solve to 1e-5.
 func TestStalledChainEndsInSymmetricGaussSeidel(t *testing.T) {
 	m := stalledGridCell(t, 50)
 	got, err := SolveNetwork(m, ctmc.Options{})
@@ -401,8 +402,8 @@ func TestStalledChainEndsInSymmetricGaussSeidel(t *testing.T) {
 	if got.States != 5304 {
 		t.Fatalf("states = %d, want 5304", got.States)
 	}
-	if got.SolverMethod != "symmetric-gauss-seidel" {
-		t.Fatalf("method = %q after %d sweeps, want symmetric-gauss-seidel", got.SolverMethod, got.SolverIterations)
+	if got.SolverMethod != "aggregated-symmetric-gauss-seidel" {
+		t.Fatalf("method = %q after %d sweeps, want aggregated-symmetric-gauss-seidel", got.SolverMethod, got.SolverIterations)
 	}
 	ref, err := SolveNetwork(m, ctmc.Options{Tol: 1e-12})
 	if err != nil {

@@ -1,10 +1,12 @@
 package mapqn
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
 	"repro/internal/ctmc"
+	"repro/internal/markov"
 	"repro/internal/matrix"
 )
 
@@ -84,13 +86,23 @@ func checkTwoStation(m NetworkModel) error {
 }
 
 // solveLegacy solves a K=2 network with the hand-built reference
-// generator.
+// generator. Its states are laid out as the generic model's, so the
+// solve takes the generic model's coarse-step partitions, and the two
+// run the same iteration.
 func solveLegacy(m NetworkModel, opts ctmc.Options) (NetworkMetrics, error) {
 	if err := checkTwoStation(m); err != nil {
 		return NetworkMetrics{}, err
 	}
 	gen, space := buildGenerator(m)
-	res, err := ctmc.SteadyState(gen, opts)
+	g, err := newGenParams(m, []*markov.MAP{m.Stations[0].MAP, m.Stations[1].MAP})
+	if err != nil {
+		return NetworkMetrics{}, err
+	}
+	qt, err := ctmc.CompactTranspose(gen)
+	if err != nil {
+		return NetworkMetrics{}, err
+	}
+	res, err := ctmc.SteadyStateTransposeCtx(context.Background(), qt, opts, newNetworkLumping(g))
 	if err != nil {
 		return NetworkMetrics{}, fmt.Errorf("mapqn: steady-state solve failed: %w", err)
 	}
