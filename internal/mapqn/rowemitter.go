@@ -15,10 +15,10 @@ import (
 // that form alone, streaming every row of Q^T from the transpose
 // emitter once; Q itself is never stored.
 //
-// The forward emitter yields rows of Q: one pass over it records the
-// diagonal every transpose row carries and the off-diagonal count the
-// stored arrays are sized by (the tests also assemble Q from it as a
-// reference).
+// The forward emitter walks the transitions of each row of Q: one pass
+// over it sums the diagonal every transpose row carries and counts the
+// off-diagonals the stored arrays are sized by, storing no entry (the
+// tests also assemble Q from it as a reference).
 //
 // Both emitters walk states in row order (population vectors in compRank
 // order via nextComposition, phases as a mixed-radix odometer). The
@@ -197,25 +197,17 @@ func (e *rowEmitter) setupBlock() {
 	}
 }
 
-// emitRow appends the current row's entries — off-diagonals plus the
-// accumulated diagonal, insertion-sorted by column — to cols/vals,
-// records the diagonal in e.diag, advances to the next row, and returns
-// the grown slices. Appending into caller-owned slices lets the CSR
-// assembly build its arrays directly while product kernels pass a
-// reusable per-row scratch.
-func (e *rowEmitter) emitRow(cols []int, vals []float64) ([]int, []float64) {
+// transitions calls fn with each off-diagonal entry of the current row,
+// its column and its positive rate, in emission order: the think
+// completion, then station by station the completions and phase
+// changes.
+func (e *rowEmitter) transitions(fn func(col int, rate float64)) {
 	g := e.g
-	start := len(cols)
 	row, ph := e.row, e.ph
-	diag := 0.0
-	// emit appends one off-diagonal entry and folds its rate into diag.
 	emit := func(col int, rate float64) {
-		if rate <= 0 {
-			return
+		if rate > 0 {
+			fn(col, rate)
 		}
-		cols = append(cols, col)
-		vals = append(vals, rate)
-		diag -= rate
 	}
 	// Think completions: a customer submits a request to station 0.
 	if e.thinkBase >= 0 {
@@ -246,9 +238,23 @@ func (e *rowEmitter) emitRow(cols []int, vals []float64) ([]int, []float64) {
 			}
 		}
 	}
+}
+
+// emitRow appends the current row's entries — off-diagonals plus the
+// accumulated diagonal, insertion-sorted by column — to cols/vals,
+// records the diagonal in e.diag, advances to the next row, and returns
+// the grown slices. The tests assemble Q from it.
+func (e *rowEmitter) emitRow(cols []int, vals []float64) ([]int, []float64) {
+	start := len(cols)
+	diag := 0.0
+	e.transitions(func(col int, rate float64) {
+		cols = append(cols, col)
+		vals = append(vals, rate)
+		diag -= rate
+	})
 	e.diag = diag
 	if diag != 0 {
-		cols = append(cols, row)
+		cols = append(cols, e.row)
 		vals = append(vals, diag)
 	}
 	// Insertion-sort this row's few entries by column so the row is
@@ -268,6 +274,21 @@ func (e *rowEmitter) emitRow(cols []int, vals []float64) ([]int, []float64) {
 		e.setupBlock()
 	}
 	return cols, vals
+}
+
+// diagonal returns the current row's diagonal, the rates summed in
+// emission order as emitRow sums them, so the same float, and its count
+// of off-diagonals, and advances to the next row. It stores no entry.
+func (e *rowEmitter) diagonal() (float64, int) {
+	diag, off := 0.0, 0
+	e.transitions(func(_ int, rate float64) {
+		diag -= rate
+		off++
+	})
+	if e.step() {
+		e.setupBlock()
+	}
+	return diag, off
 }
 
 // transEmitter synthesizes rows of Q^T — row s lists the predecessors of
@@ -406,19 +427,14 @@ func forwardDiagonal(ctx context.Context, g *genParams) ([]float64, int, error) 
 		if lo > 0 {
 			e.seek(lo)
 		}
-		cols := make([]int, 0, g.est)
-		vals := make([]float64, 0, g.est)
 		off := 0
 		for r := lo; r < hi; r++ {
 			if r&0xFFF == 0 && ctx.Err() != nil {
 				return
 			}
-			cols, vals = e.emitRow(cols[:0], vals[:0])
-			diag[r] = e.diag
-			off += len(cols)
-			if e.diag != 0 {
-				off--
-			}
+			d, n := e.diagonal()
+			diag[r] = d
+			off += n
 		}
 		counts[w] = off
 	})
