@@ -222,7 +222,7 @@ func (t *solverTier) degradable(parent context.Context, err error) (string, bool
 	case errors.Is(err, ctmc.ErrNoConvergence):
 		return t.label + " did not converge: " + err.Error(), true
 	case errors.Is(err, mapqn.ErrStateLimit):
-		return "state space over the solver limit: " + err.Error(), true
+		return err.Error(), true // which ends in mapqn.ErrStateLimit's text
 	case errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil:
 		return "scenario deadline expired during the " + t.label, true
 	}

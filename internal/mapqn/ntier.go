@@ -552,7 +552,7 @@ func SolveNetworkSweepCtx(ctx context.Context, stations []Station, thinkTime flo
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			return nil, fmt.Errorf("mapqn: population %d: %w", n, err)
+			return nil, fmt.Errorf("population %d: %w", n, err) // err names mapqn
 		}
 		out = append(out, met)
 		prev = sol

@@ -462,7 +462,7 @@ func assembleTranspose(ctx context.Context, g *genParams) (*ctmc.RowBlock, error
 		return nil, err
 	}
 	if err := ctmc.CheckCompactSize(g.size, off); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mapqn: %w: %w", err, ErrStateLimit)
 	}
 	b := &ctmc.RowBlock{
 		Diag: diag,
