@@ -186,12 +186,11 @@ const (
 //     slow modes of phase switching and of population drift that the
 //     sweeps barely damp, and cuts the sweeps about eightfold. A step
 //     that cannot be taken (a block without mass, as after a warm start
-//     from a smaller population, or a singular level) is skipped. The
-//     method is then "aggregated-symmetric-gauss-seidel" if any coarse
-//     step ran.
+//     from a smaller population, or a singular level) is skipped, and a
+//     stalled residual turns the coarse step off (see
+//     symmetricGaussSeidel). The method is then
+//     "aggregated-symmetric-gauss-seidel" if any coarse step ran.
 //
-// A plain forward Gauss-Seidel stage before the symmetric one was
-// deleted with the coarse step: every chain the models build has levels.
 // Krylov and extrapolation schemes were measured and rejected:
 // SGS-preconditioned GMRES(10) solved the MAP networks faster but
 // stalled at residuals of 1e-8 to 1e-4 on M/M/1/K birth-death chains,

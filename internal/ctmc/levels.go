@@ -1,7 +1,6 @@
 package ctmc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -58,11 +57,6 @@ type Lumping interface {
 	Lump(k int, pi, flow, mass []float64)
 }
 
-// errCoarse marks a coarse step that could not be taken: a block
-// without mass, a singular level, or a factor that is not a finite
-// non-negative number. The solver skips that step and keeps sweeping.
-var errCoarse = errors.New("ctmc: coarse step skipped")
-
 // coarse is the workspace of the coarse step: the lumped generator of
 // one partition, the block masses and the coarse solution, sized for
 // the largest partition, and the Width-by-Width scratch of level
@@ -112,9 +106,10 @@ func newCoarse(lump Lumping, n int) (*coarse, error) {
 // the partitions taken in turn: it lumps the chain onto the blocks of
 // one partition, weighting each state by its share of its block's mass,
 // solves the lumped chain exactly, and rescales every block of pi to
-// the mass the lumped chain gives it, which also normalizes pi. It
-// leaves pi as is and returns false when the step cannot be taken (see
-// errCoarse).
+// the mass the lumped chain gives it, which also normalizes pi. When
+// a block has no mass (as after a warm start from a smaller population)
+// or level reduction fails, it leaves pi as is and returns false: the
+// solver skips the step and keeps sweeping.
 func (c *coarse) step(pi []float64, it int) bool {
 	k := (it - 1) % len(c.parts)
 	p, levels, w := c.parts[k], c.levels[k], c.parts[k].Width
@@ -129,7 +124,7 @@ func (c *coarse) step(pi []float64, it int) bool {
 		}
 	}
 	toGenerator(gen, mass, w)
-	if c.reduce(gen, w, levels, x) != nil {
+	if !c.reduce(gen, w, levels, x) {
 		return false
 	}
 	for b, v := range x {
@@ -176,9 +171,9 @@ func toGenerator(gen, mass []float64, w int) {
 // level, the one above and the one below. U_0 is the chain censored on
 // level 0, whose stationary vector starts the expansion
 // x_L = x_{L-1}*R_L. R_L overwrites B_{L-1} in gen. The cost is
-// O(levels*w^3), with no allocation. It returns errCoarse when a level
-// is singular or the solution is not a finite non-negative vector.
-func (c *coarse) reduce(gen []float64, w, levels int, x []float64) error {
+// O(levels*w^3), with no allocation. It returns false when a level is
+// singular or the solution is not a finite non-negative vector.
+func (c *coarse) reduce(gen []float64, w, levels int, x []float64) bool {
 	ww := w * w
 	block := func(l, r int) matrix.Dense {
 		return matrix.Dense{Rows: w, Cols: w, Data: gen[(3*l+r)*ww : (3*l+r+1)*ww]}
@@ -192,7 +187,7 @@ func (c *coarse) reduce(gen []float64, w, levels int, x []float64) error {
 		// next = (-U_l)^{-1}; R_l = B_{l-1}*next, stored over B_{l-1}.
 		c.lu.Reset(w)
 		if matrix.InverseTo(&next, &m, c.lu) != nil {
-			return errCoarse
+			return false
 		}
 		b, d := block(l-1, 2), block(l, 0)
 		b.MulTo(&m, &next)
@@ -231,7 +226,7 @@ func (c *coarse) reduce(gen []float64, w, levels int, x []float64) error {
 	clear(c.rhs[:w])
 	c.rhs[w-1] = 1
 	if c.lu.Refactor(t) != nil || c.lu.SolveTo(x[:w], c.rhs[:w]) != nil {
-		return errCoarse
+		return false
 	}
 	// The expansion can span hundreds of decades on a saturated chain:
 	// rescale everything computed so far whenever a level grows past
@@ -254,15 +249,15 @@ func (c *coarse) reduce(gen []float64, w, levels int, x []float64) error {
 	total := 0.0
 	for _, v := range x {
 		if !(v >= 0) || math.IsInf(v, 0) {
-			return errCoarse
+			return false
 		}
 		total += v
 	}
 	if !(total > 0) || math.IsInf(total, 0) {
-		return errCoarse
+		return false
 	}
 	for k := range x {
 		x[k] /= total
 	}
-	return nil
+	return true
 }

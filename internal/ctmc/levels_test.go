@@ -112,14 +112,14 @@ func denseLevels(t testing.TB, gen []float64, w, levels int) []float64 {
 }
 
 // reduceLevels runs level reduction on a copy of gen.
-func reduceLevels(gen []float64, w, levels int) ([]float64, error) {
+func reduceLevels(gen []float64, w, levels int) ([]float64, bool) {
 	c := &coarse{
 		m: make([]float64, w*w), next: make([]float64, w*w), rhs: make([]float64, w),
 		lu: new(matrix.LU),
 	}
 	x := make([]float64, levels*w)
-	err := c.reduce(append([]float64(nil), gen...), w, levels, x)
-	return x, err
+	ok := c.reduce(append([]float64(nil), gen...), w, levels, x)
+	return x, ok
 }
 
 // logRate returns a rate draw: zero one time in four, otherwise
@@ -213,9 +213,9 @@ func TestReduceMatchesDenseLU(t *testing.T) {
 		w, levels := 1+src.Intn(6), 1+src.Intn(60)
 		gen := blockTridiagonal(w, levels, logRate(src, 2))
 		want := denseLevels(t, gen, w, levels)
-		got, err := reduceLevels(gen, w, levels)
-		if err != nil {
-			t.Fatalf("case %d (w=%d, %d levels): %v", c, w, levels, err)
+		got, ok := reduceLevels(gen, w, levels)
+		if !ok {
+			t.Fatalf("case %d (w=%d, %d levels): level reduction failed", c, w, levels)
 		}
 		for i := range want {
 			if math.Abs(got[i]-want[i]) <= 1e-12 {
@@ -239,9 +239,9 @@ func TestReduceMatchesGTH(t *testing.T) {
 		w, levels := 1+src.Intn(5), 1+src.Intn(40)
 		gen := blockTridiagonal(w, levels, logRate(src, 8))
 		want := gthStationary(denseGenerator(gen, w, levels))
-		got, err := reduceLevels(gen, w, levels)
-		if err != nil {
-			t.Fatalf("case %d (w=%d, %d levels): %v", c, w, levels, err)
+		got, ok := reduceLevels(gen, w, levels)
+		if !ok {
+			t.Fatalf("case %d (w=%d, %d levels): level reduction failed", c, w, levels)
 		}
 		if e := maxRelErr(got, want); e > 1e-9 {
 			t.Fatalf("case %d (w=%d, %d levels): relative error %.3g against GTH", c, w, levels, e)
@@ -252,7 +252,7 @@ func TestReduceMatchesGTH(t *testing.T) {
 // FuzzReduceMatchesDenseLU drives level reduction with generators read
 // from the fuzzer's bytes: whenever both solves succeed they must agree,
 // and level reduction must never return anything but a probability
-// vector or errCoarse.
+// vector or a failure.
 func FuzzReduceMatchesDenseLU(f *testing.F) {
 	f.Add(uint8(2), uint8(3), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(1), uint8(1), []byte{})
@@ -268,11 +268,8 @@ func FuzzReduceMatchesDenseLU(f *testing.F) {
 			k++
 			return float64(b) / 16
 		})
-		got, err := reduceLevels(gen, w, levels)
-		if err != nil {
-			if err != errCoarse {
-				t.Fatalf("reduce: %v", err)
-			}
+		got, ok := reduceLevels(gen, w, levels)
+		if !ok {
 			return
 		}
 		sum := 0.0
@@ -417,5 +414,29 @@ func TestLevelsValidation(t *testing.T) {
 		if _, err := SteadyStateTransposeCtx(context.Background(), qt, Options{}, &qtLumping{qt: qt, parts: parts}); err == nil {
 			t.Errorf("partitions %v accepted", parts)
 		}
+	}
+}
+
+// TestCoarseStepAllocatesNothing: the coarse step reuses its workspace,
+// so with a lumping that allocates nothing it allocates nothing.
+func TestCoarseStepAllocatesNothing(t *testing.T) {
+	const n = 20
+	qt, err := CompactTranspose(mapNetworkGenerator(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := newCoarse(mapNetworkLumping(qt, n), qt.Dim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pi := initialVector(qt.Dim(), Options{})
+	it := 0
+	if a := testing.AllocsPerRun(10, func() {
+		it++
+		if !agg.step(pi, it) {
+			t.Fatalf("coarse step %d skipped", it)
+		}
+	}); a != 0 {
+		t.Fatalf("coarse step allocates %v times", a)
 	}
 }

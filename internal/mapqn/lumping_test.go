@@ -91,6 +91,24 @@ func TestNetworkLumpingMatchesGenerator(t *testing.T) {
 	}
 }
 
+// TestNetworkLumpAllocatesNothing: once Partitions has built the
+// tables, lumping reuses them.
+func TestNetworkLumpAllocatesNothing(t *testing.T) {
+	m := twoTier(fitMAP(t, 0.0068, 4, 0.021), fitMAP(t, 0.0046, 400, 0.019), 0.5, 30)
+	g, err := newGenParams(m, []*markov.MAP{m.Stations[0].MAP, m.Stations[1].MAP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lump := newNetworkLumping(g)
+	lump.Partitions()
+	pi := make([]float64, g.size)
+	flow := make([]float64, 3*(g.n+1)*g.pp*g.pp)
+	mass := make([]float64, (g.n+1)*g.pp)
+	if a := testing.AllocsPerRun(10, func() { lump.Lump(1, pi, flow, mass) }); a != 0 {
+		t.Fatalf("Lump allocates %v times", a)
+	}
+}
+
 // plainSolve solves m with symmetric Gauss-Seidel alone, without the
 // coarse step: the reference the coarse step is held to.
 func plainSolve(t testing.TB, m NetworkModel, opts ctmc.Options) NetworkMetrics {
