@@ -77,10 +77,13 @@ type coarse struct {
 // newCoarse validates lump's partitions against a chain of n states
 // and sizes the workspace; it returns nil when there are none.
 func newCoarse(lump Lumping, n int) (*coarse, error) {
-	if lump == nil || len(lump.Partitions()) == 0 {
+	if lump == nil {
 		return nil, nil
 	}
 	parts := lump.Partitions()
+	if len(parts) == 0 {
+		return nil, nil
+	}
 	c := &coarse{lump: lump, parts: parts, levels: make([]int, len(parts)), lu: new(matrix.LU)}
 	var genLen, blocks, width int
 	for i, p := range parts {
