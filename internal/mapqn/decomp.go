@@ -154,7 +154,7 @@ func SolveNetworkDecompSweepCtx(ctx context.Context, stations []Station, thinkTi
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			return nil, fmt.Errorf("mapqn: population %d: %w", n, err)
+			return nil, fmt.Errorf("population %d: %w", n, err) // err names mapqn
 		}
 		out = append(out, met)
 		warm = d
