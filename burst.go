@@ -105,11 +105,6 @@ type (
 	Tier = core.Tier
 	// PlannerOptions tunes plan construction.
 	PlannerOptions = core.PlannerOptions
-	// PredictionN holds per-station MAP-model and MVA metrics at one
-	// population of an N-tier plan.
-	PredictionN = core.PredictionN
-	// Accuracy compares predictions against measurements.
-	Accuracy = core.Accuracy
 
 	// Station is one queueing station of an N-tier MAP network.
 	Station = mapqn.Station

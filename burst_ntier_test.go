@@ -78,24 +78,28 @@ func TestFacadeThreeTierEndToEnd(t *testing.T) {
 			chars[1].IndexOfDispersion, chars[0].IndexOfDispersion)
 	}
 
-	plan, err := core.BuildPlanN(tiers, 0.5, PlannerOptions{
+	plan, err := core.BuildPlanNFromCharacterizations(chars, nil, 0.5, PlannerOptions{
 		TierNames: []string{"front", "app", "db"},
 		Solver:    SolverOptions{Tol: 1e-8},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, err := plan.Predict([]int{5, 12, 24})
-	if err != nil {
+	ladder := &Report{Results: []PopulationReport{{Population: 5}, {Population: 12}, {Population: 24}}}
+	if err := plan.SolveLadder(context.Background(), context.Background(), ladder, []SolverKind{SolverMAP, SolverMVA}, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
+	if ladder.Degraded {
+		t.Fatalf("ladder degraded: %s", ladder.FallbackReason)
+	}
+	preds := ladder.Results
 	prev := 0.0
 	for _, p := range preds {
 		if len(p.MAP.Utils) != 3 || len(p.MAP.QueueDists) != 3 {
 			t.Fatalf("per-station metrics missing: %+v", p.MAP)
 		}
 		if p.MAP.Throughput <= 0 || p.MAP.Throughput < prev-1e-9 {
-			t.Errorf("implausible throughput sequence at %d EBs: %v", p.EBs, p.MAP.Throughput)
+			t.Errorf("implausible throughput sequence at %d EBs: %v", p.Population, p.MAP.Throughput)
 		}
 		prev = p.MAP.Throughput
 		for s, dist := range p.MAP.QueueDists {
@@ -104,11 +108,11 @@ func TestFacadeThreeTierEndToEnd(t *testing.T) {
 				sum += q
 			}
 			if math.Abs(sum-1) > 1e-6 {
-				t.Errorf("%d EBs: station %d distribution sums to %v", p.EBs, s, sum)
+				t.Errorf("%d EBs: station %d distribution sums to %v", p.Population, s, sum)
 			}
 		}
 		if p.MAP.Throughput > p.MVA.Throughput*1.01 {
-			t.Errorf("%d EBs: MAP X %v exceeds MVA baseline %v", p.EBs, p.MAP.Throughput, p.MVA.Throughput)
+			t.Errorf("%d EBs: MAP X %v exceeds MVA baseline %v", p.Population, p.MAP.Throughput, p.MVA.Throughput)
 		}
 	}
 
@@ -125,12 +129,12 @@ func TestFacadeThreeTierEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Plan predictions run as a warm-started sweep, so the iterative
-	// solver stops at a (slightly) different point inside the same
-	// residual-tolerance ball as this cold solve: compare within solver
-	// accuracy, not bitwise.
+	// The ladder solves its exact column as a warm-started sweep, so the
+	// iterative solver stops at a (slightly) different point inside the
+	// same residual-tolerance ball as this cold solve: compare within
+	// solver accuracy, not bitwise.
 	if relDiff := math.Abs(met.Throughput-preds[1].MAP.Throughput) / met.Throughput; relDiff > 1e-4 {
-		t.Errorf("facade network solve X = %v, plan predict X = %v (rel diff %v)",
+		t.Errorf("facade network solve X = %v, plan ladder X = %v (rel diff %v)",
 			met.Throughput, preds[1].MAP.Throughput, relDiff)
 	}
 

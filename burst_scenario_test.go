@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mapqn"
 	"repro/internal/tpcw"
 )
 
@@ -65,7 +66,8 @@ func TestRunModelScenarioDelegates(t *testing.T) {
 		t.Fatalf("tier names %v", rep.TierNames)
 	}
 
-	// Step-by-step path: BuildPlanNFromCharacterizations + Predict + Bounds.
+	// Step-by-step path: BuildPlanNFromCharacterizations, then the solves
+	// each ladder rung makes (exact sweep, MVA sweep, bounds sweep).
 	chars := []Characterization{
 		{MeanServiceTime: 0.006, IndexOfDispersion: 3, P95ServiceTime: 0.015},
 		{MeanServiceTime: 0.009, IndexOfDispersion: 40, P95ServiceTime: 0.02},
@@ -74,25 +76,30 @@ func TestRunModelScenarioDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, err := plan.Predict([]int{5, 10})
+	pops := []int{5, 10}
+	mets, err := SolveNetworkSweep(context.Background(), plan.Stations(), plan.ThinkTime, pops, SolverOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds, err := plan.Bounds([]int{5, 10})
+	base, err := core.MVASweep(plan.Baseline(), pops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range preds {
-		got, want := rep.Results[i].MAP, preds[i].MAP
+	bounds, err := mapqn.NetworkBoundsSweep(plan.Stations(), plan.ThinkTime, pops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range pops {
+		got, want := rep.Results[i].MAP, mets[i]
 		if got == nil || got.Throughput != want.Throughput || !reflect.DeepEqual(got.Utils, want.Utils) {
-			t.Errorf("population %d: scenario MAP %+v != planner %+v", preds[i].EBs, got, want)
+			t.Errorf("population %d: scenario MAP %+v != planner %+v", n, got, want)
 		}
-		if rep.Results[i].MVA == nil || rep.Results[i].MVA.Throughput != preds[i].MVA.Throughput {
-			t.Errorf("population %d: scenario MVA diverges from planner", preds[i].EBs)
+		if rep.Results[i].MVA == nil || rep.Results[i].MVA.Throughput != base[i].Throughput {
+			t.Errorf("population %d: scenario MVA diverges from planner", n)
 		}
 		if rep.Results[i].Bounds == nil || rep.Results[i].Bounds.UpperX != bounds[i].UpperX ||
 			rep.Results[i].Bounds.LowerX != bounds[i].LowerX {
-			t.Errorf("population %d: scenario bounds diverge from planner", preds[i].EBs)
+			t.Errorf("population %d: scenario bounds diverge from planner", n)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/inference"
+	"repro/internal/mapqn"
 	"repro/internal/markov"
 )
 
@@ -310,16 +311,16 @@ func TestRunSuiteCancellationAbortsContinuePolicy(t *testing.T) {
 func TestMemoEvictsCancellation(t *testing.T) {
 	m := NewMemo()
 	calls := 0
-	_, err := lookup(m, memoSolve, "k", func() ([]PredictionN, error) {
+	_, err := lookup(m, memoSolve, "k", func() ([]mapqn.NetworkMetrics, error) {
 		calls++
 		return nil, context.DeadlineExceeded
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("first call err = %v", err)
 	}
-	got, err := lookup(m, memoSolve, "k", func() ([]PredictionN, error) {
+	got, err := lookup(m, memoSolve, "k", func() ([]mapqn.NetworkMetrics, error) {
 		calls++
-		return []PredictionN{{}}, nil
+		return []mapqn.NetworkMetrics{{}}, nil
 	})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("post-eviction call = (%v, %v)", got, err)

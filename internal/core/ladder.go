@@ -28,21 +28,16 @@ type solverTier struct {
 	// the run. A tier solving as a fallback hops on whatever its error.
 	degrades bool
 	fallback SolverKind // "" for the last rung
-	// carries is a second column the tier's sweep also answers, filled
-	// when requested so it needs no solve of its own: the exact sweep
-	// carries the MVA baseline.
-	carries SolverKind
 	// solve runs the sweep at pops, calling step after each population it
-	// solves, and fills the tier's column in rep (and the carried column,
-	// when carry is set).
-	solve func(p *PlanN, ctx context.Context, pops []int, rep *Report, memo *Memo, step func(i int), carry bool) error
+	// solves, and fills the tier's column in rep.
+	solve func(p *PlanN, ctx context.Context, pops []int, rep *Report, memo *Memo, step func(i int)) error
 }
 
 // rung builds a tier's solve from its typed sweep and column filler.
 // Tiers with key options memoize their whole sweep under
 // PlanN.sweepKey; a memo hit replays no progress steps.
-func rung[T any](t solverTier, options func(*PlanN) any, sweep func(p *PlanN, ctx context.Context, pops []int, step func(i int)) ([]T, error), fill func(r *PopulationReport, v T, carry bool)) solverTier {
-	t.solve = func(p *PlanN, ctx context.Context, pops []int, rep *Report, memo *Memo, step func(i int), carry bool) error {
+func rung[T any](t solverTier, options func(*PlanN) any, sweep func(p *PlanN, ctx context.Context, pops []int, step func(i int)) ([]T, error), fill func(r *PopulationReport, v T)) solverTier {
+	t.solve = func(p *PlanN, ctx context.Context, pops []int, rep *Report, memo *Memo, step func(i int)) error {
 		var key string
 		if options == nil {
 			memo = nil // unkeyed tiers always solve cold
@@ -59,7 +54,7 @@ func rung[T any](t solverTier, options func(*PlanN) any, sweep func(p *PlanN, ct
 			return err
 		}
 		for i := range vals {
-			fill(&rep.Results[i], vals[i], carry)
+			fill(&rep.Results[i], vals[i])
 		}
 		return nil
 	}
@@ -71,6 +66,18 @@ func sweepProgress(step func(i int)) mapqn.SweepProgress {
 	return func(idx, _ int, _ mapqn.NetworkMetrics) { step(idx) }
 }
 
+// sweepErr names the model whose sweep failed ("core: <model>: err"),
+// or returns ctx's error when ctx ended meanwhile.
+func sweepErr(ctx context.Context, model string, err error) error {
+	if err == nil {
+		return nil
+	}
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return fmt.Errorf("core: %s: %w", model, err)
+}
+
 // solverLadder is the model-solver ladder in solve order: a requested
 // decomp runs before map so a healthy run can record DecompError, the
 // MVA baseline next, bounds last. The fallback chain is map → decomp →
@@ -79,36 +86,33 @@ var solverLadder = []solverTier{
 	rung(solverTier{kind: SolverDecomp, stage: StageSolve, label: "decomp approximation", hooked: true, fallback: SolverBounds},
 		func(p *PlanN) any { return p.DecompOptions() },
 		func(p *PlanN, ctx context.Context, pops []int, step func(int)) ([]mapqn.NetworkMetrics, error) {
-			return p.PredictDecompCtx(ctx, pops, sweepProgress(step))
+			mets, err := mapqn.SolveNetworkDecompSweepCtx(ctx, p.Stations(), p.ThinkTime, pops, p.DecompOptions(), sweepProgress(step))
+			return mets, sweepErr(ctx, "decomp model", err)
 		},
-		func(r *PopulationReport, m mapqn.NetworkMetrics, _ bool) { r.Decomp = &m }),
-	rung(solverTier{kind: SolverMAP, stage: StageSolve, label: "exact MAP solve", hooked: true, degrades: true, fallback: SolverDecomp, carries: SolverMVA},
+		func(r *PopulationReport, m mapqn.NetworkMetrics) { r.Decomp = &m }),
+	rung(solverTier{kind: SolverMAP, stage: StageSolve, label: "exact MAP solve", hooked: true, degrades: true, fallback: SolverDecomp},
 		func(p *PlanN) any { return p.opts.Solver },
-		func(p *PlanN, ctx context.Context, pops []int, step func(int)) ([]PredictionN, error) {
-			return p.PredictCtx(ctx, pops, sweepProgress(step))
+		func(p *PlanN, ctx context.Context, pops []int, step func(int)) ([]mapqn.NetworkMetrics, error) {
+			mets, err := mapqn.SolveNetworkSweepCtx(ctx, p.Stations(), p.ThinkTime, pops, p.opts.Solver, sweepProgress(step))
+			return mets, sweepErr(ctx, "MAP model", err)
 		},
-		func(r *PopulationReport, pr PredictionN, carry bool) {
-			r.MAP = &pr.MAP
-			if carry {
-				r.MVA = &pr.MVA
-			}
-		}),
+		func(r *PopulationReport, m mapqn.NetworkMetrics) { r.MAP = &m }),
 	rung(solverTier{kind: SolverMVA, stage: StageSolve},
 		nil,
 		func(p *PlanN, _ context.Context, pops []int, _ func(int)) ([]mva.Result, error) {
 			return MVASweep(p.Baseline(), pops)
 		},
-		func(r *PopulationReport, m mva.Result, _ bool) { r.MVA = &m }),
+		func(r *PopulationReport, m mva.Result) { r.MVA = &m }),
 	rung(solverTier{kind: SolverBounds, stage: StageBounds, label: "NetworkBounds"},
 		nil,
 		func(p *PlanN, _ context.Context, pops []int, step func(int)) ([]mapqn.NetworkBoundsResult, error) {
-			bounds, err := p.Bounds(pops)
+			bounds, err := mapqn.NetworkBoundsSweep(p.Stations(), p.ThinkTime, pops)
 			for i := range bounds {
 				step(i)
 			}
 			return bounds, err
 		},
-		func(r *PopulationReport, b mapqn.NetworkBoundsResult, _ bool) { r.Bounds = &b }),
+		func(r *PopulationReport, b mapqn.NetworkBoundsResult) { r.Bounds = &b }),
 }
 
 // SolveLadder fills rep's model columns for every solver in wants by
@@ -140,20 +144,15 @@ func (p *PlanN) SolveLadder(ctx, parent context.Context, rep *Report, wants []So
 	}
 	done := map[SolverKind]bool{}
 	run := func(ctx context.Context, t *solverTier) error {
-		carry := t.carries != "" && slices.Contains(wants, t.carries)
 		err := t.solve(p, ctx, pops, rep, memo, func(i int) {
 			if emit != nil {
 				emit(ProgressEvent{Stage: t.stage, Population: pops[i], Step: i + 1, Total: len(pops)})
 			}
-		}, carry)
-		if err != nil {
-			return err
+		})
+		if err == nil {
+			done[t.kind] = true
 		}
-		done[t.kind] = true
-		if carry {
-			done[t.carries] = true
-		}
-		return nil
+		return err
 	}
 	fired := false
 	for i := range solverLadder {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mapqn"
 	"repro/internal/markov"
 )
 
@@ -191,8 +192,8 @@ func TestMemoRetryRecomputesStaleCancellation(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	firstErr := make(chan error, 1)
 	go func() {
-		_, err := MemoRetry(first, func() ([]PredictionN, error) {
-			return lookup(m, memoSolve, "k", func() ([]PredictionN, error) {
+		_, err := MemoRetry(first, func() ([]mapqn.NetworkMetrics, error) {
+			return lookup(m, memoSolve, "k", func() ([]mapqn.NetworkMetrics, error) {
 				close(started)
 				<-release
 				<-first.Done()
@@ -204,14 +205,14 @@ func TestMemoRetryRecomputesStaleCancellation(t *testing.T) {
 	<-started
 
 	type result struct {
-		v   []PredictionN
+		v   []mapqn.NetworkMetrics
 		err error
 	}
 	second := make(chan result, 1)
 	go func() {
-		v, err := MemoRetry(context.Background(), func() ([]PredictionN, error) {
-			return lookup(m, memoSolve, "k", func() ([]PredictionN, error) {
-				return []PredictionN{{EBs: 7}}, nil
+		v, err := MemoRetry(context.Background(), func() ([]mapqn.NetworkMetrics, error) {
+			return lookup(m, memoSolve, "k", func() ([]mapqn.NetworkMetrics, error) {
+				return []mapqn.NetworkMetrics{{Throughput: 7}}, nil
 			})
 		})
 		second <- result{v, err}
@@ -229,7 +230,7 @@ func TestMemoRetryRecomputesStaleCancellation(t *testing.T) {
 		t.Fatalf("expired caller err = %v, want DeadlineExceeded", err)
 	}
 	got := <-second
-	if got.err != nil || len(got.v) != 1 || got.v[0].EBs != 7 {
+	if got.err != nil || len(got.v) != 1 || got.v[0].Throughput != 7 {
 		t.Fatalf("live caller = (%v, %v), want the recomputed value", got.v, got.err)
 	}
 	if st := m.Stats(); st.SolveMisses != 2 || st.SolveHits != 1 {

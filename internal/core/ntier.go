@@ -8,14 +8,14 @@
 // each tier, get capacity predictions that remain accurate under bursty
 // workloads and bottleneck switch.
 //
-// The planning entry points are BuildPlanN / PlanN, which accept one
-// monitoring-sample set per tier (front, app, ..., db); the paper's
-// two-tier system is the K=2 plan. Scenario, Run and RunSuite build the
-// declarative pipeline on top of them.
+// The planning entry points are BuildPlanNFromCharacterizations, which
+// fits a PlanN from one (mean, I, p95) characterization per tier (front,
+// app, ..., db; the paper's two-tier system is the K=2 plan), and
+// PlanN.SolveLadder, the one way to solve a plan. Scenario, Run and
+// RunSuite build the declarative pipeline on top of them.
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -24,7 +24,6 @@ import (
 	"repro/internal/mapqn"
 	"repro/internal/markov"
 	"repro/internal/mva"
-	"repro/internal/trace"
 )
 
 // PlannerOptions tunes model construction.
@@ -112,24 +111,6 @@ func DefaultTierNames(k int) []string {
 	return names
 }
 
-// BuildPlanN runs the full Section 4 pipeline for a K-tier system:
-// characterize each tier from its monitoring samples (mean, I, p95),
-// then fit a MAP(2) per tier. tiers[0] is the first tier a request hits;
-// thinkTime is the Z_qn the resulting model will be evaluated at, which
-// may differ from the think time of the measured system (Z_estim) — the
-// paper exploits exactly this to improve estimation granularity
-// (Fig. 11). Tier labels come from opts.TierNames when set.
-func BuildPlanN(tiers []trace.UtilizationSamples, thinkTime float64, opts PlannerOptions) (*PlanN, error) {
-	if len(tiers) == 0 {
-		return nil, errors.New("core: no tiers to plan for")
-	}
-	chars, err := inference.CharacterizeAll(tiers, opts.Inference)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return BuildPlanNFromCharacterizations(chars, nil, thinkTime, opts, nil)
-}
-
 // BuildPlanNFromCharacterizations skips the measurement step, fitting a
 // MAP(2) per tier from already-computed characterizations. visits holds
 // the per-tier visit ratios (nil, or a non-positive entry, means one
@@ -203,53 +184,6 @@ func (p *PlanN) Baseline() mva.Network {
 	return mva.ModelN(demands, names, p.ThinkTime)
 }
 
-// PredictionN is the N-tier model output at one population level.
-type PredictionN struct {
-	EBs int
-	// MAP holds the burstiness-aware model's per-station metrics.
-	MAP mapqn.NetworkMetrics
-	// MVA holds the product-form baseline's metrics.
-	MVA mva.Result
-}
-
-// Predict evaluates both models at each population level. The MAP-model
-// evaluations run as one warm-started sweep: each population's CTMC
-// solve is seeded with the previous population's stationary vector.
-func (p *PlanN) Predict(populations []int) ([]PredictionN, error) {
-	return p.PredictCtx(context.Background(), populations, nil)
-}
-
-// PredictCtx is Predict with cooperative cancellation and an optional
-// per-population progress callback (nil to disable). A canceled sweep
-// returns ctx.Err() within one population step.
-func (p *PlanN) PredictCtx(ctx context.Context, populations []int, progress mapqn.SweepProgress) ([]PredictionN, error) {
-	if len(populations) == 0 {
-		return nil, errors.New("core: no populations requested")
-	}
-	for _, n := range populations {
-		if n < 1 {
-			return nil, fmt.Errorf("core: population %d must be >= 1", n)
-		}
-	}
-	baseline := p.Baseline()
-	mets, err := mapqn.SolveNetworkSweepCtx(ctx, p.Stations(), p.ThinkTime, populations, p.opts.Solver, progress)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("core: MAP model: %w", err)
-	}
-	out := make([]PredictionN, 0, len(populations))
-	for i, n := range populations {
-		base, err := mva.Solve(baseline, n)
-		if err != nil {
-			return nil, fmt.Errorf("core: MVA at %d EBs: %w", n, err)
-		}
-		out = append(out, PredictionN{EBs: n, MAP: mets[i], MVA: base})
-	}
-	return out, nil
-}
-
 // DecompOptions resolves the plan's decomposition-solver options: the
 // configured ones, or defaults when the planner left them unset.
 func (p *PlanN) DecompOptions() mapqn.DecompOptions {
@@ -257,84 +191,4 @@ func (p *PlanN) DecompOptions() mapqn.DecompOptions {
 		return *p.opts.Decomp
 	}
 	return mapqn.DecompOptions{}
-}
-
-// PredictDecompCtx evaluates the approximate decomposition model at each
-// population level as one warm-started sweep (consecutive populations
-// seed each other's demand fixed points), with cooperative cancellation
-// and an optional per-population progress callback (nil to disable).
-func (p *PlanN) PredictDecompCtx(ctx context.Context, populations []int, progress mapqn.SweepProgress) ([]mapqn.NetworkMetrics, error) {
-	if len(populations) == 0 {
-		return nil, errors.New("core: no populations requested")
-	}
-	for _, n := range populations {
-		if n < 1 {
-			return nil, fmt.Errorf("core: population %d must be >= 1", n)
-		}
-	}
-	mets, err := mapqn.SolveNetworkDecompSweepCtx(ctx, p.Stations(), p.ThinkTime, populations, p.DecompOptions(), progress)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("core: decomp model: %w", err)
-	}
-	return mets, nil
-}
-
-// Bounds brackets the MAP network's throughput at each population with
-// two O(N*K) product-form evaluations, usable far beyond exact CTMC
-// reach.
-func (p *PlanN) Bounds(populations []int) ([]mapqn.NetworkBoundsResult, error) {
-	if len(populations) == 0 {
-		return nil, errors.New("core: no populations requested")
-	}
-	return mapqn.NetworkBoundsSweep(p.Stations(), p.ThinkTime, populations)
-}
-
-// Accuracy compares predicted against measured throughput, returning the
-// relative errors of the MAP model and the MVA baseline — the error bars
-// the paper reports in Figs. 10-12.
-type Accuracy struct {
-	EBs              int
-	Measured         float64
-	MAPPredicted     float64
-	MVAPredicted     float64
-	MAPRelativeError float64
-	MVARelativeError float64
-}
-
-// Compare evaluates both models against measured throughputs.
-// populations and measured must have equal lengths.
-func (p *PlanN) Compare(populations []int, measured []float64) ([]Accuracy, error) {
-	if len(populations) != len(measured) {
-		return nil, fmt.Errorf("core: %d populations vs %d measurements", len(populations), len(measured))
-	}
-	preds, err := p.Predict(populations)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Accuracy, len(preds))
-	for i, pr := range preds {
-		if measured[i] <= 0 {
-			return nil, fmt.Errorf("core: measured throughput %v at %d EBs invalid", measured[i], pr.EBs)
-		}
-		out[i] = Accuracy{
-			EBs:              pr.EBs,
-			Measured:         measured[i],
-			MAPPredicted:     pr.MAP.Throughput,
-			MVAPredicted:     pr.MVA.Throughput,
-			MAPRelativeError: relErr(pr.MAP.Throughput, measured[i]),
-			MVARelativeError: relErr(pr.MVA.Throughput, measured[i]),
-		}
-	}
-	return out, nil
-}
-
-func relErr(pred, actual float64) float64 {
-	d := pred - actual
-	if d < 0 {
-		d = -d
-	}
-	return d / actual
 }

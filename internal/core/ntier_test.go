@@ -5,36 +5,51 @@ import (
 	"testing"
 
 	"repro/internal/inference"
-	"repro/internal/trace"
 )
 
+// TestBuildPlanNFromCharacterizations fits the paper's two-tier plan, a
+// three-tier plan and one with explicit tier names: every fit keeps its
+// tier's measured mean, and the front tier's its index of dispersion.
 func TestBuildPlanNFromCharacterizations(t *testing.T) {
-	chars := []inference.Characterization{
-		validChar(0.005, 40, 0.02),
-		validChar(0.006, 120, 0.04),
-		validChar(0.004, 300, 0.03),
+	front, app, db := validChar(0.005, 40, 0.02), validChar(0.006, 120, 0.04), validChar(0.004, 300, 0.03)
+	cases := []struct {
+		name      string
+		chars     []inference.Characterization
+		explicit  []string
+		wantNames []string
+	}{
+		{"two-tier", []inference.Characterization{front, db}, nil, []string{"front", "db"}},
+		{"three-tier", []inference.Characterization{front, app, db}, nil, []string{"front", "app", "db"}},
+		{"named", []inference.Characterization{front, app, db}, []string{"web", "cache", "db"}, []string{"web", "cache", "db"}},
 	}
-	plan, err := BuildPlanNFromCharacterizations(chars, nil, 0.5, PlannerOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Tiers) != 3 {
-		t.Fatalf("got %d tiers, want 3", len(plan.Tiers))
-	}
-	wantNames := []string{"front", "app", "db"}
-	for i, tier := range plan.Tiers {
-		if tier.Name != wantNames[i] {
-			t.Errorf("tier %d name %q, want %q", i, tier.Name, wantNames[i])
-		}
-		if tier.Fit.MAP == nil {
-			t.Fatalf("tier %d has no fitted MAP", i)
-		}
-		if math.Abs(tier.Fit.MAP.Mean()-chars[i].MeanServiceTime) > 1e-6 {
-			t.Errorf("tier %d fitted mean %v, want %v", i, tier.Fit.MAP.Mean(), chars[i].MeanServiceTime)
-		}
-		if tier.Visits != 1 {
-			t.Errorf("tier %d default visits %v, want 1", i, tier.Visits)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := BuildPlanNFromCharacterizations(tc.chars, nil, 0.5, PlannerOptions{TierNames: tc.explicit}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(plan.Tiers) != len(tc.chars) {
+				t.Fatalf("got %d tiers, want %d", len(plan.Tiers), len(tc.chars))
+			}
+			for i, tier := range plan.Tiers {
+				if tier.Name != tc.wantNames[i] {
+					t.Errorf("tier %d name %q, want %q", i, tier.Name, tc.wantNames[i])
+				}
+				if tier.Fit.MAP == nil {
+					t.Fatalf("tier %d has no fitted MAP", i)
+				}
+				// The fitted processes must preserve the measured means.
+				if math.Abs(tier.Fit.MAP.Mean()-tc.chars[i].MeanServiceTime) > 1e-6 {
+					t.Errorf("tier %d fitted mean %v, want %v", i, tier.Fit.MAP.Mean(), tc.chars[i].MeanServiceTime)
+				}
+				if tier.Visits != 1 {
+					t.Errorf("tier %d default visits %v, want 1", i, tier.Visits)
+				}
+			}
+			if got := plan.Tiers[0].Fit.AchievedI; math.Abs(got-40) > 4 {
+				t.Errorf("front I = %v, want ~40", got)
+			}
+		})
 	}
 }
 
@@ -68,18 +83,15 @@ func TestBuildPlanNErrors(t *testing.T) {
 		t.Error("expected error for zero think time")
 	}
 	bad := validChar(0, 40, 0.02)
+	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{bad, good}, nil, 0.5, PlannerOptions{}, nil); err == nil {
+		t.Error("expected error for invalid front characterization")
+	}
 	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{good, bad}, nil, 0.5, PlannerOptions{}, nil); err == nil {
-		t.Error("expected error for invalid characterization")
+		t.Error("expected error for invalid db characterization")
 	}
 	if _, err := BuildPlanNFromCharacterizations([]inference.Characterization{good, good}, nil, 0.5,
 		PlannerOptions{TierNames: []string{"only-one"}}, nil); err == nil {
 		t.Error("expected error for name/tier count mismatch")
-	}
-	if _, err := BuildPlanN(nil, 0.5, PlannerOptions{}); err == nil {
-		t.Error("expected error for no tier samples")
-	}
-	if _, err := BuildPlanN([]trace.UtilizationSamples{{}}, 0.5, PlannerOptions{}); err == nil {
-		t.Error("expected error for empty samples")
 	}
 }
 
@@ -92,70 +104,37 @@ func TestPlanNPredictThreeTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, err := plan.Predict([]int{1, 10, 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	preds := solveLadder(t, plan, []int{1, 10, 30}, SolverMAP, SolverMVA)
 	prevMAP, prevMVA := 0.0, 0.0
 	for _, p := range preds {
 		if len(p.MAP.Utils) != 3 || len(p.MVA.Utilizations) != 3 {
 			t.Fatalf("per-station slices wrong length: %+v", p)
 		}
 		if p.MAP.Throughput < prevMAP || p.MVA.Throughput < prevMVA {
-			t.Errorf("non-monotone throughput at %d EBs", p.EBs)
+			t.Errorf("non-monotone throughput at %d EBs", p.Population)
 		}
 		prevMAP, prevMVA = p.MAP.Throughput, p.MVA.Throughput
 		// Burstiness can only hurt: the MAP model must not predict more
 		// throughput than the product-form baseline.
 		if p.MAP.Throughput > p.MVA.Throughput*1.01 {
-			t.Errorf("%d EBs: MAP X %v exceeds MVA X %v", p.EBs, p.MAP.Throughput, p.MVA.Throughput)
+			t.Errorf("%d EBs: MAP X %v exceeds MVA X %v", p.Population, p.MAP.Throughput, p.MVA.Throughput)
 		}
 		// Conservation across three stations plus think pool.
 		total := p.MAP.Thinking
 		for _, q := range p.MAP.QueueLens {
 			total += q
 		}
-		if math.Abs(total-float64(p.EBs)) > 1e-6*float64(p.EBs) {
-			t.Errorf("%d EBs: conservation violated: %v", p.EBs, total)
+		if math.Abs(total-float64(p.Population)) > 1e-6*float64(p.Population) {
+			t.Errorf("%d EBs: conservation violated: %v", p.Population, total)
 		}
 	}
 	// Bounds bracket the exact solutions.
-	bounds, err := plan.Bounds([]int{10, 30, 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if preds[1].MAP.Throughput > bounds[0].UpperX*1.001 || preds[1].MAP.Throughput < bounds[0].LowerX*0.999 {
-		t.Errorf("bounds [%v, %v] miss exact %v", bounds[0].LowerX, bounds[0].UpperX, preds[1].MAP.Throughput)
+	bounds := solveLadder(t, plan, []int{10, 30, 500}, SolverBounds)
+	if b := bounds[0].Bounds; preds[1].MAP.Throughput > b.UpperX*1.001 || preds[1].MAP.Throughput < b.LowerX*0.999 {
+		t.Errorf("bounds [%v, %v] miss exact %v", b.LowerX, b.UpperX, preds[1].MAP.Throughput)
 	}
 	// Large-population bounds answer without a CTMC solve.
-	if bounds[2].Customers != 500 || bounds[2].UpperX <= 0 {
+	if b := bounds[2].Bounds; b.Customers != 500 || b.UpperX <= 0 || bounds[2].MAP != nil {
 		t.Errorf("large-population bounds invalid: %+v", bounds[2])
-	}
-}
-
-func TestPlanNCompare(t *testing.T) {
-	plan, err := BuildPlanNFromCharacterizations([]inference.Characterization{
-		validChar(0.005, 5, 0.02),
-		validChar(0.004, 5, 0.02),
-		validChar(0.006, 5, 0.02),
-	}, nil, 0.5, PlannerOptions{TierNames: []string{"web", "cache", "db"}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Tiers[1].Name != "cache" {
-		t.Errorf("explicit tier name not applied: %q", plan.Tiers[1].Name)
-	}
-	if _, err := plan.Compare([]int{1, 2}, []float64{1}); err == nil {
-		t.Error("expected error for length mismatch")
-	}
-	if _, err := plan.Compare([]int{1}, []float64{0}); err == nil {
-		t.Error("expected error for zero measurement")
-	}
-	acc, err := plan.Compare([]int{5}, []float64{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc[0].EBs != 5 || acc[0].Measured != 8 || acc[0].MAPPredicted <= 0 {
-		t.Errorf("accuracy record wrong: %+v", acc[0])
 	}
 }

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/inference"
 	"repro/internal/tpcw"
-	"repro/internal/trace"
 )
 
 func validChar(mean, i, p95 float64) inference.Characterization {
@@ -22,49 +22,31 @@ func twoTierPlan(front, db inference.Characterization, thinkTime float64) (*Plan
 	return BuildPlanNFromCharacterizations([]inference.Characterization{front, db}, nil, thinkTime, PlannerOptions{}, nil)
 }
 
-func TestBuildPlanFromCharacterizations(t *testing.T) {
-	plan, err := twoTierPlan(
-		validChar(0.005, 40, 0.02),
-		validChar(0.004, 300, 0.03),
-		0.5)
-	if err != nil {
-		t.Fatal(err)
+// populationReport returns an empty report with one row per population.
+func populationReport(pops []int) *Report {
+	rep := &Report{Results: make([]PopulationReport, len(pops))}
+	for i, n := range pops {
+		rep.Results[i].Population = n
 	}
-	if plan.Tiers[0].Name != "front" || plan.Tiers[1].Name != "db" {
-		t.Errorf("two-tier names = %q/%q, want front/db", plan.Tiers[0].Name, plan.Tiers[1].Name)
-	}
-	front, db := plan.Tiers[0].Fit, plan.Tiers[1].Fit
-	if front.MAP == nil || db.MAP == nil {
-		t.Fatal("fitted MAPs missing")
-	}
-	// The fitted processes must preserve the measured means.
-	if math.Abs(front.MAP.Mean()-0.005) > 1e-6 {
-		t.Errorf("front mean = %v", front.MAP.Mean())
-	}
-	if math.Abs(db.MAP.Mean()-0.004) > 1e-6 {
-		t.Errorf("db mean = %v", db.MAP.Mean())
-	}
-	if math.Abs(front.AchievedI-40) > 4 {
-		t.Errorf("front I = %v, want ~40", front.AchievedI)
-	}
+	return rep
 }
 
-func TestBuildPlanErrors(t *testing.T) {
-	good := validChar(0.005, 40, 0.02)
-	if _, err := twoTierPlan(good, good, 0); err == nil {
-		t.Error("expected error for zero think time")
+// solveLadder walks plan's solver ladder for wants at pops and fails
+// the test on an error or a degraded report.
+func solveLadder(t *testing.T, plan *PlanN, pops []int, wants ...SolverKind) []PopulationReport {
+	t.Helper()
+	rep := populationReport(pops)
+	if err := plan.SolveLadder(context.Background(), context.Background(), rep, wants, nil, nil, nil); err != nil {
+		t.Fatal(err)
 	}
-	bad := validChar(0, 40, 0.02)
-	if _, err := twoTierPlan(bad, good, 0.5); err == nil {
-		t.Error("expected error for invalid front characterization")
+	if rep.Degraded {
+		t.Fatalf("ladder degraded: %s", rep.FallbackReason)
 	}
-	if _, err := twoTierPlan(good, bad, 0.5); err == nil {
-		t.Error("expected error for invalid db characterization")
-	}
-	if _, err := BuildPlanN([]trace.UtilizationSamples{{}, {}}, 0.5, PlannerOptions{}); err == nil {
-		t.Error("expected error for empty samples")
-	}
+	return rep.Results
 }
+
+// relErr is |pred - actual| / actual.
+func relErr(pred, actual float64) float64 { return math.Abs(pred-actual) / actual }
 
 func TestPredictConsistency(t *testing.T) {
 	plan, err := twoTierPlan(
@@ -74,57 +56,35 @@ func TestPredictConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, err := plan.Predict([]int{1, 10, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
 	prevMAP, prevMVA := 0.0, 0.0
-	for _, p := range preds {
+	for _, p := range solveLadder(t, plan, []int{1, 10, 40}, SolverMAP, SolverMVA) {
 		if p.MAP.Throughput < prevMAP || p.MVA.Throughput < prevMVA {
-			t.Errorf("non-monotone throughput at %d EBs", p.EBs)
+			t.Errorf("non-monotone throughput at %d EBs", p.Population)
 		}
 		prevMAP, prevMVA = p.MAP.Throughput, p.MVA.Throughput
 		// Burstiness can only hurt: the MAP model must not predict more
 		// throughput than the product-form baseline.
 		if p.MAP.Throughput > p.MVA.Throughput*1.01 {
-			t.Errorf("%d EBs: MAP X %v exceeds MVA X %v", p.EBs, p.MAP.Throughput, p.MVA.Throughput)
+			t.Errorf("%d EBs: MAP X %v exceeds MVA X %v", p.Population, p.MAP.Throughput, p.MVA.Throughput)
 		}
 	}
 }
 
+// TestPredictErrors checks that every rung of the solver ladder refuses
+// a population below one on its own: SolveLadder adds no check of its
+// own, because Scenario.Validate rejects such populations at the input.
 func TestPredictErrors(t *testing.T) {
 	plan, err := twoTierPlan(validChar(0.005, 5, 0.02), validChar(0.004, 5, 0.02), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Predict(nil); err == nil {
-		t.Error("expected error for empty populations")
-	}
-	if _, err := plan.Predict([]int{0}); err == nil {
-		t.Error("expected error for zero population")
-	}
-}
-
-func TestCompareValidation(t *testing.T) {
-	plan, err := twoTierPlan(validChar(0.005, 5, 0.02), validChar(0.004, 5, 0.02), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plan.Compare([]int{1, 2}, []float64{1}); err == nil {
-		t.Error("expected error for length mismatch")
-	}
-	if _, err := plan.Compare([]int{1}, []float64{0}); err == nil {
-		t.Error("expected error for zero measurement")
-	}
-	acc, err := plan.Compare([]int{5}, []float64{8.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc[0].EBs != 5 || acc[0].Measured != 8 {
-		t.Errorf("accuracy record wrong: %+v", acc[0])
-	}
-	if acc[0].MAPRelativeError < 0 || acc[0].MVARelativeError < 0 {
-		t.Error("relative errors must be non-negative")
+	for _, kind := range []SolverKind{SolverMAP, SolverDecomp, SolverMVA, SolverBounds} {
+		for _, n := range []int{0, -3} {
+			rep := populationReport([]int{n})
+			if err := plan.SolveLadder(context.Background(), context.Background(), rep, []SolverKind{kind}, nil, nil, nil); err == nil {
+				t.Errorf("%s at population %d: expected an error", kind, n)
+			}
+		}
 	}
 }
 
@@ -151,7 +111,11 @@ func TestEndToEndBrowsingMixBeatsMVA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := BuildPlanN(fitRun.TierSamples, 0.5, PlannerOptions{})
+	chars, err := inference.CharacterizeAll(fitRun.TierSamples, inference.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := BuildPlanNFromCharacterizations(chars, nil, 0.5, PlannerOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,20 +137,17 @@ func TestEndToEndBrowsingMixBeatsMVA(t *testing.T) {
 		}
 		measured[i] = run.Throughput
 	}
-	acc, err := plan.Compare(populations, measured)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mapErrHigh, mvaErrHigh float64
-	for _, a := range acc {
+	preds := solveLadder(t, plan, populations, SolverMAP, SolverMVA)
+	for i, p := range preds {
 		t.Logf("EB=%3d measured=%6.1f MAP=%6.1f (%.1f%%) MVA=%6.1f (%.1f%%)",
-			a.EBs, a.Measured, a.MAPPredicted, 100*a.MAPRelativeError,
-			a.MVAPredicted, 100*a.MVARelativeError)
+			p.Population, measured[i], p.MAP.Throughput, 100*relErr(p.MAP.Throughput, measured[i]),
+			p.MVA.Throughput, 100*relErr(p.MVA.Throughput, measured[i]))
 	}
 	// At saturation the difference is starkest: compare the highest
 	// population.
-	last := acc[len(acc)-1]
-	mapErrHigh, mvaErrHigh = last.MAPRelativeError, last.MVARelativeError
+	last := len(preds) - 1
+	mapErrHigh := relErr(preds[last].MAP.Throughput, measured[last])
+	mvaErrHigh := relErr(preds[last].MVA.Throughput, measured[last])
 	if mvaErrHigh < 0.10 {
 		t.Errorf("MVA error at saturation = %.1f%%, expected large overprediction under burstiness",
 			100*mvaErrHigh)

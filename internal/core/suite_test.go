@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/mapqn"
 	"repro/internal/markov"
 )
 
@@ -322,10 +323,10 @@ func TestMemoSingleFlight(t *testing.T) {
 	}
 	// Errors are cached like values.
 	wantErr := errors.New("boom")
-	if _, err := lookup(m, memoSolve, "k", func() ([]PredictionN, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
+	if _, err := lookup(m, memoSolve, "k", func() ([]mapqn.NetworkMetrics, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := lookup(m, memoSolve, "k", func() ([]PredictionN, error) {
+	if _, err := lookup(m, memoSolve, "k", func() ([]mapqn.NetworkMetrics, error) {
 		t.Error("error entry recomputed")
 		return nil, nil
 	}); !errors.Is(err, wantErr) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -50,6 +51,25 @@ func twoTierPlan(chars []inference.Characterization, scale Scale) (*core.PlanN, 
 	}, nil)
 }
 
+// solvePlan walks the plan's solver ladder for wants at each population,
+// as cross-validation does, and returns one report row per population.
+// A figure needs the requested models themselves, so a degraded report
+// is an error.
+func solvePlan(plan *core.PlanN, populations []int, wants ...core.SolverKind) ([]core.PopulationReport, error) {
+	rep := &core.Report{Results: make([]core.PopulationReport, len(populations))}
+	for i, n := range populations {
+		rep.Results[i].Population = n
+	}
+	ctx := context.Background()
+	if err := plan.SolveLadder(ctx, ctx, rep, wants, nil, nil, nil); err != nil {
+		return nil, err
+	}
+	if rep.Degraded {
+		return nil, fmt.Errorf("experiments: model solve degraded: %s", rep.FallbackReason)
+	}
+	return rep.Results, nil
+}
+
 // meanDemands is the MVA baseline's input: each tier's mean service
 // time, front first.
 func meanDemands(chars []inference.Characterization) []float64 {
@@ -80,12 +100,12 @@ func Figure10(seed int64, scale Scale, populations []int) ([]AccuracyRow, error)
 		if err != nil {
 			return nil, err
 		}
-		net := mva.ModelN(meanDemands(chars), []string{"front", "db"}, 0.5)
-		for i, n := range populations {
-			pred, err := mva.Solve(net, n)
-			if err != nil {
-				return nil, err
-			}
+		preds, err := core.MVASweep(mva.ModelN(meanDemands(chars), []string{"front", "db"}, 0.5), populations)
+		if err != nil {
+			return nil, err
+		}
+		for i, pred := range preds {
+			n := populations[i]
 			meas := measured[m*len(populations)+i]
 			rows = append(rows, AccuracyRow{
 				Mix: mix.Name, EBs: n,
@@ -145,11 +165,11 @@ func Figure11(seed int64, scale Scale, populations []int) ([]Figure11Row, error)
 		return nil, fmt.Errorf("experiments: figure 11: %w", err)
 	}
 	measured := measuredThroughputs(srep)
-	preds05, err := plan05.Predict(populations)
+	preds05, err := solvePlan(plan05, populations, core.SolverMAP)
 	if err != nil {
 		return nil, err
 	}
-	preds7, err := plan7.Predict(populations)
+	preds7, err := solvePlan(plan7, populations, core.SolverMAP)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +231,7 @@ func Figure12(seed int64, scale Scale, populations []int) ([]Figure12Result, err
 			return nil, fmt.Errorf("experiments: figure 12 plan for %s: %w", mix.Name, err)
 		}
 		measured := allMeasured[m*len(populations) : (m+1)*len(populations)]
-		acc, err := plan.Compare(populations, measured)
+		preds, err := solvePlan(plan, populations, core.SolverMAP, core.SolverMVA)
 		if err != nil {
 			return nil, err
 		}
@@ -222,12 +242,12 @@ func Figure12(seed int64, scale Scale, populations []int) ([]Figure12Result, err
 			PaperIF: paperI[mix.Name][0],
 			PaperID: paperI[mix.Name][1],
 		}
-		for _, a := range acc {
+		for i, pr := range preds {
 			res.Rows = append(res.Rows, AccuracyRow{
-				Mix: mix.Name, EBs: a.EBs,
-				Measured: a.Measured,
-				MVA:      a.MVAPredicted, MVAErr: a.MVARelativeError,
-				MAPModel: a.MAPPredicted, MAPErr: a.MAPRelativeError,
+				Mix: mix.Name, EBs: pr.Population,
+				Measured: measured[i],
+				MVA:      pr.MVA.Throughput, MVAErr: relError(pr.MVA.Throughput, measured[i]),
+				MAPModel: pr.MAP.Throughput, MAPErr: relError(pr.MAP.Throughput, measured[i]),
 			})
 		}
 		out = append(out, res)
