@@ -203,95 +203,6 @@ func TestPropDenseIterativeAgree(t *testing.T) {
 	}
 }
 
-func TestTransientConvergesToStationary(t *testing.T) {
-	q := mm1kGenerator(1, 2, 20)
-	pi0 := make([]float64, 21)
-	pi0[20] = 1 // start fully congested
-	long, err := Transient(q, pi0, 200, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mm1kAnalytic(1, 2, 20)
-	for i := range want {
-		if math.Abs(long[i]-want[i]) > 1e-6 {
-			t.Errorf("transient(200)[%d] = %v, stationary %v", i, long[i], want[i])
-		}
-	}
-}
-
-func TestTransientZeroTimeIsInitial(t *testing.T) {
-	q := mm1kGenerator(1, 2, 5)
-	pi0 := []float64{0, 1, 0, 0, 0, 0}
-	got, err := Transient(q, pi0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pi0 {
-		if got[i] != pi0[i] {
-			t.Fatalf("transient(0) = %v, want initial", got)
-		}
-	}
-}
-
-func TestTransientTwoStateClosedForm(t *testing.T) {
-	// Two-state chain with rates a=3 (0->1), b=1 (1->0):
-	// P(state 0 at t | start 0) = b/(a+b) + a/(a+b) e^{-(a+b)t}.
-	q := matrix.NewCSR(2, []matrix.Triplet{
-		{Row: 0, Col: 0, Val: -3}, {Row: 0, Col: 1, Val: 3},
-		{Row: 1, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: -1},
-	})
-	for _, tt := range []float64{0.1, 0.5, 1, 3} {
-		got, err := Transient(q, []float64{1, 0}, tt, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0.25 + 0.75*math.Exp(-4*tt)
-		if math.Abs(got[0]-want) > 1e-9 {
-			t.Errorf("t=%v: P(0) = %v, want %v", tt, got[0], want)
-		}
-	}
-}
-
-func TestTransientMassConserved(t *testing.T) {
-	q := mm1kGenerator(2, 3, 50)
-	pi0 := make([]float64, 51)
-	for i := range pi0 {
-		pi0[i] = 1.0 / 51
-	}
-	for _, tt := range []float64{0.01, 1, 10} {
-		got, err := Transient(q, pi0, tt, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := 0.0
-		for _, v := range got {
-			if v < 0 {
-				t.Fatalf("negative probability at t=%v", tt)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("t=%v: mass = %v", tt, sum)
-		}
-	}
-}
-
-func TestTransientValidation(t *testing.T) {
-	q := mm1kGenerator(1, 2, 3)
-	if _, err := Transient(q, []float64{1}, 1, 0); err == nil {
-		t.Error("expected error for wrong-length initial vector")
-	}
-	if _, err := Transient(q, []float64{1, 0, 0, 0}, -1, 0); err == nil {
-		t.Error("expected error for negative time")
-	}
-	if _, err := Transient(q, []float64{0.5, 0, 0, 0}, 1, 0); err == nil {
-		t.Error("expected error for unnormalized initial vector")
-	}
-	if _, err := Transient(q, []float64{2, -1, 0, 0}, 1, 0); err == nil {
-		t.Error("expected error for negative initial entries")
-	}
-}
-
 // TestInitialVectorOption checks the warm-start seeding: a valid Initial
 // is cleaned, renormalized and used; junk falls back to uniform; and the
 // iterative solve still reaches the same answer from any seed.
