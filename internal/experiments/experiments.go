@@ -15,6 +15,7 @@ import (
 	"repro/internal/ctmc"
 	"repro/internal/markov"
 	"repro/internal/queues"
+	"repro/internal/stats"
 	"repro/internal/tpcw"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -244,9 +245,9 @@ func Figure5And6(seed int64, scale Scale) ([]TimelineStats, error) {
 		st.SwitchFraction = float64(switches) / float64(n)
 		st.P10DB = percentileOf(db, 10)
 		st.P90DB = percentileOf(db, 90)
-		st.MaxDB = maxOf(db)
-		st.MeanQueueDB = meanOf(dbQueue)
-		st.MaxQueueDB = maxOf(dbQueue)
+		_, st.MaxDB = stats.MinMax(db)
+		st.MeanQueueDB = stats.Mean(dbQueue)
+		_, st.MaxQueueDB = stats.MinMax(dbQueue)
 		st.QueueP10 = percentileOf(dbQueue, 10)
 		st.QueueP90 = percentileOf(dbQueue, 90)
 		out = append(out, st)
@@ -275,12 +276,13 @@ func Figure7And8(seed int64, scale Scale) ([]TypeBreakdownRow, error) {
 		}
 		for _, tt := range []tpcw.Transaction{tpcw.BestSellers, tpcw.Home} {
 			series := res.InSystem1s[tt]
+			_, maxIn := stats.MinMax(series)
 			rows = append(rows, TypeBreakdownRow{
 				Mix:             mix.Name,
 				Type:            tt.String(),
 				Share:           float64(res.CompletedByType[tt]) / float64(res.Completed),
-				MeanInSystem:    meanOf(series),
-				MaxInSystem:     maxOf(series),
+				MeanInSystem:    stats.Mean(series),
+				MaxInSystem:     maxIn,
 				CorrWithDBQueue: correlation(series, res.TierQueueLen1s[1]),
 			})
 		}
@@ -296,27 +298,11 @@ func solverOpts(scale Scale) ctmc.Options {
 // fitOpts returns the standard fitting options.
 func fitOpts() markov.FitOptions { return markov.FitOptions{} }
 
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func maxOf(xs []float64) float64 {
-	m := 0.0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
+// percentileOf returns the sorted series' entry at rank
+// floor(p/100 * (n-1)), the rank below the exact position. It is not
+// stats.Percentile, which interpolates between the two ranks around
+// that position: the Fig. 5/6 percentile columns are pinned to the rank
+// below.
 func percentileOf(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
