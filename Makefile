@@ -47,11 +47,12 @@ race:
 # with-backoff, panic recovery, with errors, panics, and delays injected
 # at each pipeline stage via internal/faultinject, and cancellation
 # during a fallback solve) and every rung of the solver ladder: the
-# scenario fallback tests, the byte-for-byte ladder goldens, the
-# cross-validation degradation tests, and the memo's stale-cancellation
-# retry.
+# scenario fallback tests, every TestLadder* test (the byte-for-byte
+# ladder goldens and the MVA column pinned to MVASweep on cold, memo-hit
+# and degraded runs), the cross-validation degradation tests, and the
+# memo's stale-cancellation retry.
 faults:
-	$(GO) test -race -run 'TestFault|TestScenario(StateLimit|DecompRequested|DoubleHop)|TestLadderGoldens|TestCrossValidationDegrades|TestMemoRetry' ./...
+	$(GO) test -race -run 'TestFault|TestScenario(StateLimit|DecompRequested|DoubleHop)|TestLadder|TestCrossValidationDegrades|TestMemoRetry' ./...
 
 # fuzz runs every committed fuzz target (each func Fuzz* that
 # `go test -list` finds in the module) for 10 seconds beyond its seed
