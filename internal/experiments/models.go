@@ -105,10 +105,9 @@ func Figure10(seed int64, scale Scale, populations []int) ([]AccuracyRow, error)
 			return nil, err
 		}
 		for i, pred := range preds {
-			n := populations[i]
 			meas := measured[m*len(populations)+i]
 			rows = append(rows, AccuracyRow{
-				Mix: mix.Name, EBs: n,
+				Mix: mix.Name, EBs: pred.Customers,
 				Measured: meas,
 				MVA:      pred.Throughput,
 				MVAErr:   relError(pred.Throughput, meas),
