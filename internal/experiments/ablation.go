@@ -9,6 +9,7 @@ import (
 	"repro/internal/markov"
 	"repro/internal/monitor"
 	"repro/internal/mva"
+	"repro/internal/stats"
 	"repro/internal/tpcw"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -249,7 +250,7 @@ func AblationBurstinessSweep(seed int64, scale Scale) ([]BurstinessSweepRow, err
 			TriggerProbability: p,
 			MeasuredX:          valRun.Throughput,
 			MVAX:               pred.Throughput,
-			MVAErr:             relError(pred.Throughput, valRun.Throughput),
+			MVAErr:             stats.RelativeError(pred.Throughput, valRun.Throughput),
 			IDB:                chars[1].IndexOfDispersion,
 		})
 	}
@@ -297,7 +298,7 @@ func AblationGranularityRecovery(seed int64) ([]GranularityRecoveryRow, error) {
 			JobsPerWindow: rho / 0.01 * 5, // arrivals per window
 			TrueI:         trueI,
 			EstimatedI:    res.I,
-			RelError:      relError(res.I, trueI),
+			RelError:      stats.RelativeError(res.I, trueI),
 		})
 	}
 	return rows, nil

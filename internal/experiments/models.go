@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/inference"
 	"repro/internal/mva"
+	"repro/internal/stats"
 	"repro/internal/tpcw"
 )
 
@@ -110,7 +111,7 @@ func Figure10(seed int64, scale Scale, populations []int) ([]AccuracyRow, error)
 				Mix: mix.Name, EBs: pred.Customers,
 				Measured: meas,
 				MVA:      pred.Throughput,
-				MVAErr:   relError(pred.Throughput, meas),
+				MVAErr:   stats.RelativeError(pred.Throughput, meas),
 			})
 		}
 	}
@@ -179,9 +180,9 @@ func Figure11(seed int64, scale Scale, populations []int) ([]Figure11Row, error)
 			EBs:        n,
 			Measured:   measured[i],
 			ModelZ05:   preds05[i].MAP.Throughput,
-			ErrZ05:     relError(preds05[i].MAP.Throughput, measured[i]),
+			ErrZ05:     stats.RelativeError(preds05[i].MAP.Throughput, measured[i]),
 			ModelZ7:    preds7[i].MAP.Throughput,
-			ErrZ7:      relError(preds7[i].MAP.Throughput, measured[i]),
+			ErrZ7:      stats.RelativeError(preds7[i].MAP.Throughput, measured[i]),
 			PaperErr05: pp[0],
 			PaperErr7:  pp[1],
 		}
@@ -245,19 +246,11 @@ func Figure12(seed int64, scale Scale, populations []int) ([]Figure12Result, err
 			res.Rows = append(res.Rows, AccuracyRow{
 				Mix: mix.Name, EBs: pr.Population,
 				Measured: measured[i],
-				MVA:      pr.MVA.Throughput, MVAErr: relError(pr.MVA.Throughput, measured[i]),
-				MAPModel: pr.MAP.Throughput, MAPErr: relError(pr.MAP.Throughput, measured[i]),
+				MVA:      pr.MVA.Throughput, MVAErr: stats.RelativeError(pr.MVA.Throughput, measured[i]),
+				MAPModel: pr.MAP.Throughput, MAPErr: stats.RelativeError(pr.MAP.Throughput, measured[i]),
 			})
 		}
 		out = append(out, res)
 	}
 	return out, nil
-}
-
-func relError(pred, actual float64) float64 {
-	d := pred - actual
-	if d < 0 {
-		d = -d
-	}
-	return d / actual
 }

@@ -82,9 +82,6 @@ func OLSThroughOrigin(x, y []float64) (LinearFit, error) {
 	return LinearFit{Slope: b, Intercept: 0, R2: r2}, nil
 }
 
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
-
 // RelativeError returns |predicted-actual|/|actual|, the error metric the
 // paper reports on each bar of Fig. 11. It returns NaN when actual is zero.
 func RelativeError(predicted, actual float64) float64 {
