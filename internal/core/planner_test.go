@@ -48,6 +48,20 @@ func solveLadder(t *testing.T, plan *PlanN, pops []int, wants ...SolverKind) []P
 // relErr is |pred - actual| / actual.
 func relErr(pred, actual float64) float64 { return math.Abs(pred-actual) / actual }
 
+func TestBuildPlanErrors(t *testing.T) {
+	good := validChar(0.005, 40, 0.02)
+	if _, err := twoTierPlan(good, good, 0); err == nil {
+		t.Error("expected error for zero think time")
+	}
+	bad := validChar(0, 40, 0.02)
+	if _, err := twoTierPlan(bad, good, 0.5); err == nil {
+		t.Error("expected error for invalid front characterization")
+	}
+	if _, err := twoTierPlan(good, bad, 0.5); err == nil {
+		t.Error("expected error for invalid db characterization")
+	}
+}
+
 func TestPredictConsistency(t *testing.T) {
 	plan, err := twoTierPlan(
 		validChar(0.006, 30, 0.025),
